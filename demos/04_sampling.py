@@ -11,10 +11,10 @@ import numpy as np
 from tracegen import (
     MonoidBundle,
     RandomSource,
-    sample_boundary_prefix,
-    sample_finite_trace,
+    sample_subuniform_trace,
     sample_uniform_traces,
     serialize_trace,
+    topped_prefix_batch,
     validate_independence,
 )
 from tracegen.oracle import chi_square_uniformity, enumerate_Mk
@@ -24,15 +24,12 @@ bundle = MonoidBundle(pair)
 rng = RandomSource(seed=2).generator()
 
 print("five random infinite-trace prefixes (uniform law, first 6 layers):")
-boundary = bundle.boundary_chain()
-for _ in range(5):
-    prefix = sample_boundary_prefix(boundary, 6, rng)
-    print("   ", [pair.letters_of_mask(m) for m in prefix])
+for prefix in topped_prefix_batch(bundle, 6, 5, rng):
+    print("   ", [pair.letters_of_mask(int(m)) for m in prefix])
 
 print("\nfinite traces under the length-biased law at p = 0.2:")
-chain = bundle.chain(0.2)
 for _ in range(5):
-    print("   ", serialize_trace(sample_finite_trace(chain, rng)) or "(empty)")
+    print("   ", serialize_trace(sample_subuniform_trace(bundle, 0.2, rng)) or "(empty)")
 
 k = 5
 p_star = bundle.optimal_parameter(k)

@@ -10,8 +10,6 @@ by boundary sampling.
 
 from .bundle import MonoidBundle
 from .chain import (
-    CliqueChain,
-    ParryPair,
     clique_chain,
     cylinder_probability,
     g_vector,
@@ -19,21 +17,15 @@ from .chain import (
     iter_admissible_chains,
     parry_matrices,
     path_probability,
-    power_iteration,
     transition_matrix,
 )
 from .counting import (
-    GrowthTable,
     MobiusPolynomial,
     expected_size,
-    growth_coefficients,
-    mobius_polynomial,
     optimal_boltzmann_parameter,
     principal_root,
 )
 from .estimate import (
-    CostFunction,
-    EstimateReport,
     builtin_cost,
     enumerate_length_k_divisors,
     estimate_expectation,
@@ -41,9 +33,6 @@ from .estimate import (
     theta_k,
 )
 from .monoid import (
-    CliqueFamily,
-    ComponentDecomposition,
-    IndependencePair,
     cf_admissible,
     decompose_components,
     enumerate_cliques,
@@ -52,8 +41,6 @@ from .monoid import (
     validate_independence,
 )
 from .oracle import (
-    ChiSquareResult,
-    TraceSet,
     chi_square_uniformity,
     congruence_closure,
     enumerate_Mk,
@@ -63,15 +50,7 @@ from .oracle import (
 )
 from .sampling import (
     RandomSource,
-    SampleOutcome,
-    boundary_prefix_batch,
-    merge_product_prefix,
-    merge_product_trace,
-    sample_boundary_prefix,
-    sample_finite_trace,
-    sample_product,
     sample_subuniform_trace,
-    sample_uniform_Mk,
     sample_uniform_traces,
     topped_prefix_batch,
 )
@@ -87,6 +66,5 @@ from .traces import (
     trace_from_layers,
     trace_line,
 )
-from .verify import verification_report
 
 __version__ = "0.1.0"

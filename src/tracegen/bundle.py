@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
+
 from .chain import clique_chain
 from .counting import (
     growth_coefficients,
@@ -17,6 +19,7 @@ from .counting import (
     optimal_boltzmann_parameter,
     principal_root,
 )
+from .errors import ParameterOutOfRange
 from .monoid import DEFAULT_CLIQUE_CAP, decompose_components, enumerate_cliques, load_monoid
 
 
@@ -29,6 +32,7 @@ class MonoidBundle:
         self._p0 = None
         self._decomposition = None
         self._components = None
+        self._component_masks = None
         self._growth = None
         self._chains = {}
         self._optimal = {}
@@ -83,12 +87,25 @@ class MonoidBundle:
                 ]
         return self._components
 
+    @property
+    def component_masks(self):
+        """Per component: the global clique mask of each component clique (uint64)."""
+        if self._component_masks is None:
+            decomp = self.decomposition
+            self._component_masks = [
+                np.array([decomp.to_global_mask(ci, m) for m in cb.family.masks], dtype=np.uint64)
+                for ci, cb in enumerate(self.components)
+            ]
+        return self._component_masks
+
     def growth(self, n):
         if self._growth is None or len(self._growth) <= n:
             self._growth = growth_coefficients(self.mu, max(n, 16))
         return self._growth
 
     def lambda_k(self, k):
+        if k < 0:
+            raise ParameterOutOfRange(f"trace length must be non-negative, got {k}")
         return self.growth(k)[k]
 
     def chain(self, p):

@@ -16,6 +16,7 @@ import sys
 from concurrent.futures import ProcessPoolExecutor
 
 from .bundle import MonoidBundle
+from .chain import AT_P0_RTOL
 from .errors import ParameterOutOfRange, TracegenError
 from .estimate import Moments, accumulate_moments, builtin_cost, report_from_moments
 from .monoid import DEFAULT_CLIQUE_CAP
@@ -120,7 +121,7 @@ def cmd_sample(ns):
     elif mode == "subuniform":
         if p is None:
             raise UsageError("mode subuniform needs --p")
-        if not 0.0 < p < bundle.p0 * (1.0 - 1e-12):
+        if not 0.0 < p < bundle.p0 * (1.0 - AT_P0_RTOL):
             raise ParameterOutOfRange(
                 f"subuniform sampling needs 0 < p < p0 = {_f17(bundle.p0)}"
             )
@@ -149,8 +150,10 @@ def cmd_sample(ns):
 # -- count -----------------------------------------------------------------------
 
 def cmd_count(ns):
-    bundle = _bundle(ns)
     k = ns.k
+    if ns.mc and k < 1:
+        raise UsageError("--mc needs --k at least 1")
+    bundle = _bundle(ns)
     print(f"# tracegen count monoid={ns.monoid} k={k} seed={ns.seed} n={ns.n} jobs={ns.jobs}")
     print(f"lambda {k} {bundle.lambda_k(k)}")
     if ns.exact:
@@ -188,6 +191,8 @@ def _merged_moments(ns, phi_name):
 
 
 def cmd_estimate(ns):
+    if ns.k < 1:
+        raise UsageError("estimate needs --k at least 1")
     bundle = _bundle(ns)
     builtin_cost(ns.phi, bundle.pair)  # validate the name before spawning work
     print(
@@ -236,6 +241,13 @@ class UsageError(Exception):
     pass
 
 
+def nonnegative_int(text):
+    k = int(text)
+    if k < 0:
+        raise argparse.ArgumentTypeError(f"must be non-negative, got {k}")
+    return k
+
+
 def _build_parser():
     parser = argparse.ArgumentParser(
         prog="tracegen",
@@ -248,13 +260,15 @@ def _build_parser():
 
     p = sub.add_parser("info", help="alphabet, components, clique polynomial, counts")
     common(p)
-    p.add_argument("--k", type=int, default=10, help="print counts up to this length")
+    p.add_argument("--k", type=nonnegative_int, default=10,
+                   help="print counts up to this length")
     p.set_defaults(func=cmd_info)
 
     p = sub.add_parser("sample", help="random traces or boundary prefixes")
     common(p)
     p.add_argument("--mode", choices=["boundary", "subuniform", "exact-k"], required=True)
-    p.add_argument("--k", type=int, default=None, help="prefix height / target length")
+    p.add_argument("--k", type=nonnegative_int, default=None,
+                   help="prefix height / target length")
     p.add_argument("--p", type=float, default=None, help="parameter for subuniform mode")
     p.add_argument("--n", type=int, default=1, help="number of samples")
     p.add_argument("--seed", type=int, default=0)
@@ -264,7 +278,7 @@ def _build_parser():
 
     p = sub.add_parser("count", help="exact and Monte-Carlo counts of length-k traces")
     common(p)
-    p.add_argument("--k", type=int, required=True)
+    p.add_argument("--k", type=nonnegative_int, required=True)
     p.add_argument("--exact", action="store_true", help="cross-check by enumeration")
     p.add_argument("--mc", action="store_true", help="add a Monte-Carlo estimate")
     p.add_argument("--n", type=int, default=10000, help="samples for --mc")
@@ -274,7 +288,7 @@ def _build_parser():
 
     p = sub.add_parser("estimate", help="uniform average of a cost over length-k traces")
     common(p)
-    p.add_argument("--k", type=int, required=True)
+    p.add_argument("--k", type=nonnegative_int, required=True)
     p.add_argument(
         "--phi",
         default="height",

@@ -102,6 +102,3 @@ class ConvergenceFailure(NumericError):
 class DegenerateState(NumericError):
     pass
 
-
-class NotAtP0(NumericError):
-    pass

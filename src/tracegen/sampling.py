@@ -1,19 +1,22 @@
 """Random generation of traces and boundary prefixes.
 
-Three regimes share one engine, the clique chain:
+One engine, the clique chain, serves all three regimes:
 
 * at the principal root the chain never hits the empty clique and its first
-  ``k`` states are a random boundary prefix;
+  ``k`` states are a random boundary prefix (``topped_prefix_batch``);
 * strictly below the root the empty clique absorbs in finite time and the
   non-empty states spell out a random finite trace whose law weights each
-  trace ``x`` by ``p^{|x|}``;
+  trace ``x`` by ``p^{|x|}`` (``sample_subuniform_trace``);
 * exactly-uniform length-``k`` traces come from rejection: draw below the
   root at the parameter whose mean length is ``k`` and keep length-``k``
-  outcomes, which are equally likely by construction.
+  outcomes, which are equally likely by construction
+  (``sample_uniform_traces``).
 
-Reducible monoids sample each irreducible component independently at the same
-parameter and recombine layers by union, which is exactly how the product
-monoid stacks its heaps.
+Batches run many walkers at once through one vectorized step kernel; a
+single subuniform draw runs one scalar walk until absorption.  Reducible
+monoids run each irreducible component's chain at the same parameter and
+union the layers through the bundle's component-to-global gather tables,
+which is exactly how the product monoid stacks its heaps.
 
 Randomness is counter-based (Philox, 4x64) keyed by ``(seed, stream_id)``:
 identical sources replay identical streams and distinct stream ids give
@@ -22,16 +25,12 @@ independent streams for worker replication.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    IterationCap,
-    NotAtP0,
-    ParameterOutOfRange,
-    RejectBudgetExhausted,
-)
+from .chain import AT_P0_RTOL
+from .errors import IterationCap, ParameterOutOfRange, RejectBudgetExhausted
 from .traces import Trace
 
 RNG_ALGORITHM = "philox4x64"
@@ -54,26 +53,25 @@ class RandomSource:
         return np.random.Generator(np.random.Philox(key=key))
 
 
-@dataclass
-class SampleOutcome:
-    """One sampler result: a finite trace or a boundary prefix, plus metadata.
+def _at_root(component_bundle, p):
+    return abs(p - component_bundle.p0) <= AT_P0_RTOL * component_bundle.p0
 
-    ``prefix`` holds clique masks over the alphabet of the monoid that
-    produced it (a component alphabet for product sampling).
+
+def _layer_union(bundle, states):
+    """Global layer masks from per-component state arrays aligned at layer 0.
+
+    Arrays may be shorter than the longest along the last axis (an absorbed
+    walk); the missing layers contribute the empty clique.
     """
+    tables = bundle.component_masks
+    width = max(s.shape[-1] for s in states)
+    out = np.zeros(states[0].shape[:-1] + (width,), dtype=np.uint64)
+    for table, s in zip(tables, states):
+        out[..., : s.shape[-1]] |= table[s]
+    return out
 
-    p: float
-    trace: Trace | None = None
-    prefix: tuple | None = None
-    rejections: int = 0
-    stream_id: int = 0
-    meta: dict = field(default_factory=dict)
 
-
-def _draw_index(cum, rng):
-    u = rng.random()
-    return min(int(np.searchsorted(cum, u, side="right")), len(cum) - 1)
-
+# -- vectorized kernel ---------------------------------------------------------
 
 def _first_states(chain, u):
     idx = np.searchsorted(chain.h_cum, u, side="right")
@@ -92,177 +90,11 @@ def _step_states(chain, states, u):
     return np.minimum(out, n_states - 1)
 
 
-# -- single-draw samplers ------------------------------------------------------
-
-def sample_boundary_prefix(chain, k, rng):
-    """First ``k`` cliques of a uniform infinite trace, as masks."""
-    if not chain.at_p0:
-        raise NotAtP0("boundary sampling needs the chain built at the principal root")
-    masks = chain.family.masks
-    out = []
-    state = _draw_index(chain.h_cum, rng)
-    for _ in range(k):
-        out.append(masks[state])
-        state = _draw_index(chain.P_cum[state], rng)
-    return tuple(out[:k]) if k >= 0 else ()
-
-
-def sample_finite_trace(chain, rng, step_cap=FINITE_STEP_CAP):
-    """One finite trace below the root: run the chain until absorption."""
-    if chain.at_p0:
-        raise ParameterOutOfRange(
-            "finite-trace sampling needs p strictly below the principal root"
-        )
-    masks = chain.family.masks
-    layers = []
-    state = _draw_index(chain.h_cum, rng)
-    steps = 0
-    while state != 0:
-        layers.append(masks[state])
-        state = _draw_index(chain.P_cum[state], rng)
-        steps += 1
-        if steps > step_cap:
-            raise IterationCap(f"no absorption within {step_cap} steps")
-    return Trace(chain.family.pair, tuple(layers))
-
-
-def _at_root(component_bundle, p):
-    return abs(p - component_bundle.p0) <= 1e-12 * component_bundle.p0
-
-
-def sample_product(bundle, p, rng, k=None, stream_id=0):
-    """Sample each irreducible component independently at parameter ``p``.
-
-    Components whose own root equals ``p`` emit boundary prefixes (``k``
-    layers, so ``k`` is required); the rest emit finite traces by absorption.
-    Outcomes come back in component order, over component alphabets.
-    """
-    if p > bundle.p0 * (1.0 + 1e-12):
-        raise ParameterOutOfRange(f"p={p} exceeds the principal root {bundle.p0}")
-    meta = {"rng": RNG_ALGORITHM}
-    outcomes = []
-    for cb in bundle.components:
-        if _at_root(cb, p):
-            if k is None:
-                raise ParameterOutOfRange(
-                    "a component sits at its root; boundary prefixes need k"
-                )
-            prefix = sample_boundary_prefix(cb.boundary_chain(), k, rng)
-            outcomes.append(SampleOutcome(p=p, prefix=prefix, stream_id=stream_id, meta=meta))
-        else:
-            trace = sample_finite_trace(cb.chain(p), rng)
-            outcomes.append(SampleOutcome(p=p, trace=trace, stream_id=stream_id, meta=meta))
-    return outcomes
-
-
-def merge_product_trace(bundle, outcomes):
-    """Recombine finite component outcomes into one global trace."""
-    decomp = bundle.decomposition
-    heights = [o.trace.height for o in outcomes]
-    layers = []
-    for t in range(max(heights, default=0)):
-        mask = 0
-        for ci, o in enumerate(outcomes):
-            if t < o.trace.height:
-                mask |= decomp.to_global_mask(ci, o.trace.layers[t])
-        layers.append(mask)
-    return Trace(bundle.pair, tuple(layers))
-
-
-def merge_product_prefix(bundle, outcomes, k):
-    """First ``k`` global layers from per-component outcomes (masks)."""
-    decomp = bundle.decomposition
-    layers = []
-    for t in range(k):
-        mask = 0
-        for ci, o in enumerate(outcomes):
-            local = None
-            if o.prefix is not None and t < len(o.prefix):
-                local = o.prefix[t]
-            elif o.trace is not None and t < o.trace.height:
-                local = o.trace.layers[t]
-            if local:
-                mask |= decomp.to_global_mask(ci, local)
-        layers.append(mask)
-    return tuple(layers)
-
-
-def sample_subuniform_trace(bundle, p, rng):
-    """One finite trace with law proportional to ``p^{length}`` (p below root)."""
-    if p >= bundle.p0 * (1.0 - 1e-12):
-        raise ParameterOutOfRange(
-            f"subuniform finite sampling needs p strictly below {bundle.p0}"
-        )
-    return merge_product_trace(bundle, sample_product(bundle, p, rng))
-
-
-def _propose_capped(chains, budget, rng):
-    """One product proposal, aborted as soon as its length exceeds ``budget``.
-
-    Returns (per-component layer lists, total length) or None on abort.
-    Aborting early is sound for rejection: length only grows, so an overlong
-    prefix already decides rejection.
-    """
-    total = 0
-    parts = []
-    for ch in chains:
-        masks = ch.family.masks
-        sizes = ch.family.sizes
-        layers = []
-        state = _draw_index(ch.h_cum, rng)
-        while state != 0:
-            total += int(sizes[state])
-            if total > budget:
-                return None, total
-            layers.append(masks[state])
-            state = _draw_index(ch.P_cum[state], rng)
-        parts.append(layers)
-    return parts, total
-
-
-def sample_uniform_Mk(bundle, k, rng, max_rejects=DEFAULT_REJECT_BUDGET, stream_id=0):
-    """One trace drawn exactly uniformly among all traces of length ``k``.
-
-    Rejection against the parameter tuned so the mean proposal length is
-    ``k``; any accepted length-``k`` proposal is uniform because the proposal
-    law depends on a trace through its length only.
-    """
-    pair = bundle.pair
-    meta = {"rng": RNG_ALGORITHM}
-    if k == 0:
-        return SampleOutcome(p=0.0, trace=Trace(pair), rejections=0,
-                             stream_id=stream_id, meta=meta)
-    if max_rejects < 1:
-        raise ParameterOutOfRange("max_rejects must be at least 1")
-    p = bundle.optimal_parameter(k)
-    chains = [cb.chain(p) for cb in bundle.components]
-    decomp = bundle.decomposition
-    rejections = 0
-    while True:
-        parts, total = _propose_capped(chains, k, rng)
-        if parts is not None and total == k:
-            heights = [len(ls) for ls in parts]
-            layers = []
-            for t in range(max(heights, default=0)):
-                mask = 0
-                for ci, ls in enumerate(parts):
-                    if t < len(ls):
-                        mask |= decomp.to_global_mask(ci, ls[t])
-                layers.append(mask)
-            return SampleOutcome(p=p, trace=Trace(pair, tuple(layers)),
-                                 rejections=rejections, stream_id=stream_id, meta=meta)
-        rejections += 1
-        if rejections > max_rejects:
-            raise RejectBudgetExhausted(
-                f"no length-{k} trace accepted within {max_rejects} rejections"
-            )
-
-
-# -- vectorized batches --------------------------------------------------------
-
 def _chain_states_batch(chain, k, n, rng):
     """(n, k) chain states: initial draw plus k-1 transitions per walker."""
     states = np.empty((n, k), dtype=np.int32)
+    if k == 0:
+        return states
     u = rng.random((n, k))
     s = _first_states(chain, u[:, 0])
     states[:, 0] = s
@@ -270,23 +102,6 @@ def _chain_states_batch(chain, k, n, rng):
         s = _step_states(chain, s, u[:, t])
         states[:, t] = s
     return states
-
-
-def boundary_prefix_batch(chain, k, n, rng):
-    """(n, k) state indices of uniform boundary prefixes; all non-empty."""
-    if not chain.at_p0:
-        raise NotAtP0("boundary sampling needs the chain built at the principal root")
-    return _chain_states_batch(chain, k, n, rng)
-
-
-def _component_state_masks(bundle):
-    """Per component: global clique mask of every component family state."""
-    decomp = bundle.decomposition
-    tables = []
-    for ci, cb in enumerate(bundle.components):
-        masks = [decomp.to_global_mask(ci, m) for m in cb.family.masks]
-        tables.append(np.array(masks, dtype=np.uint64))
-    return tables
 
 
 def topped_prefix_batch(bundle, k, n, rng):
@@ -297,13 +112,11 @@ def topped_prefix_batch(bundle, k, n, rng):
     absorption for the rest) and union layers.
     """
     p0 = bundle.p0
-    gmask = _component_state_masks(bundle)
-    out = np.zeros((n, k), dtype=np.uint64)
-    for ci, cb in enumerate(bundle.components):
+    states = []
+    for cb in bundle.components:
         chain = cb.boundary_chain() if _at_root(cb, p0) else cb.chain(p0)
-        states = _chain_states_batch(chain, k, n, rng)
-        out |= gmask[ci][states]
-    return out
+        states.append(_chain_states_batch(chain, k, n, rng))
+    return _layer_union(bundle, states)
 
 
 def sample_uniform_traces(bundle, k, n, rng, max_rejects=DEFAULT_REJECT_BUDGET):
@@ -318,8 +131,8 @@ def sample_uniform_traces(bundle, k, n, rng, max_rejects=DEFAULT_REJECT_BUDGET):
         return [Trace(pair)] * n, 0
     p = bundle.optimal_parameter(k)
     chains = [cb.chain(p) for cb in bundle.components]
-    gmask = _component_state_masks(bundle)
-    sizes = [cb.family.sizes for cb in bundle.components]
+    # clique sizes are at most 64: uint8 keeps the per-batch gather small
+    sizes = [cb.family.sizes.astype(np.uint8) for cb in bundle.components]
     accept_rate = bundle.expected_acceptance(k, p)
 
     traces = []
@@ -337,25 +150,15 @@ def sample_uniform_traces(bundle, k, n, rng, max_rejects=DEFAULT_REJECT_BUDGET):
         hists = []
         total_len = np.zeros(batch, dtype=np.int64)
         for ch, sz in zip(chains, sizes):
-            u = rng.random((batch, k + 1))
-            s = _first_states(ch, u[:, 0])
-            hist = np.empty((batch, k + 1), dtype=np.int32)
-            hist[:, 0] = s
-            total_len += sz[s]
-            for t in range(1, k + 1):
-                s = _step_states(ch, s, u[:, t])
-                hist[:, t] = s
-                total_len += sz[s]
+            hist = _chain_states_batch(ch, k + 1, batch, rng)
+            total_len += sz[hist].sum(axis=1, dtype=np.int64)
             hists.append(hist)
         acc_idx = np.flatnonzero(total_len == k)
         if len(acc_idx):
-            gm = np.zeros((len(acc_idx), k + 1), dtype=np.uint64)
-            for ci, hist in enumerate(hists):
-                gm |= gmask[ci][hist[acc_idx]]
+            gm = _layer_union(bundle, [hist[acc_idx] for hist in hists])
             heights = (gm != 0).sum(axis=1)
             for r in range(len(acc_idx)):
-                layers = tuple(int(m) for m in gm[r, : heights[r]])
-                traces.append(Trace(pair, layers))
+                traces.append(Trace(pair, gm[r, : heights[r]].tolist()))
                 if len(traces) == n:
                     scanned = proposals_closed + int(acc_idx[r]) + 1
                     rejections = scanned - n
@@ -368,3 +171,31 @@ def sample_uniform_traces(bundle, k, n, rng, max_rejects=DEFAULT_REJECT_BUDGET):
                     f"no {n} length-{k} traces within {max_rejects} rejections"
                 )
     return traces, rejections
+
+
+# -- scalar absorbing walk -----------------------------------------------------
+
+def _draw_index(cum, rng):
+    return min(int(cum.searchsorted(rng.random(), side="right")), len(cum) - 1)
+
+
+def _absorbing_walk(chain, rng):
+    """Non-empty states of one walk below the root, up to absorption."""
+    states = []
+    state = _draw_index(chain.h_cum, rng)
+    while state != 0:
+        if len(states) >= FINITE_STEP_CAP:
+            raise IterationCap(f"no absorption within {FINITE_STEP_CAP} steps")
+        states.append(state)
+        state = _draw_index(chain.P_cum[state], rng)
+    return np.array(states, dtype=np.intp)
+
+
+def sample_subuniform_trace(bundle, p, rng):
+    """One finite trace with law proportional to ``p^{length}`` (p below root)."""
+    if p >= bundle.p0 * (1.0 - AT_P0_RTOL):
+        raise ParameterOutOfRange(
+            f"subuniform finite sampling needs p strictly below {bundle.p0}"
+        )
+    walks = [_absorbing_walk(cb.chain(p), rng) for cb in bundle.components]
+    return Trace(bundle.pair, _layer_union(bundle, walks).tolist())

@@ -24,8 +24,8 @@ from tracegen import (
     iter_admissible_chains,
     normalize_word,
     parry_matrices,
-    sample_product,
     sample_uniform_traces,
+    topped_prefix_batch,
     trace_concat,
 )
 from tracegen.errors import ReducibleMonoid
@@ -184,14 +184,14 @@ def test_c06_estimator(fig1, tri4, prod32):
 
 
 def test_c07_product_decomposition(prod32):
-    # empirical stop rate of the small factor at the root of the big one
-    rng = RandomSource(21).generator()
-    n = 100_000
-    draws = 0
-    for _ in range(n):
-        outs = sample_product(prod32, prod32.p0, rng, k=1)
-        draws += outs[1].trace.height + 1
-    stop_rate = n / draws
+    # empirical stop rate of the small factor at the root of the big one, read
+    # off the b-letters of 48-layer prefixes: (2/3)^48 < 4e-9 of runs are cut
+    n, k = 100_000, 48
+    rows = topped_prefix_batch(prod32, k, n, RandomSource(21).generator())
+    b_side = np.uint64(prod32.pair.mask_of_letters(["b1", "b2"]))
+    heights = ((rows & b_side) != 0).sum(axis=1)
+    assert heights.max() < k
+    stop_rate = n / (int(heights.sum()) + n)
     se = (1 / 3) * math.sqrt((2 / 3) / n)
     assert abs(stop_rate - 1 / 3) <= SE * se
     # first-layer law factorizes exactly across components

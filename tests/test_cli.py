@@ -1,6 +1,11 @@
+import hashlib
+import json
 import os
+import pathlib
 import subprocess
 import sys
+
+import pytest
 
 from tracegen import parse_trace, validate_independence
 
@@ -178,8 +183,48 @@ def test_exit_codes(monoid_files, tmp_path):
                    "--max-rejects", "1").returncode == 4
 
 
+def test_k_zero(monoid_files):
+    for name in ("fig1", "prod32"):
+        res = run_cli("sample", "--monoid", monoid_files[name], "--mode", "boundary",
+                      "--k", "0", "--n", "3")
+        assert res.returncode == 0, res.stderr
+        assert body_lines(res.stdout) == ["[]"] * 3
+    for args in (("estimate", "--k", "0"), ("count", "--k", "0", "--mc")):
+        res = run_cli(args[0], "--monoid", monoid_files["fig1"], *args[1:], "--n", "200")
+        assert res.returncode == 2 and res.stdout == ""
+
+
+def test_negative_k_is_usage_error(monoid_files):
+    for args in (("info", "--k", "-1"), ("count", "--k", "-1"),
+                 ("estimate", "--k", "-1"),
+                 ("sample", "--mode", "exact-k", "--k", "-1"),
+                 ("sample", "--mode", "boundary", "--k", "-2")):
+        res = run_cli(args[0], "--monoid", monoid_files["fig1"], *args[1:])
+        assert res.returncode == 2 and res.stdout == "", args
+        assert "non-negative" in res.stderr
+
+
 def test_clique_cap_env(monoid_files):
     res = run_cli("info", "--monoid", monoid_files["fig1"],
                   env={"TRACEGEN_CLIQUE_CAP": "3"})
     assert res.returncode == 4
     assert "cap" in res.stderr
+
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+GOLDEN = json.loads((ROOT / "tests" / "golden" / "cli_stdout.json").read_text(encoding="utf-8"))
+
+
+@pytest.mark.parametrize("argv", [c["argv"] for c in GOLDEN["commands"]])
+def test_stdout_golden(argv, tmp_path):
+    # stdout digests recorded by an earlier version: byte identity across versions
+    for name, text in GOLDEN["specs"].items():
+        (tmp_path / name).write_text(text, encoding="utf-8")
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    res = subprocess.run(
+        [sys.executable, "-m", "tracegen", *argv.split()],
+        capture_output=True, cwd=tmp_path, env=dict(os.environ, PYTHONPATH=path), timeout=300,
+    )
+    assert res.returncode == 0, res.stderr
+    want = next(c["sha256"] for c in GOLDEN["commands"] if c["argv"] == argv)
+    assert hashlib.sha256(res.stdout).hexdigest() == want

@@ -42,6 +42,12 @@ def test_growth_fig1(fig1):
     assert fig1.growth(8).values[:9] == (1, 3, 8, 21, 55, 144, 377, 987, 2584)
 
 
+def test_lambda_k_negative(fig1):
+    # a negative index must not wrap to the end of the growth table
+    with pytest.raises(ParameterOutOfRange):
+        fig1.lambda_k(-1)
+
+
 def test_growth_free2(free2):
     assert all(free2.growth(12)[k] == 2 ** k for k in range(13))
 

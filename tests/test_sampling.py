@@ -6,24 +6,15 @@ import pytest
 from tracegen import (
     RandomSource,
     Trace,
-    boundary_prefix_batch,
     cf_admissible,
-    merge_product_trace,
     normalize_word,
-    sample_boundary_prefix,
-    sample_finite_trace,
-    sample_product,
+    project,
     sample_subuniform_trace,
-    sample_uniform_Mk,
     sample_uniform_traces,
     topped_prefix_batch,
     trace_from_layers,
 )
-from tracegen.errors import (
-    NotAtP0,
-    ParameterOutOfRange,
-    RejectBudgetExhausted,
-)
+from tracegen.errors import ParameterOutOfRange, RejectBudgetExhausted
 
 
 def within_se(observed_freq, prob, n, mult=4.0):
@@ -40,29 +31,26 @@ def test_random_source_determinism():
 
 
 def test_boundary_prefix_basics(fig1):
-    ch = fig1.boundary_chain()
-    rng = RandomSource(7).generator()
-    prefix = sample_boundary_prefix(ch, 10, rng)
+    (prefix,) = topped_prefix_batch(fig1, 10, 1, RandomSource(7).generator()).tolist()
     assert len(prefix) == 10
     assert all(m != 0 for m in prefix)
     assert all(cf_admissible(fig1.pair, a, b) for a, b in zip(prefix, prefix[1:]))
-    again = sample_boundary_prefix(ch, 10, RandomSource(7).generator())
-    assert again == prefix
+    again = topped_prefix_batch(fig1, 10, 1, RandomSource(7).generator())
+    assert again.tolist() == [prefix]
 
 
-def test_boundary_needs_root_chain(fig1):
-    rng = RandomSource(0).generator()
-    with pytest.raises(NotAtP0):
-        sample_boundary_prefix(fig1.chain(0.2), 3, rng)
-    with pytest.raises(NotAtP0):
-        boundary_prefix_batch(fig1.chain(0.2), 3, 10, rng)
+def state_indices(bundle, rows):
+    """Clique indices of an irreducible monoid's layer masks."""
+    order = np.argsort(bundle.family.masks_np)
+    return order[np.searchsorted(bundle.family.masks_np, rows, sorter=order)]
 
 
 def test_boundary_initial_law(fig1):
     # first-clique frequencies against the initial vector, a million draws
     ch = fig1.boundary_chain()
     n = 1_000_000
-    states = boundary_prefix_batch(ch, 1, n, RandomSource(11).generator())[:, 0]
+    rows = topped_prefix_batch(fig1, 1, n, RandomSource(11).generator())
+    states = state_indices(fig1, rows[:, 0])
     counts = np.bincount(states, minlength=len(fig1.family))
     assert counts[0] == 0
     for idx in range(1, len(fig1.family)):
@@ -70,9 +58,9 @@ def test_boundary_initial_law(fig1):
 
 
 def test_boundary_free2_iid_uniform(free2):
-    ch = free2.boundary_chain()
     n, k = 100_000, 6
-    states = boundary_prefix_batch(ch, k, n, RandomSource(3).generator())
+    rows = topped_prefix_batch(free2, k, n, RandomSource(3).generator())
+    states = state_indices(free2, rows)
     assert set(np.unique(states)) == {1, 2}
     flat = states.ravel()
     assert within_se(float((flat == 1).mean()), 0.5, flat.size, mult=4.5)
@@ -86,7 +74,8 @@ def test_boundary_transition_frequency(fig1):
     ch = fig1.boundary_chain()
     fam = fig1.family
     i_c, i_ab = fam.index_of(0b100), fam.index_of(0b011)
-    states = boundary_prefix_batch(ch, 6, 200_000, RandomSource(5).generator())
+    rows = topped_prefix_batch(fig1, 6, 200_000, RandomSource(5).generator())
+    states = state_indices(fig1, rows)
     src = states[:, :-1] == i_c
     m = int(src.sum())
     hits = int((states[:, 1:][src] == i_ab).sum())
@@ -94,29 +83,27 @@ def test_boundary_transition_frequency(fig1):
 
 
 def test_finite_trace_basics(fig1):
-    ch = fig1.chain(0.2)
     rng = RandomSource(1).generator()
-    t = sample_finite_trace(ch, rng)
+    t = sample_subuniform_trace(fig1, 0.2, rng)
     assert all(
         cf_admissible(fig1.pair, a, b) for a, b in zip(t.layers, t.layers[1:])
     )
-    again = sample_finite_trace(ch, RandomSource(1).generator())
+    again = sample_subuniform_trace(fig1, 0.2, RandomSource(1).generator())
     assert again == t
     with pytest.raises(ParameterOutOfRange):
-        sample_finite_trace(fig1.boundary_chain(), rng)
+        sample_subuniform_trace(fig1, fig1.p0, rng)
 
 
 def test_finite_trace_law(fig1):
     # empty-trace mass, mean length, and the exact per-trace law for short traces
     p = 0.2
     mu_p = float(fig1.mu(p))
-    ch = fig1.chain(p)
     n = 200_000
     rng = RandomSource(17).generator()
     counts = {}
     lengths = np.empty(n)
     for i in range(n):
-        t = sample_finite_trace(ch, rng)
+        t = sample_subuniform_trace(fig1, p, rng)
         lengths[i] = t.length
         if t.length <= 3:
             counts[t] = counts.get(t, 0) + 1
@@ -133,34 +120,29 @@ def test_finite_trace_law(fig1):
 
 def test_finite_trace_free2_geometric(free2):
     # at p = 1/4 the length is geometric with ratio 1/2
-    ch = free2.chain(0.25)
     n = 100_000
     rng = RandomSource(23).generator()
-    lens = np.array([sample_finite_trace(ch, rng).length for i in range(n)])
+    lens = np.array([sample_subuniform_trace(free2, 0.25, rng).length for i in range(n)])
     for m in range(4):
         assert within_se(float((lens == m).mean()), 0.5 ** (m + 1), n, mult=4.5)
 
 
 def test_uniform_mk_single(fig1):
-    rng = RandomSource(9).generator()
-    out = sample_uniform_Mk(fig1, 5, rng)
-    assert out.trace.length == 5
-    assert out.rejections >= 0
-    assert abs(out.p - fig1.optimal_parameter(5)) < 1e-15
-    again = sample_uniform_Mk(fig1, 5, RandomSource(9).generator())
-    assert again.trace == out.trace and again.rejections == out.rejections
+    (t,), rej = sample_uniform_traces(fig1, 5, 1, RandomSource(9).generator())
+    assert t.length == 5
+    assert rej >= 0
+    (again,), rej2 = sample_uniform_traces(fig1, 5, 1, RandomSource(9).generator())
+    assert again == t and rej2 == rej
 
 
 def test_uniform_mk_k0(fig1):
-    out = sample_uniform_Mk(fig1, 0, RandomSource(0).generator())
-    assert out.trace == Trace(fig1.pair) and out.rejections == 0
     ts, rej = sample_uniform_traces(fig1, 0, 5, RandomSource(0).generator())
     assert rej == 0 and all(t == Trace(fig1.pair) for t in ts)
 
 
 def test_uniform_mk_budget(free2):
     with pytest.raises(RejectBudgetExhausted):
-        sample_uniform_Mk(free2, 20, RandomSource(4).generator(), max_rejects=1)
+        sample_uniform_traces(free2, 20, 1, RandomSource(4).generator(), max_rejects=1)
 
 
 def test_uniform_mk_batch_matches_contract(fig1):
@@ -189,59 +171,54 @@ def test_uniform_mk_small_chi_square(fig1):
 def test_uniform_mk_reducible(prod32):
     ts, _ = sample_uniform_traces(prod32, 4, 2000, RandomSource(8).generator())
     assert all(t.length == 4 for t in ts)
-    single = sample_uniform_Mk(prod32, 4, RandomSource(8).generator())
-    assert single.trace.length == 4
     # layers must be admissible in the product monoid
     for t in ts[:100]:
         trace_from_layers(prod32.pair, t.layers, validate=True)
 
 
+def component_rows(bundle, rows, ci):
+    """Each global layer mask of ``rows`` restricted to component ``ci``, as local masks."""
+    split = bundle.decomposition.split_mask
+    return [[split(int(m))[ci] for m in row] for row in rows]
+
+
 def test_sample_product_structure(prod32, prod22, fig1):
-    rng = RandomSource(2).generator()
-    outs = sample_product(prod32, prod32.p0, rng, k=4)
-    assert outs[0].prefix is not None and len(outs[0].prefix) == 4
-    assert outs[1].trace is not None
-    outs22 = sample_product(prod22, prod22.p0, RandomSource(2).generator(), k=3)
-    assert all(o.prefix is not None for o in outs22)  # equal factors: both at root
-    outs_f = sample_product(fig1, 0.2, RandomSource(2).generator())
-    assert len(outs_f) == 1 and outs_f[0].trace is not None
-
-
-def test_sample_product_needs_k_at_root(prod32):
-    with pytest.raises(ParameterOutOfRange):
-        sample_product(prod32, prod32.p0, RandomSource(0).generator())
+    # a component at the global root fills every layer; one below it absorbs
+    rows = topped_prefix_batch(prod32, 4, 200, RandomSource(2).generator())
+    assert all(m != 0 for row in component_rows(prod32, rows, 0) for m in row)
+    for row in component_rows(prod32, rows, 1):
+        height = sum(m != 0 for m in row)
+        assert all(row[:height]) and not any(row[height:])
+    rows22 = topped_prefix_batch(prod22, 3, 200, RandomSource(2).generator())
+    for ci in (0, 1):  # equal factors: both at the root
+        assert all(m != 0 for row in component_rows(prod22, rows22, ci) for m in row)
+    t = sample_subuniform_trace(fig1, 0.2, RandomSource(2).generator())
+    trace_from_layers(fig1.pair, t.layers, validate=True)
 
 
 def test_merge_product_prefix(prod32):
-    from tracegen import merge_product_prefix
-
     k = 4
-    outs = sample_product(prod32, prod32.p0, RandomSource(19).generator(), k=k)
-    layers = merge_product_prefix(prod32, outs, k)
-    assert len(layers) == k
-    assert all(m != 0 for m in layers)  # the at-root factor fills every layer
-    trace_from_layers(prod32.pair, layers, validate=True)
-    # the big-factor part of each merged layer is the component prefix
-    a_masks = [prod32.decomposition.to_global_mask(0, m) for m in outs[0].prefix]
-    a_side = prod32.pair.mask_of_letters(["a1", "a2", "a3"])
-    assert [m & a_side for m in layers] == a_masks
-
-
-def test_outcome_metadata(fig1):
-    out = sample_uniform_Mk(fig1, 3, RandomSource(1).generator(), stream_id=9)
-    assert out.stream_id == 9
-    assert out.meta["rng"] == "philox4x64"
+    rows = topped_prefix_batch(prod32, k, 50, RandomSource(19).generator())
+    a_pair = prod32.components[0].pair
+    for row, a_prefix in zip(rows, component_rows(prod32, rows, 0)):
+        layers = [int(m) for m in row]
+        assert len(layers) == k
+        assert all(m != 0 for m in layers)  # the at-root factor fills every layer
+        trace_from_layers(prod32.pair, layers, validate=True)
+        # the big-factor part of each merged layer is a component prefix
+        trace_from_layers(a_pair, a_prefix, validate=True)
 
 
 def test_product_stop_rate(prod32):
-    # the small factor stops with probability 1 - |B|/|A| = 1/3 at every draw
-    rng = RandomSource(21).generator()
-    n = 100_000
+    # the small factor stops with probability 1 - |B|/|A| = 1/3 at every draw;
+    # a run outlives a 48-layer prefix with probability (2/3)^48 < 4e-9
+    n, k = 100_000, 48
+    rows = topped_prefix_batch(prod32, k, n, RandomSource(21).generator())
+    b_side = np.uint64(prod32.pair.mask_of_letters(["b1", "b2"]))
+    heights = ((rows & b_side) != 0).sum(axis=1)
+    assert heights.max() < k
     stops = n  # every run ends with exactly one stop draw
-    draws = 0
-    for _ in range(n):
-        outs = sample_product(prod32, prod32.p0, rng, k=1)
-        draws += outs[1].trace.height + 1
+    draws = int(heights.sum()) + n
     assert within_se(stops / draws, 1.0 / 3.0, draws)
 
 
@@ -254,23 +231,15 @@ def test_subuniform_trace_merging(prod32):
 
 
 def test_merge_product_trace_is_commuting_product(prod32):
-    rng = RandomSource(33).generator()
-    outs = sample_product(prod32, 0.25, rng)
-    merged = merge_product_trace(prod32, outs)
-    # concatenating the component words in either order gives the same trace
     decomp = prod32.decomposition
-    word_a = [
-        prod32.pair.letters[decomp.global_indices[0][i]]
-        for a in outs[0].trace.word()
-        for i in [outs[0].trace.pair.letter_index(a)]
-    ]
-    word_b = [
-        prod32.pair.letters[decomp.global_indices[1][i]]
-        for b in outs[1].trace.word()
-        for i in [outs[1].trace.pair.letter_index(b)]
-    ]
-    assert merged == normalize_word(word_a + word_b, prod32.pair)
-    assert merged == normalize_word(word_b + word_a, prod32.pair)
+    rng = RandomSource(33).generator()
+    for _ in range(20):
+        merged = sample_subuniform_trace(prod32, 0.25, rng)
+        # concatenating the component words in either order gives the same trace;
+        # component letters keep their global names
+        word_a, word_b = (project(merged, ci, decomp).word() for ci in (0, 1))
+        assert merged == normalize_word(word_a + word_b, prod32.pair)
+        assert merged == normalize_word(word_b + word_a, prod32.pair)
 
 
 def test_topped_prefix_batch_irreducible(fig1):
