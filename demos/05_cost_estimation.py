@@ -11,14 +11,13 @@ from tracegen import (
     MonoidBundle,
     RandomSource,
     builtin_cost,
-    enumerate_length_k_divisors,
     estimate_expectation,
     normalize_word,
     serialize_trace,
     theta_k,
     validate_independence,
 )
-from tracegen.oracle import exact_uniform_expectation
+from tracegen.oracle import exact_uniform_expectation, length_k_divisors
 
 pair = validate_independence(["a", "b", "c"], [("a", "b")], symmetric_closure=True)
 bundle = MonoidBundle(pair)
@@ -27,7 +26,7 @@ bundle = MonoidBundle(pair)
 x = normalize_word("abab", pair)
 print("trace:", serialize_trace(x))
 print("its length-2 bottom sub-heaps:")
-for y in enumerate_length_k_divisors(x, 2):
+for y in length_k_divisors(bundle.family, x, 2):
     print("   ", serialize_trace(y))
 print("count (theta):", theta_k(x, 2))
 

@@ -27,7 +27,6 @@ from .counting import (
 )
 from .estimate import (
     builtin_cost,
-    enumerate_length_k_divisors,
     estimate_expectation,
     phibar,
     theta_k,

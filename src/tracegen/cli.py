@@ -151,8 +151,8 @@ def cmd_sample(ns):
 
 def cmd_count(ns):
     k = ns.k
-    if ns.mc and k < 1:
-        raise UsageError("--mc needs --k at least 1")
+    if ns.mc and (k < 1 or ns.n < 2):
+        raise UsageError("--mc needs --k at least 1 and --n at least 2")
     bundle = _bundle(ns)
     print(f"# tracegen count monoid={ns.monoid} k={k} seed={ns.seed} n={ns.n} jobs={ns.jobs}")
     print(f"lambda {k} {bundle.lambda_k(k)}")
@@ -191,8 +191,8 @@ def _merged_moments(ns, phi_name):
 
 
 def cmd_estimate(ns):
-    if ns.k < 1:
-        raise UsageError("estimate needs --k at least 1")
+    if ns.k < 1 or ns.n < 2:
+        raise UsageError("estimate needs --k at least 1 and --n at least 2")
     bundle = _bundle(ns)
     builtin_cost(ns.phi, bundle.pair)  # validate the name before spawning work
     print(
@@ -270,7 +270,7 @@ def _build_parser():
     p.add_argument("--k", type=nonnegative_int, default=None,
                    help="prefix height / target length")
     p.add_argument("--p", type=float, default=None, help="parameter for subuniform mode")
-    p.add_argument("--n", type=int, default=1, help="number of samples")
+    p.add_argument("--n", type=nonnegative_int, default=1, help="number of samples")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--max-rejects", type=int, default=DEFAULT_REJECT_BUDGET)

@@ -3,9 +3,10 @@
 The average of a cost ``phi`` over all traces of length ``k`` equals, up to
 the factor ``p0^k * lambda(k)``, the expectation under the uniform boundary
 measure of the lifted cost: the sum of ``phi`` over all length-``k`` left
-divisors of the first ``k`` layers.  Sampling boundary prefixes therefore
-estimates both the average cost (as a ratio) and the count ``lambda(k)``
-itself (from the lifted constant cost).
+divisors of the first ``k`` layers.  One memoized walk over those divisors
+yields their count (the lift of the constant cost, which estimates
+``lambda(k)``), summed heights and summed first-layer sizes; ``prefix:u`` is
+lifted as the divisor count of ``u^-1 x``.  Only these builtin costs lift.
 """
 
 from __future__ import annotations
@@ -17,10 +18,10 @@ from dataclasses import dataclass
 from .errors import ParameterOutOfRange
 from .monoid import cf_admissible
 from .sampling import topped_prefix_batch
-from .traces import Trace, divides, parse_trace, remove_bottom
+from .traces import divides, left_quotient, parse_trace, remove_bottom
 
 
-# -- divisor enumeration -------------------------------------------------------
+# -- the divisor walk ------------------------------------------------------------
 
 def _iter_submasks(mask):
     """Non-empty submasks of ``mask``, largest first (standard walk)."""
@@ -30,100 +31,90 @@ def _iter_submasks(mask):
         sub = (sub - 1) & mask
 
 
-def _divisor_layers(layers, k, pair):
-    """Yield the layer tuples of all length-``k`` left divisors of ``layers``.
+def _divisor_sums(layers, k, pair):
+    """(count, sum of heights, sum of first-layer sizes) of the length-``k``
+    left divisors of ``layers``, memoized on (residual, length, layer below).
 
-    A divisor's first layer is a non-empty subset ``s`` of the bottom layer;
-    peeling ``s`` off and recursing gives its remaining layers, kept only when
-    ``s`` may legally precede them.  Each divisor appears exactly once since
-    the split (first layer, rest) is its own normal form.
+    A divisor is its first layer ``s``, a subset of the bottom layer that may
+    follow the layer peeled below it, then a divisor of the residual.
     """
-    if k == 0:
-        yield ()
-        return
-    if not layers:
-        return
-    for s in _iter_submasks(layers[0]):
-        size = s.bit_count()
-        if size > k:
-            continue
-        rest = remove_bottom(layers, s, pair)
-        for tail in _divisor_layers(rest, k - size, pair):
-            if not tail or cf_admissible(pair, s, tail[0]):
-                yield (s,) + tail
+    memo = {}
 
+    def walk(layers, j, below):
+        if j == 0:
+            return 1, 0, 0
+        if not layers:
+            return 0, 0, 0
+        key = (layers, j, below)
+        hit = memo.get(key)
+        if hit is None:
+            count = heights = firsts = 0
+            for s in _iter_submasks(layers[0]):
+                size = s.bit_count()
+                if size > j or (below and not cf_admissible(pair, below, s)):
+                    continue
+                c, h, _ = walk(remove_bottom(layers, s, pair), j - size, s)
+                count += c
+                heights += h + c
+                firsts += size * c
+            hit = memo[key] = (count, heights, firsts)
+        return hit
 
-def enumerate_length_k_divisors(x, k):
-    """All traces ``y`` of length ``k`` with ``y <= x``, without duplicates."""
-    return [Trace(x.pair, ls) for ls in _divisor_layers(x.layers, k, x.pair)]
+    return walk(layers, k, 0)
 
 
 def theta_k(x, k):
-    """Count of length-``k`` left divisors, no trace objects materialized.
-
-    Counts divisors of the residual whose first layer may follow the layer
-    peeled below it; memoized on (residual, remaining, layer below).
-    """
-    pair = x.pair
-    cache = {}
-
-    def count(layers, j, below):
-        if j == 0:
-            return 1
-        if not layers:
-            return 0
-        key = (layers, j, below)
-        hit = cache.get(key)
-        if hit is None:
-            hit = 0
-            for s in _iter_submasks(layers[0]):
-                if s.bit_count() > j:
-                    continue
-                if below and not cf_admissible(pair, below, s):
-                    continue
-                hit += count(remove_bottom(layers, s, pair), j - s.bit_count(), s)
-            cache[key] = hit
-        return hit
-
-    return count(x.layers, k, 0)
+    """Count of length-``k`` left divisors of the trace ``x``."""
+    return _divisor_sums(x.layers, k, x.pair)[0]
 
 
 def phibar(phi, x, k):
-    """Lifted cost: sum of ``phi`` over all length-``k`` divisors of ``x``."""
-    return sum(phi(y) for y in enumerate_length_k_divisors(x, k))
+    """Lifted cost: sum of the builtin cost ``phi`` over all length-``k`` divisors of ``x``."""
+    return phi.lift(x.layers, k, _divisor_sums(x.layers, k, x.pair))
 
 
 # -- cost functions -------------------------------------------------------------
 
 @dataclass(frozen=True)
 class CostFunction:
+    """A trace cost ``fn`` and ``lift(layers, k, sums)``, its sum over the
+    length-``k`` divisors of ``layers`` given their ``_divisor_sums``."""
+
     name: str
     fn: object
+    lift: object
 
     def __call__(self, trace):
         return self.fn(trace)
 
 
-def _indicator_prefix(u):
+def _prefix_cost(name, u):
     def fn(y):
         return 1.0 if divides(u, y) else 0.0
 
-    return fn
+    def lift(layers, k, sums):
+        # y = u.z with |y| = k and y <= x  <=>  z <= u^-1 x with |z| = k - |u|
+        if u.length > k:
+            return 0
+        rest = left_quotient(u.layers, layers, u.pair)
+        return 0 if rest is None else _divisor_sums(rest, k - u.length, u.pair)[0]
+
+    return CostFunction(name, fn, lift)
 
 
 def builtin_cost(name, pair=None):
     """Resolve a builtin cost by name; ``prefix:<serialized trace>`` needs pair."""
     if name == "height":
-        return CostFunction("height", lambda y: float(y.height))
+        return CostFunction("height", lambda y: float(y.height), lambda ls, k, sums: sums[1])
     if name in ("first_layer_size", "first-layer"):
-        return CostFunction("first_layer_size", lambda y: float(y.first_layer.bit_count()))
+        return CostFunction("first_layer_size", lambda y: float(y.first_layer.bit_count()),
+                            lambda ls, k, sums: sums[2])
     if name in ("constant_one", "one"):
-        return CostFunction("constant_one", lambda y: 1.0)
+        return CostFunction("constant_one", lambda y: 1.0, lambda ls, k, sums: sums[0])
     if name.startswith("prefix:"):
         if pair is None:
             raise ValueError("prefix cost needs the monoid")
-        u = parse_trace(pair, name[len("prefix:"):])
-        return CostFunction(name, _indicator_prefix(u))
+        return _prefix_cost(name, parse_trace(pair, name[len("prefix:"):]))
     raise ValueError(f"unknown cost function {name!r}")
 
 
@@ -185,12 +176,9 @@ def accumulate_moments(bundle, k, phi, n, rng, moments=None, batch=8192):
         take = min(batch, remaining)
         gm = topped_prefix_batch(bundle, k, take, rng)
         for row in gm:
-            layers = tuple(int(m) for m in row)
-            while layers and layers[-1] == 0:
-                layers = layers[:-1]
-            x = Trace(pair, layers)
-            divisors = enumerate_length_k_divisors(x, k)
-            moments.add(float(sum(phi(y) for y in divisors)), float(len(divisors)))
+            layers = tuple(int(m) for m in row if m)
+            sums = _divisor_sums(layers, k, pair)
+            moments.add(float(phi.lift(layers, k, sums)), float(sums[0]))
         remaining -= take
     return moments
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BudgetExceeded, InsufficientSamples
-from .traces import Trace, normalize_word
+from .traces import Trace, divides, normalize_word
 
 DEFAULT_ENUM_BUDGET = 10 ** 7
 
@@ -105,6 +105,11 @@ def congruence_closure(word, pair, max_len=8):
                     stack.append(swapped)
                     seen.add(tuple(pair.letters[j] for j in swapped))
     return seen
+
+
+def length_k_divisors(family, x, k):
+    """Every trace ``y`` of length ``k`` with ``y <= x``, by filtering ``M_k``."""
+    return [y for y in enumerate_Mk(family, k) if divides(y, x)]
 
 
 def exact_uniform_expectation(family, k, phi, budget=DEFAULT_ENUM_BUDGET):

@@ -135,26 +135,29 @@ def remove_bottom(layers, submask, pair):
     return tuple(out)
 
 
-def divides(u, v):
-    """Left divisibility: is there a ``w`` with ``v = u . w``?
+def left_quotient(ul, vl, pair):
+    """Normal form of ``u^-1 v`` from the layers of ``u`` and ``v``, or None.
 
     Letters are cancelled one at a time: any letter of u's first layer must
     appear in v's first layer, and cancelling it on both sides preserves the
     answer because the monoid is cancellative.
     """
+    while ul:
+        bit = ul[0] & -ul[0]
+        if not vl or not vl[0] & bit:
+            return None
+        ul = remove_bottom(ul, bit, pair)
+        vl = remove_bottom(vl, bit, pair)
+    return vl
+
+
+def divides(u, v):
+    """Left divisibility: is there a ``w`` with ``v = u . w``?"""
     if u.pair != v.pair:
         raise ValueError("traces over different monoids")
     if u.length > v.length:
         return False
-    pair = u.pair
-    ul, vl = u.layers, v.layers
-    while ul:
-        bit = ul[0] & -ul[0]
-        if not vl or not vl[0] & bit:
-            return False
-        ul = remove_bottom(ul, bit, pair)
-        vl = remove_bottom(vl, bit, pair)
-    return True
+    return left_quotient(u.layers, v.layers, u.pair) is not None
 
 
 def project(u, component_index, decomposition):

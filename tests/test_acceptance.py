@@ -18,12 +18,12 @@ from tracegen import (
     Trace,
     builtin_cost,
     divides,
-    enumerate_length_k_divisors,
     estimate_expectation,
     h_vector,
     iter_admissible_chains,
     normalize_word,
     parry_matrices,
+    phibar,
     sample_uniform_traces,
     topped_prefix_batch,
     trace_concat,
@@ -154,7 +154,7 @@ def _lift_sum(bundle, k, phi):
         if prob == 0.0:
             continue
         x = Trace(bundle.pair, tuple(fam.masks[s] for s in states if s != 0))
-        total += prob * sum(phi(y) for y in enumerate_length_k_divisors(x, k))
+        total += prob * phibar(phi, x, k)
     return total
 
 

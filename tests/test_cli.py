@@ -189,16 +189,25 @@ def test_k_zero(monoid_files):
                       "--k", "0", "--n", "3")
         assert res.returncode == 0, res.stderr
         assert body_lines(res.stdout) == ["[]"] * 3
-    for args in (("estimate", "--k", "0"), ("count", "--k", "0", "--mc")):
-        res = run_cli(args[0], "--monoid", monoid_files["fig1"], *args[1:], "--n", "200")
-        assert res.returncode == 2 and res.stdout == ""
+    res = run_cli("sample", "--monoid", monoid_files["fig1"], "--mode", "boundary",
+                  "--k", "3", "--n", "0")
+    assert res.returncode == 0 and len(res.stdout.splitlines()) == 1
+    assert res.stdout.startswith("# tracegen sample")
+    # k = 0, and fewer than two samples for the error estimate, are usage errors
+    for args in (("estimate", "--k", "0", "--n", "200"),
+                 ("count", "--k", "0", "--mc", "--n", "200"),
+                 ("estimate", "--k", "3", "--n", "1"),
+                 ("count", "--k", "3", "--mc", "--n", "1")):
+        res = run_cli(args[0], "--monoid", monoid_files["fig1"], *args[1:])
+        assert res.returncode == 2 and res.stdout == "", args
 
 
 def test_negative_k_is_usage_error(monoid_files):
     for args in (("info", "--k", "-1"), ("count", "--k", "-1"),
                  ("estimate", "--k", "-1"),
                  ("sample", "--mode", "exact-k", "--k", "-1"),
-                 ("sample", "--mode", "boundary", "--k", "-2")):
+                 ("sample", "--mode", "boundary", "--k", "-2"),
+                 ("sample", "--mode", "boundary", "--k", "3", "--n", "-2")):
         res = run_cli(args[0], "--monoid", monoid_files["fig1"], *args[1:])
         assert res.returncode == 2 and res.stdout == "", args
         assert "non-negative" in res.stderr

@@ -1,14 +1,17 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tracegen import (
     RandomSource,
     Trace,
     builtin_cost,
     divides,
-    enumerate_length_k_divisors,
+    enumerate_cliques,
     estimate_expectation,
     h_vector,
     iter_admissible_chains,
@@ -16,9 +19,21 @@ from tracegen import (
     phibar,
     theta_k,
     topped_prefix_batch,
+    trace_line,
+    validate_independence,
 )
 from tracegen.errors import ParameterOutOfRange
-from tracegen.oracle import enumerate_Mk, exact_uniform_expectation
+from tracegen.oracle import enumerate_Mk, exact_uniform_expectation, length_k_divisors
+
+LIFTED = ("height", "first-layer", "one")
+
+
+def assert_lifts_match_oracle(family, x, k, costs):
+    """theta_k and every phibar against sums over the brute-force divisors."""
+    want = length_k_divisors(family, x, k)
+    assert theta_k(x, k) == len(want)
+    for phi in costs:
+        assert phibar(phi, x, k) == sum(phi(y) for y in want), (phi.name, x, k)
 
 
 def test_theta_alternating_clique_power(fig1):
@@ -27,7 +42,7 @@ def test_theta_alternating_clique_power(fig1):
         x = normalize_word("ab" * k, fig1.pair)
         assert x.height == k
         assert theta_k(x, k) == k + 1
-        assert len(enumerate_length_k_divisors(x, k)) == k + 1
+        assert len(length_k_divisors(fig1.family, x, k)) == k + 1
 
 
 def test_theta_totally_ordered_chain(fig1, free2):
@@ -36,27 +51,22 @@ def test_theta_totally_ordered_chain(fig1, free2):
 
 
 def test_divisors_against_oracle(fig1, tri4, prod32):
-    # every enumerated divisor divides, and the set matches brute force
+    # the divisor count and every builtin lift match brute force
+    costs = [builtin_cost(name) for name in LIFTED]
     for bundle in (fig1, tri4, prod32):
         traces = [t for n in range(6) for t in enumerate_Mk(bundle.family, n)]
         for x in traces:
             if x.height > 4:
                 continue
-            k = x.height
-            got = enumerate_length_k_divisors(x, k)
-            assert len(set(got)) == len(got)
-            assert all(divides(y, x) and y.length == k for y in got)
-            want = {y for y in enumerate_Mk(bundle.family, k) if divides(y, x)}
-            assert set(got) == want
-            assert theta_k(x, k) == len(want)
+            assert_lifts_match_oracle(bundle.family, x, x.height, costs)
 
 
 def test_divisors_below_height(fig1):
     # also correct when asking for shorter divisors than the height cutoff
     x = normalize_word("acab", fig1.pair)
+    costs = [builtin_cost(name) for name in LIFTED]
     for k in range(x.length + 1):
-        want = {y for y in enumerate_Mk(fig1.family, k) if divides(y, x)}
-        assert set(enumerate_length_k_divisors(x, k)) == want
+        assert_lifts_match_oracle(fig1.family, x, k, costs)
 
 
 def test_phibar_constant_is_theta(fig1):
@@ -79,9 +89,38 @@ def test_phibar_indicator_prefix(fig1):
 def test_phibar_height_example(fig1):
     # divisors of (ab)^2 at length 2: the clique {a,b}, a.a, b.b
     x = normalize_word("abab", fig1.pair)
-    heights = sorted(y.height for y in enumerate_length_k_divisors(x, 2))
+    heights = sorted(y.height for y in length_k_divisors(fig1.family, x, 2))
     assert heights == [1, 2, 2]
     assert phibar(builtin_cost("height"), x, 2) == 5.0
+
+
+@st.composite
+def monoid_and_words(draw):
+    """Independence graph on at most 5 letters, a word x of at most 7 letters,
+    and a word u no longer than x that is a prefix of x half of the time."""
+    letters = "abcde"[: draw(st.integers(1, 5))]
+    pairs = [p for p in itertools.combinations(letters, 2) if draw(st.booleans())]
+    word = draw(st.lists(st.sampled_from(letters), max_size=7))
+    size = draw(st.integers(0, len(word)))
+    if draw(st.booleans()):
+        u_word = word[:size]
+    else:
+        u_word = draw(st.lists(st.sampled_from(letters), min_size=size, max_size=size))
+    return list(letters), pairs, word, u_word
+
+
+@settings(max_examples=100, deadline=None)
+@given(monoid_and_words())
+def test_lifts_match_oracle_on_random_monoids(case):
+    letters, pairs, word, u_word = case
+    pair = validate_independence(letters, pairs, symmetric_closure=True)
+    x = normalize_word(word, pair)
+    u = normalize_word(u_word, pair)
+    costs = [builtin_cost(name) for name in LIFTED]
+    costs.append(builtin_cost("prefix:" + trace_line(u), pair))
+    family = enumerate_cliques(pair)
+    for k in range(x.length + 1):
+        assert_lifts_match_oracle(family, x, k, costs)
 
 
 def exact_lift_sum(bundle, k, phi):
