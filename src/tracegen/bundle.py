@@ -111,19 +111,16 @@ class MonoidBundle:
     def chain(self, p):
         key = float(p)
         if key not in self._chains:
-            self._chains[key] = clique_chain(self.family, key, mu=self.mu, p0=self.p0)
+            self._chains[key] = clique_chain(self.family, key, self.p0)
         return self._chains[key]
 
     def boundary_chain(self):
         return self.chain(self.p0)
 
-    def optimal_parameter(self, k, tol=1e-9):
-        key = (int(k), float(tol))
-        if key not in self._optimal:
-            self._optimal[key] = optimal_boltzmann_parameter(
-                self.mu, k, tol=tol, p0=self.p0
-            )
-        return self._optimal[key]
+    def optimal_parameter(self, k):
+        if k not in self._optimal:
+            self._optimal[k] = optimal_boltzmann_parameter(self.mu, k, self.p0)
+        return self._optimal[k]
 
     def expected_acceptance(self, k, p):
         """Probability that a parameter-``p`` draw has length exactly ``k``."""

@@ -17,23 +17,20 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .counting import mobius_polynomial, principal_root
+from .counting import G_FLOOR_RTOL, POWER_MAX_ITER, POWER_TOL, RootPosition, root_position
 from .errors import DegenerateState, ParameterOutOfRange, ReducibleMonoid
 from .monoid import decompose_components
 
-AT_P0_RTOL = 1e-12
 _H_BLOCK = 1 << 22  # cap rows*cliques per chunk of the superset sum
 
 
-def h_vector(family, p, p0=None):
+def h_vector(family, p):
     """Initial clique law: alternating superset sums of ``p``-weights.
 
     ``h(c) = sum over cliques c' containing c of (-1)^{|c'|-|c|} p^{|c'|}``.
     """
     if p <= 0.0:
         raise ParameterOutOfRange(f"p must be positive, got {p}")
-    if p0 is not None and p > p0 * (1.0 + AT_P0_RTOL):
-        raise ParameterOutOfRange(f"p={p} exceeds the principal root {p0}")
     n = len(family)
     masks = family.masks_np
     sizes = family.sizes
@@ -66,7 +63,7 @@ def transition_matrix(family, p, h, g, at_p0=False):
     gs = g[start:]
     # a mathematical zero of g shows up as a float residue of arbitrary sign,
     # so the refusal uses a relative threshold, not the raw sign
-    tol = 1e-12 * float(np.max(np.abs(g)))
+    tol = G_FLOOR_RTOL * float(np.max(np.abs(g)))
     if np.any(gs <= tol):
         bad = int(np.argmax(gs <= tol)) + start
         raise DegenerateState(
@@ -98,26 +95,21 @@ class CliqueChain:
         return len(self.family)
 
 
-def clique_chain(family, p, mu=None, p0=None):
-    """Build the clique chain at parameter ``p``.
+def clique_chain(family, p, p0):
+    """Build the clique chain at parameter ``p`` for the principal root ``p0``.
 
-    Boundary behaviour (empty clique unreachable) engages when ``p`` matches
-    the principal root within 1e-12 relative; callers wanting that regime
-    should pass the computed root itself.  Reducible monoids with equal
-    component roots must supply ``p0`` (their polynomial has a multiple root
-    that sign scanning cannot find).
+    Boundary behaviour (empty clique unreachable) engages when ``p`` sits at
+    the root in the sense of ``counting.root_position``; callers wanting that
+    regime should pass the computed root itself.
     """
-    if p0 is None:
-        if mu is None:
-            mu = mobius_polynomial(family)
-        p0 = principal_root(mu)
-    if p <= 0.0 or p > p0 * (1.0 + AT_P0_RTOL):
+    position = root_position(p, p0)
+    if position is RootPosition.OUT_OF_RANGE:
         raise ParameterOutOfRange(f"p must lie in (0, {p0}], got {p}")
-    at_p0 = abs(p - p0) <= AT_P0_RTOL * p0
+    at_p0 = position is RootPosition.AT
     h = h_vector(family, p)
     if at_p0:
-        # mu(p0) is a float residue of order 1e-16; the boundary chain sets it
-        # to exact zero so the empty clique is truly unreachable
+        # mu(p0) is a float residue near machine epsilon; the boundary chain
+        # sets it to exact zero so the empty clique is truly unreachable
         h[0] = 0.0
     g = g_vector(family, p, h)
     P = transition_matrix(family, p, h, g, at_p0=at_p0)
@@ -187,19 +179,19 @@ class ParryPair:
     spectral_radius: float
 
 
-def power_iteration(matrix, max_iter=10_000, tol=1e-12):
+def power_iteration(matrix):
     """Dominant eigenvalue of a non-negative matrix via Rayleigh quotients."""
     n = matrix.shape[0]
     x = np.full(n, 1.0 / n)
     rho = 0.0
-    for _ in range(max_iter):
+    for _ in range(POWER_MAX_ITER):
         y = matrix @ x
         norm = np.linalg.norm(y)
         if norm == 0.0:
             return 0.0, x
         rho_new = float(x @ y) / float(x @ x)
         x = y / norm
-        if abs(rho_new - rho) < tol:
+        if abs(rho_new - rho) < POWER_TOL:
             return rho_new, x
         rho = rho_new
     return rho, x

@@ -16,7 +16,7 @@ import sys
 from concurrent.futures import ProcessPoolExecutor
 
 from .bundle import MonoidBundle
-from .chain import AT_P0_RTOL
+from .counting import RootPosition, root_position
 from .errors import ParameterOutOfRange, TracegenError
 from .estimate import Moments, accumulate_moments, builtin_cost, report_from_moments
 from .monoid import DEFAULT_CLIQUE_CAP
@@ -121,7 +121,7 @@ def cmd_sample(ns):
     elif mode == "subuniform":
         if p is None:
             raise UsageError("mode subuniform needs --p")
-        if not 0.0 < p < bundle.p0 * (1.0 - AT_P0_RTOL):
+        if root_position(p, bundle.p0) is not RootPosition.BELOW:
             raise ParameterOutOfRange(
                 f"subuniform sampling needs 0 < p < p0 = {_f17(bundle.p0)}"
             )

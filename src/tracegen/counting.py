@@ -4,18 +4,37 @@ The alternating clique-size polynomial inverts the growth series of the
 monoid, so trace counts by length satisfy a short linear recurrence with the
 polynomial's coefficients.  Everything exact is integer arithmetic; the only
 floating point lives in root finding and in the Boltzmann tuning equation.
+This module also owns every numeric tolerance of the package and the one test
+of where a parameter sits against the principal root.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from enum import Enum
 from functools import lru_cache
 
 import numpy as np
 
 from .errors import ConvergenceFailure, NoRootFound, ParameterOutOfRange
 
-ROOT_SCAN_STEP = 1.0 / 1024.0
+# -- numeric tolerances: every one the package uses lives in this block ----------
+
+ROOT_TOL = 1e-14                  # bisection width of the principal root
+ROOT_RESIDUAL = 10.0 * ROOT_TOL   # largest |mu(p0)| / |mu'(p0)| accepted
+ROOT_SCAN_STEP = 1.0 / 1024.0     # grid step of the first sign-change scan
+AT_P0_RTOL = 1e-12                # relative band around p0 that counts as the root
+G_FLOOR_RTOL = 1e-12              # g(c) at most this times max|g| is a zero of g
+BOLTZMANN_RTOL = 1e-9             # size equation solved to this times k
+BOLTZMANN_MAX_ITER = 200
+BOLTZMANN_LO = 1e-12              # the size equation is bracketed in
+BOLTZMANN_HI_GAP = 1e-9           #   (p0 * LO, p0 * (1 - HI_GAP))
+ACCEPTANCE_FLOOR = 1e-9           # least acceptance rate used to size a batch
+POWER_TOL = 1e-12                 # power iteration stops when rho moves less
+POWER_MAX_ITER = 10_000
+VERIFY_IDENTITY_TOL = 1e-12       # h sums, row sums, cylinders, Parry B g and C
+VERIFY_SPECTRAL_TOL = 1e-9        # |Parry spectral radius - 1|
+VERIFY_PRODUCT_TOL = 1e-10        # product factorization of layer laws
 
 
 @dataclass(frozen=True)
@@ -84,8 +103,13 @@ def growth_coefficients(mu, n):
 
 
 @lru_cache(maxsize=None)
-def _principal_root_cached(coefficients, tol):
-    mu = MobiusPolynomial(coefficients)
+def principal_root(mu):
+    """Smallest positive root of the clique polynomial, in (0, 1].
+
+    Grid scan for the first sign change (the polynomial starts at 1), then
+    bisection to ``ROOT_TOL``, then one guarded Newton step.  A one-letter
+    alphabet returns exactly 1.
+    """
     if mu.alphabet_size == 1:
         return 1.0
     lo = 0.0
@@ -99,7 +123,7 @@ def _principal_root_cached(coefficients, tol):
         x = nxt
     if hi is None:
         raise NoRootFound("no sign change of the clique polynomial in (0, 1]")
-    while hi - lo > tol:
+    while hi - lo > ROOT_TOL:
         mid = 0.5 * (lo + hi)
         if mu(mid) > 0.0:
             lo = mid
@@ -107,80 +131,72 @@ def _principal_root_cached(coefficients, tol):
             hi = mid
     root = 0.5 * (lo + hi)
     slope = mu.derivative(root)
-    assert slope < 0.0, "tangent principal root; simple-root assumption violated"
+    if not slope < 0.0:
+        raise ConvergenceFailure("tangent principal root; simple-root assumption violated")
     # one guarded polish step
     cand = root - mu(root) / slope
-    if lo - tol <= cand <= hi + tol:
+    if lo - ROOT_TOL <= cand <= hi + ROOT_TOL:
         root = cand
-    assert abs(mu(root)) <= 10.0 * tol * abs(mu.derivative(root))
+    if not abs(mu(root)) <= ROOT_RESIDUAL * abs(mu.derivative(root)):
+        raise ConvergenceFailure(f"principal root near {root!r}: residual above ROOT_RESIDUAL")
     return root
 
 
-def principal_root(mu, tol=1e-14):
-    """Smallest positive root of the clique polynomial, in (0, 1].
+RootPosition = Enum("RootPosition", "BELOW AT OUT_OF_RANGE")
 
-    Grid scan for the first sign change (the polynomial starts at 1), then
-    bisection, then one guarded Newton step.  A one-letter alphabet returns
-    exactly 1.
+
+def root_position(p, p0):
+    """Where the parameter ``p`` sits against the principal root ``p0``.
+
+    ``AT`` in ``[p0 (1 - AT_P0_RTOL), p0 (1 + AT_P0_RTOL)]``, ``BELOW`` in
+    ``(0, p0 (1 - AT_P0_RTOL))``, ``OUT_OF_RANGE`` otherwise.
     """
-    return _principal_root_cached(mu.coefficients, tol)
+    if not 0.0 < p <= p0 * (1.0 + AT_P0_RTOL):
+        return RootPosition.OUT_OF_RANGE
+    if p < p0 * (1.0 - AT_P0_RTOL):
+        return RootPosition.BELOW
+    return RootPosition.AT
 
 
 def _expected(mu, p):
     return -p * mu.derivative(p) / mu(p)
 
 
-def expected_size(mu, p, p0=None):
+def expected_size(mu, p, p0):
     """Mean trace length under the length-biased law of parameter ``p``."""
-    if p0 is None:
-        p0 = principal_root(mu)
     if not 0.0 < p < p0:
         raise ParameterOutOfRange(f"p must lie strictly inside (0, {p0}), got {p}")
     return _expected(mu, p)
 
 
-def optimal_boltzmann_parameter(mu, k, tol=1e-9, max_iter=200, p0=None):
+def optimal_boltzmann_parameter(mu, k, p0):
     """Parameter at which the expected sampled length equals ``k``.
 
     Solves k*mu(p) + p*mu'(p) = 0 by bisection on the residual
-    expected_size(p) - k, which is increasing in p.  Monotonicity is probed
-    on a grid first; if it ever failed, the bracket would fall back to the
-    first grid sign change.
+    expected_size(p) - k.  The residual is strictly increasing in p: its
+    derivative in log p is the variance of the length.
     """
     if k < 1:
         raise ParameterOutOfRange("k must be at least 1")
-    if p0 is None:
-        p0 = principal_root(mu)
 
     def residual(q):
         return _expected(mu, q) - k
 
-    lo = p0 * 1e-12
-    hi = p0 * (1.0 - 1e-9)
-    grid = [p0 * i / 65.0 for i in range(1, 65)]
-    vals = [_expected(mu, q) for q in grid]
-    if any(b < a - 1e-9 for a, b in zip(vals, vals[1:])):
-        bracket = None
-        pts = [lo] + grid + [hi]
-        for a, b in zip(pts, pts[1:]):
-            if residual(a) <= 0.0 <= residual(b):
-                bracket = (a, b)
-                break
-        if bracket is None:
-            raise ConvergenceFailure("no bracketing interval for the size equation")
-        lo, hi = bracket
+    lo = p0 * BOLTZMANN_LO
+    hi = p0 * (1.0 - BOLTZMANN_HI_GAP)
     if residual(lo) > 0.0 or residual(hi) < 0.0:
         raise ConvergenceFailure("size equation not bracketed in (0, p0)")
 
-    for _ in range(max_iter):
+    for _ in range(BOLTZMANN_MAX_ITER):
         mid = 0.5 * (lo + hi)
         r = residual(mid)
-        if abs(r) <= tol * k:
+        if abs(r) <= BOLTZMANN_RTOL * k:
             return mid
         if r < 0.0:
             lo = mid
         else:
             hi = mid
     raise ConvergenceFailure(
-        f"size equation for k={k} not solved to {tol} in {max_iter} bisection steps"
+        f"size equation for k={k} not solved to {BOLTZMANN_RTOL} "
+        f"in {BOLTZMANN_MAX_ITER} bisection steps"
     )

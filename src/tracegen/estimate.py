@@ -20,6 +20,8 @@ from .monoid import cf_admissible
 from .sampling import topped_prefix_batch
 from .traces import divides, left_quotient, parse_trace, remove_bottom
 
+_PREFIX_BATCH = 8192  # prefixes per topped_prefix_batch call; stdout depends on it
+
 
 # -- the divisor walk ------------------------------------------------------------
 
@@ -166,14 +168,13 @@ class EstimateReport:
     lambda_hat_se: float
 
 
-def accumulate_moments(bundle, k, phi, n, rng, moments=None, batch=8192):
+def accumulate_moments(bundle, k, phi, n, rng):
     """Draw ``n`` height-``k`` uniform prefixes and fold their lifted costs."""
-    if moments is None:
-        moments = Moments()
+    moments = Moments()
     pair = bundle.pair
     remaining = n
     while remaining > 0:
-        take = min(batch, remaining)
+        take = min(_PREFIX_BATCH, remaining)
         gm = topped_prefix_batch(bundle, k, take, rng)
         for row in gm:
             layers = tuple(int(m) for m in row if m)
@@ -210,7 +211,7 @@ def report_from_moments(moments, k, p0):
     )
 
 
-def estimate_expectation(bundle, k, phi, n, rng, batch=8192):
+def estimate_expectation(bundle, k, phi, n, rng):
     """Monte-Carlo estimate of the uniform average of ``phi`` over length ``k``.
 
     Self-normalized: mean lifted cost over mean divisor count.  Also reports
@@ -227,5 +228,5 @@ def estimate_expectation(bundle, k, phi, n, rng, batch=8192):
             "tails in the lifted cost",
             stacklevel=2,
         )
-    moments = accumulate_moments(bundle, k, phi, n, rng, batch=batch)
+    moments = accumulate_moments(bundle, k, phi, n, rng)
     return report_from_moments(moments, k, bundle.p0)

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chain import AT_P0_RTOL
+from .counting import ACCEPTANCE_FLOOR, RootPosition, root_position
 from .errors import IterationCap, ParameterOutOfRange, RejectBudgetExhausted
 from .traces import Trace
 
@@ -51,10 +51,6 @@ class RandomSource:
     def generator(self):
         key = [self.seed & _MASK64, self.stream_id & _MASK64]
         return np.random.Generator(np.random.Philox(key=key))
-
-
-def _at_root(component_bundle, p):
-    return abs(p - component_bundle.p0) <= AT_P0_RTOL * component_bundle.p0
 
 
 def _layer_union(bundle, states):
@@ -107,15 +103,10 @@ def _chain_states_batch(chain, k, n, rng):
 def topped_prefix_batch(bundle, k, n, rng):
     """(n, k) global layer masks of the first ``k`` layers under the uniform law.
 
-    Irreducible monoids run the boundary chain directly; products run each
-    component at the global root (boundary for components at their own root,
-    absorption for the rest) and union layers.
+    Each component runs its chain at the global root: the boundary chain where
+    that is the component's own root, the absorbing chain elsewhere.
     """
-    p0 = bundle.p0
-    states = []
-    for cb in bundle.components:
-        chain = cb.boundary_chain() if _at_root(cb, p0) else cb.chain(p0)
-        states.append(_chain_states_batch(chain, k, n, rng))
+    states = [_chain_states_batch(cb.chain(bundle.p0), k, n, rng) for cb in bundle.components]
     return _layer_union(bundle, states)
 
 
@@ -141,7 +132,7 @@ def sample_uniform_traces(bundle, k, n, rng, max_rejects=DEFAULT_REJECT_BUDGET):
     allowed = n + max_rejects  # most proposals the budget lets us scan
     while len(traces) < n:
         need = n - len(traces)
-        batch = int(min(max(4096, need / max(accept_rate, 1e-9) * 1.2), _BATCH_CAP))
+        batch = int(min(max(4096, need / max(accept_rate, ACCEPTANCE_FLOOR) * 1.2), _BATCH_CAP))
         batch = min(batch, allowed - proposals_closed)
         if batch <= 0:
             raise RejectBudgetExhausted(
@@ -193,7 +184,7 @@ def _absorbing_walk(chain, rng):
 
 def sample_subuniform_trace(bundle, p, rng):
     """One finite trace with law proportional to ``p^{length}`` (p below root)."""
-    if p >= bundle.p0 * (1.0 - AT_P0_RTOL):
+    if root_position(p, bundle.p0) is not RootPosition.BELOW:
         raise ParameterOutOfRange(
             f"subuniform finite sampling needs p strictly below {bundle.p0}"
         )

@@ -20,6 +20,7 @@ from .chain import (
     parry_matrices,
     path_probability,
 )
+from .counting import VERIFY_IDENTITY_TOL, VERIFY_PRODUCT_TOL, VERIFY_SPECTRAL_TOL
 
 PARAM_GRID = (0.25, 0.5, 0.75, 1.0)   # fractions of the principal root
 
@@ -108,9 +109,9 @@ def verification_report(bundle):
         row_sums = ch.P[start:].sum(axis=1)
         row_dev = max(row_dev, float(np.abs(row_sums - 1.0).max()))
         cyl_dev = max(cyl_dev, _cylinder_deviation(ch, max_len))
-    checks.append(_dev_check("h_sum_max_dev", h_sum_dev, 1e-12))
-    checks.append(_dev_check("row_sum_max_dev", row_dev, 1e-12))
-    checks.append(_dev_check("cylinder_max_dev", cyl_dev, 1e-12))
+    checks.append(_dev_check("h_sum_max_dev", h_sum_dev, VERIFY_IDENTITY_TOL))
+    checks.append(_dev_check("row_sum_max_dev", row_dev, VERIFY_IDENTITY_TOL))
+    checks.append(_dev_check("cylinder_max_dev", cyl_dev, VERIFY_IDENTITY_TOL))
 
     if bundle.irreducible:
         boundary = bundle.boundary_chain()
@@ -118,16 +119,16 @@ def verification_report(bundle):
         checks.append(Check("h_min_nonempty_at_root", h_min, 0.0, h_min > 0.0))
         pp = parry_matrices(fam, p0, boundary.h, boundary.g)
         checks.append(Check(
-            "parry_spectral_radius", pp.spectral_radius, 1e-9,
-            abs(pp.spectral_radius - 1.0) <= 1e-9,
+            "parry_spectral_radius", pp.spectral_radius, VERIFY_SPECTRAL_TOL,
+            abs(pp.spectral_radius - 1.0) <= VERIFY_SPECTRAL_TOL,
         ))
         bg_dev = float(np.abs(pp.B @ pp.g - pp.g).max())
-        checks.append(_dev_check("parry_Bg_dev", bg_dev, 1e-12))
+        checks.append(_dev_check("parry_Bg_dev", bg_dev, VERIFY_IDENTITY_TOL))
         cp_dev = float(np.abs(pp.C - boundary.P[1:, 1:]).max())
-        checks.append(_dev_check("parry_CP_dev", cp_dev, 1e-12))
+        checks.append(_dev_check("parry_CP_dev", cp_dev, VERIFY_IDENTITY_TOL))
     else:
         for frac in (0.5, 1.0):
             p = p0 if frac == 1.0 else p0 * frac
             dev = _product_factorization_deviation(bundle, p)
-            checks.append(_dev_check(f"product_factorization_dev_p{frac}", dev, 1e-10))
+            checks.append(_dev_check(f"product_factorization_dev_p{frac}", dev, VERIFY_PRODUCT_TOL))
     return checks

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from tracegen import (
+    RandomSource,
     Trace,
     clique_chain,
     cylinder_probability,
@@ -11,8 +12,11 @@ from tracegen import (
     iter_admissible_chains,
     parry_matrices,
     path_probability,
+    sample_subuniform_trace,
     transition_matrix,
 )
+from tracegen.cli import main
+from tracegen.counting import AT_P0_RTOL, RootPosition, root_position
 from tracegen.errors import DegenerateState, ParameterOutOfRange, ReducibleMonoid
 
 PARAM_FRACTIONS = (0.25, 0.5, 0.75, 1.0)
@@ -56,7 +60,7 @@ def test_h_out_of_range(fig1):
     with pytest.raises(ParameterOutOfRange):
         h_vector(fig1.family, 0.0)
     with pytest.raises(ParameterOutOfRange):
-        h_vector(fig1.family, 0.5, p0=fig1.p0)
+        clique_chain(fig1.family, 0.5, fig1.p0)
 
 
 def test_g_examples(fig1):
@@ -114,19 +118,36 @@ def test_transition_rejects_degenerate_rows(prod32):
     # at the product's root the b-side cliques carry zero h, so their rows
     # cannot be normalized: the construction must refuse
     with pytest.raises(DegenerateState):
-        clique_chain(prod32.family, prod32.p0, mu=prod32.mu)
+        clique_chain(prod32.family, prod32.p0, prod32.p0)
 
 
 def test_chain_out_of_range(fig1):
     with pytest.raises(ParameterOutOfRange):
-        clique_chain(fig1.family, fig1.p0 * 1.01, mu=fig1.mu)
+        clique_chain(fig1.family, fig1.p0 * 1.01, fig1.p0)
     with pytest.raises(ParameterOutOfRange):
-        clique_chain(fig1.family, 0.0, mu=fig1.mu)
+        clique_chain(fig1.family, 0.0, fig1.p0)
 
 
 def test_at_p0_detection_tolerance(fig1):
-    assert clique_chain(fig1.family, fig1.p0 * (1 - 1e-13), mu=fig1.mu).at_p0
-    assert not clique_chain(fig1.family, fig1.p0 * 0.999, mu=fig1.mu).at_p0
+    p0 = fig1.p0
+    assert root_position(p0 * (1 - 1e-13), p0) is RootPosition.AT
+    assert root_position(p0 * (1 + 1e-13), p0) is RootPosition.AT
+    assert root_position(p0 * 0.999, p0) is RootPosition.BELOW
+    assert root_position(p0 * 1.01, p0) is RootPosition.OUT_OF_RANGE
+    assert root_position(0.0, p0) is RootPosition.OUT_OF_RANGE
+
+
+def test_at_root_band_edge(fig1, monoid_files, capsys):
+    # the lower edge of the root band is the root for the chain, so the
+    # subuniform sampler and the CLI must both refuse it
+    p = fig1.p0 * (1.0 - AT_P0_RTOL)
+    assert root_position(p, fig1.p0) is RootPosition.AT
+    assert clique_chain(fig1.family, p, fig1.p0).at_p0
+    with pytest.raises(ParameterOutOfRange):
+        sample_subuniform_trace(fig1, p, RandomSource(0).generator())
+    argv = ["sample", "--monoid", monoid_files["fig1"], "--mode", "subuniform", "--p", repr(p)]
+    assert main(argv) == 5
+    assert capsys.readouterr().out == ""
 
 
 def test_cylinder_consistency(irreducible_five):

@@ -183,6 +183,24 @@ def test_exit_codes(monoid_files, tmp_path):
                    "--max-rejects", "1").returncode == 4
 
 
+def test_root_failure_exits_5(tmp_path):
+    # C_18^c (18 letters on a cycle, each depending only on its two
+    # neighbours): the float root finder cannot meet its residual contract
+    n = 18
+    letters = [f"x{i:02d}" for i in range(n)]
+    pairs = [
+        [letters[i], letters[j]]
+        for i in range(n)
+        for j in range(n)
+        if (i - j) % n not in (0, 1, n - 1)
+    ]
+    spec = tmp_path / "c18.json"
+    spec.write_text(json.dumps({"letters": letters, "independence": pairs}), encoding="utf-8")
+    res = run_cli("info", "--monoid", str(spec))
+    assert res.returncode == 5
+    assert res.stderr.startswith("error:")
+
+
 def test_k_zero(monoid_files):
     for name in ("fig1", "prod32"):
         res = run_cli("sample", "--monoid", monoid_files[name], "--mode", "boundary",

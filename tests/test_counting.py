@@ -108,30 +108,30 @@ def test_growth_asymptotics(irreducible_five):
 
 
 def test_expected_size_examples(fig1, free2):
-    assert abs(expected_size(free2.mu, 0.25) - 1.0) < 1e-14
-    assert abs(expected_size(fig1.mu, 0.2) - 0.52 / 0.44) < 1e-14
-    assert expected_size(fig1.mu, 1e-9) < 1e-8  # vanishes toward 0
+    assert abs(expected_size(free2.mu, 0.25, free2.p0) - 1.0) < 1e-14
+    assert abs(expected_size(fig1.mu, 0.2, fig1.p0) - 0.52 / 0.44) < 1e-14
+    assert expected_size(fig1.mu, 1e-9, fig1.p0) < 1e-8  # vanishes toward 0
 
 
 def test_expected_size_monotone_grid(irreducible_five):
     for bundle in irreducible_five:
         grid = [bundle.p0 * i / 40 for i in range(1, 40)]
-        vals = [expected_size(bundle.mu, p) for p in grid]
+        vals = [expected_size(bundle.mu, p, bundle.p0) for p in grid]
         assert all(b > a for a, b in zip(vals, vals[1:]))
 
 
 def test_expected_size_out_of_range(fig1):
     with pytest.raises(ParameterOutOfRange):
-        expected_size(fig1.mu, 0.0)
+        expected_size(fig1.mu, 0.0, fig1.p0)
     with pytest.raises(ParameterOutOfRange):
-        expected_size(fig1.mu, fig1.p0)
+        expected_size(fig1.mu, fig1.p0, fig1.p0)
     with pytest.raises(ParameterOutOfRange):
-        expected_size(fig1.mu, 0.9)
+        expected_size(fig1.mu, 0.9, fig1.p0)
 
 
 def test_optimal_parameter_free2():
     mu = MobiusPolynomial((1, -2))
-    p = optimal_boltzmann_parameter(mu, 1)
+    p = optimal_boltzmann_parameter(mu, 1, principal_root(mu))
     assert abs(p - 0.25) < 1e-9
 
 
@@ -140,18 +140,18 @@ def test_optimal_parameter_fig1_k5(fig1):
     closed = (18 - math.sqrt(184)) / 14
     p = fig1.optimal_parameter(5)
     assert abs(p - closed) < 1e-8
-    assert abs(expected_size(fig1.mu, p) - 5) <= 5e-9
+    assert abs(expected_size(fig1.mu, p, fig1.p0) - 5) <= 5e-9
     assert 0 < p < fig1.p0
 
 
 def test_optimal_parameter_approaches_root(free2):
-    p = optimal_boltzmann_parameter(free2.mu, 10_000)
+    p = optimal_boltzmann_parameter(free2.mu, 10_000, free2.p0)
     assert free2.p0 * 0.999 < p < free2.p0
 
 
 def test_optimal_parameter_k_zero_rejected(fig1):
     with pytest.raises(ParameterOutOfRange):
-        optimal_boltzmann_parameter(fig1.mu, 0)
+        optimal_boltzmann_parameter(fig1.mu, 0, fig1.p0)
 
 
 def test_no_root_found_guard():
