@@ -11,12 +11,9 @@ by boundary sampling.
 from .bundle import MonoidBundle
 from .chain import (
     clique_chain,
-    cylinder_probability,
     g_vector,
     h_vector,
-    iter_admissible_chains,
     parry_matrices,
-    path_probability,
     transition_matrix,
 )
 from .counting import (
@@ -42,9 +39,12 @@ from .monoid import (
 from .oracle import (
     chi_square_uniformity,
     congruence_closure,
+    cylinder_probability,
     enumerate_Mk,
     enumerate_Mk_by_words,
     exact_uniform_expectation,
+    iter_admissible_chains,
+    path_probability,
     regularized_gamma_q,
 )
 from .sampling import (

@@ -51,7 +51,7 @@ def g_vector(family, p, h):
     return h / p ** family.sizes
 
 
-def transition_matrix(family, p, h, g, at_p0=False):
+def transition_matrix(family, h, g, at_p0=False):
     """Row-stochastic transitions ``P[c, c'] = h(c')/g(c)`` on admissible edges.
 
     At the root the empty-clique row is undefined and stored as NaN; below the
@@ -112,59 +112,17 @@ def clique_chain(family, p, p0):
         # sets it to exact zero so the empty clique is truly unreachable
         h[0] = 0.0
     g = g_vector(family, p, h)
-    P = transition_matrix(family, p, h, g, at_p0=at_p0)
+    P = transition_matrix(family, h, g, at_p0=at_p0)
     h_cum = np.cumsum(h)
     with np.errstate(invalid="ignore"):
         P_cum = np.cumsum(P, axis=1)
+    # a row's float total can fall short of 1; from the row's last admissible
+    # column on its CDF reads +inf, so a uniform at or above the total lands
+    # on that column and never on an inadmissible clique
+    n = len(family)
+    last = n - 1 - np.argmax(family.admissibility[:, ::-1], axis=1)
+    P_cum[np.arange(n)[None, :] >= last[:, None]] = np.inf
     return CliqueChain(family, p, p0, at_p0, h, g, P, h_cum, P_cum)
-
-
-def cylinder_probability(chain, states):
-    """Probability that the first ``len(states)`` layers equal ``states``.
-
-    Closed form ``p^{letters before the last layer} * h(last)``; equals the
-    telescoped product of transition entries along the path.
-    """
-    if not states:
-        return 1.0
-    sizes = chain.family.sizes
-    prefix = int(sum(sizes[s] for s in states[:-1]))
-    return chain.p ** prefix * float(chain.h[states[-1]])
-
-
-def path_probability(chain, states):
-    """Same probability as an explicit product ``h(c1) * prod P`` steps."""
-    if not states:
-        return 1.0
-    acc = float(chain.h[states[0]])
-    for a, b in zip(states, states[1:]):
-        acc *= float(chain.P[a, b])
-    return acc
-
-
-def iter_admissible_chains(family, length, include_empty=True):
-    """All admissible state chains of the given length, as index tuples."""
-    adm = family.admissibility
-    first = range(len(family)) if include_empty else range(1, len(family))
-
-    def extend(prefix, remaining):
-        if remaining == 0:
-            yield tuple(prefix)
-            return
-        last = prefix[-1]
-        succ = np.flatnonzero(adm[last])
-        for nxt in succ:
-            if not include_empty and nxt == 0:
-                continue
-            prefix.append(int(nxt))
-            yield from extend(prefix, remaining - 1)
-            prefix.pop()
-
-    if length <= 0:
-        yield ()
-        return
-    for s in first:
-        yield from extend([s], length - 1)
 
 
 # -- Parry comparison ---------------------------------------------------------

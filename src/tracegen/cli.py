@@ -69,6 +69,8 @@ def _run_workers(worker, arg_list, jobs):
 
 def cmd_info(ns):
     bundle = _bundle(ns)
+    # every value that can fail (the root above all) is resolved before the first print
+    p0, table = bundle.p0, bundle.growth(ns.k)
     print(f"# tracegen info monoid={ns.monoid}")
     print("letters " + " ".join(bundle.pair.letters))
     comps = bundle.components
@@ -77,8 +79,7 @@ def cmd_info(ns):
         print(f"component {ci} letters=" + ",".join(cb.pair.letters) + f" p0={_f18(cb.p0)}")
     print(f"cliques {len(bundle.family)}")
     print("mobius " + " ".join(str(c) for c in bundle.mu.coefficients))
-    print(f"p0 {_f18(bundle.p0)}")
-    table = bundle.growth(ns.k)
+    print(f"p0 {_f18(p0)}")
     for k in range(ns.k + 1):
         print(f"lambda {k} {table[k]}")
     return 0
@@ -134,14 +135,15 @@ def cmd_sample(ns):
     )
     if mode == "exact-k" and k > 0:
         header += f" expected_acceptance={_f17(bundle.expected_acceptance(k, p))}"
-    print(header)
     counts = _split_counts(ns.n, ns.jobs)
     args = [
         (ns.monoid, _clique_cap(), mode, k, p, counts[w], ns.seed, w, ns.max_rejects)
         for w in range(len(counts))
         if counts[w] > 0
     ]
-    for lines in _run_workers(_sample_worker, args, ns.jobs):
+    results = _run_workers(_sample_worker, args, ns.jobs)
+    print(header)
+    for lines in results:
         for line in lines:
             print(line)
     return 0
@@ -154,13 +156,14 @@ def cmd_count(ns):
     if ns.mc and (k < 1 or ns.n < 2):
         raise UsageError("--mc needs --k at least 1 and --n at least 2")
     bundle = _bundle(ns)
+    lam = bundle.lambda_k(k)
+    lam_oracle = len(enumerate_Mk(bundle.family, k)) if ns.exact else None
+    report = report_from_moments(_merged_moments(ns, "one"), k, bundle.p0) if ns.mc else None
     print(f"# tracegen count monoid={ns.monoid} k={k} seed={ns.seed} n={ns.n} jobs={ns.jobs}")
-    print(f"lambda {k} {bundle.lambda_k(k)}")
+    print(f"lambda {k} {lam}")
     if ns.exact:
-        print(f"lambda_oracle {k} {len(enumerate_Mk(bundle.family, k))}")
+        print(f"lambda_oracle {k} {lam_oracle}")
     if ns.mc:
-        moments = _merged_moments(ns, "one")
-        report = report_from_moments(moments, k, bundle.p0)
         print(f"lambda_mc {k} {_f17(report.lambda_hat)}")
         print(f"lambda_mc_se {k} {_f17(report.lambda_hat_se)}")
     return 0
@@ -195,14 +198,13 @@ def cmd_estimate(ns):
         raise UsageError("estimate needs --k at least 1 and --n at least 2")
     bundle = _bundle(ns)
     builtin_cost(ns.phi, bundle.pair)  # validate the name before spawning work
+    report = report_from_moments(_merged_moments(ns, ns.phi), ns.k, bundle.p0)
     print(
         f"# tracegen estimate monoid={ns.monoid} k={ns.k} phi={ns.phi} n={ns.n}"
         f" seed={ns.seed} jobs={ns.jobs} rng={RNG_ALGORITHM}"
     )
     if not bundle.irreducible:
         print("# warning reducible monoid: divisor counts are unbounded in expectation")
-    moments = _merged_moments(ns, ns.phi)
-    report = report_from_moments(moments, ns.k, bundle.p0)
     print(f"estimate {_f17(report.estimate)}")
     print(f"se {_f17(report.standard_error)}")
     print(f"n {report.sample_count}")
@@ -223,9 +225,8 @@ def cmd_estimate(ns):
 # -- verify -----------------------------------------------------------------------
 
 def cmd_verify(ns):
-    bundle = _bundle(ns)
+    checks = verification_report(_bundle(ns))
     print(f"# tracegen verify monoid={ns.monoid}")
-    checks = verification_report(bundle)
     failed = False
     for c in checks:
         status = "ok" if c.ok else "FAIL"

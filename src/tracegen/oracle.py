@@ -1,8 +1,9 @@
 """Brute-force ground truth for small instances, plus the chi-square harness.
 
 Everything here is deliberately naive: exhaustive walks of the clique
-automaton, word-level closures under adjacent swaps, plain averages.  Fast
-code elsewhere is tested against these.
+automaton, word-level closures under adjacent swaps, plain averages, path
+probabilities one transition at a time.  Fast code elsewhere is tested
+against these.
 """
 
 from __future__ import annotations
@@ -116,6 +117,56 @@ def exact_uniform_expectation(family, k, phi, budget=DEFAULT_ENUM_BUDGET):
     """Plain average of ``phi`` over every trace of length ``k``."""
     ts = enumerate_Mk(family, k, budget=budget)
     return sum(phi(t) for t in ts) / len(ts)
+
+
+# -- clique chain paths ----------------------------------------------------------
+
+def cylinder_probability(chain, states):
+    """Probability that the first ``len(states)`` layers equal ``states``.
+
+    Closed form ``p^{letters before the last layer} * h(last)``; equals the
+    telescoped product of transition entries along the path.
+    """
+    if not states:
+        return 1.0
+    sizes = chain.family.sizes
+    prefix = int(sum(sizes[s] for s in states[:-1]))
+    return chain.p ** prefix * float(chain.h[states[-1]])
+
+
+def path_probability(chain, states):
+    """Same probability as an explicit product ``h(c1) * prod P`` steps."""
+    if not states:
+        return 1.0
+    acc = float(chain.h[states[0]])
+    for a, b in zip(states, states[1:]):
+        acc *= float(chain.P[a, b])
+    return acc
+
+
+def iter_admissible_chains(family, length, include_empty=True):
+    """All admissible state chains of the given length, as index tuples."""
+    adm = family.admissibility
+    first = range(len(family)) if include_empty else range(1, len(family))
+
+    def extend(prefix, remaining):
+        if remaining == 0:
+            yield tuple(prefix)
+            return
+        last = prefix[-1]
+        succ = np.flatnonzero(adm[last])
+        for nxt in succ:
+            if not include_empty and nxt == 0:
+                continue
+            prefix.append(int(nxt))
+            yield from extend(prefix, remaining - 1)
+            prefix.pop()
+
+    if length <= 0:
+        yield ()
+        return
+    for s in first:
+        yield from extend([s], length - 1)
 
 
 # -- chi-square goodness of fit --------------------------------------------------

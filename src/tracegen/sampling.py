@@ -83,7 +83,7 @@ def _step_states(chain, states, u):
         e = min(s + block, len(states))
         rows = cum[states[s:e]]
         out[s:e] = (rows <= u[s:e, None]).sum(axis=1)
-    return np.minimum(out, n_states - 1)
+    return out
 
 
 def _chain_states_batch(chain, k, n, rng):

@@ -13,13 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chain import (
-    cylinder_probability,
-    h_vector,
-    iter_admissible_chains,
-    parry_matrices,
-    path_probability,
-)
+from .chain import h_vector, parry_matrices
 from .counting import VERIFY_IDENTITY_TOL, VERIFY_PRODUCT_TOL, VERIFY_SPECTRAL_TOL
 
 PARAM_GRID = (0.25, 0.5, 0.75, 1.0)   # fractions of the principal root
@@ -46,44 +40,62 @@ def _chain_length_cap(n_states):
 
 
 def _cylinder_deviation(chain, max_len):
+    """Worst gap between path products and the closed cylinder form.
+
+    Every admissible path of length 1 to ``max_len`` grows one layer at a
+    time along the admissibility matrix, carrying its last state, its product
+    ``h(s0) P(s0, s1) ...`` and its letter count below the last layer.  Both
+    sides are formed in the order ``oracle.path_probability`` and
+    ``oracle.cylinder_probability`` use, so they match those bit for bit.
+    """
+    fam = chain.family
+    # p ** int once per prefix size, as cylinder_probability computes it
+    powers = np.array([chain.p ** k for k in range((max_len - 1) * fam.max_clique_size + 1)])
+    last = np.arange(len(fam))
+    prod = chain.h
+    prefix = np.zeros(len(fam), dtype=np.int64)
     worst = 0.0
     for length in range(1, max_len + 1):
-        for states in iter_admissible_chains(chain.family, length):
-            if chain.at_p0 and 0 in states[:-1]:
-                continue  # empty-clique row undefined at the root
-            dev = abs(path_probability(chain, states) - cylinder_probability(chain, states))
-            worst = max(worst, dev)
+        dev = np.abs(prod - powers[prefix] * chain.h[last])
+        worst = float(np.max(dev, initial=worst))
+        if length == max_len:
+            break
+        if chain.at_p0:
+            # the empty-clique row is undefined at the root; only the empty
+            # clique follows it, so paths with 0 before their last state drop
+            keep = last != 0
+            last, prod, prefix = last[keep], prod[keep], prefix[keep]
+        src, nxt = np.nonzero(fam.admissibility[last])
+        prev = last[src]
+        prod = prod[src] * chain.P[prev, nxt]
+        prefix = prefix[src] + fam.sizes[prev]
+        last = nxt
     return worst
 
 
 def _product_factorization_deviation(bundle, p):
-    """Worst gap between global layer laws and the product of component laws."""
-    decomp = bundle.decomposition
+    """Worst gap between global layer laws and the product of component laws.
+
+    One-layer events compare ``h(c)`` with the product of the component
+    ``h``; two-layer events compare ``p^{|c1|} h(c2)`` over every admissible
+    pair with the product of the component terms, multiplied in component
+    order.
+    """
     fam = bundle.family
     h_global = h_vector(fam, p)
-    h_comp = [h_vector(cb.family, p) for cb in bundle.components]
-
-    def component_h(ci, local_mask):
-        return h_comp[ci][bundle.components[ci].family.index_of(local_mask)]
-
-    worst = 0.0
-    # one-layer events
-    for idx, mask in enumerate(fam.masks):
-        prod = 1.0
-        for ci, local in enumerate(decomp.split_mask(mask)):
-            prod *= component_h(ci, local)
-        worst = max(worst, abs(h_global[idx] - prod))
-    # two-layer events
-    sizes = fam.sizes
-    for c1, c2 in iter_admissible_chains(fam, 2):
-        left = p ** int(sizes[c1]) * h_global[c2]
-        prod = 1.0
-        loc1 = decomp.split_mask(fam.masks[c1])
-        loc2 = decomp.split_mask(fam.masks[c2])
-        for ci in range(len(decomp)):
-            prod *= p ** loc1[ci].bit_count() * component_h(ci, loc2[ci])
-        worst = max(worst, abs(left - prod))
-    return worst
+    split = [bundle.decomposition.split_mask(m) for m in fam.masks]
+    powers = np.array([p ** k for k in range(fam.max_clique_size + 1)])
+    c1, c2 = np.nonzero(fam.admissibility)
+    one = np.ones(len(fam))
+    two = np.ones(len(c1))
+    for ci, cb in enumerate(bundle.components):
+        local = np.array([cb.family.index_of(s[ci]) for s in split])
+        h_c = h_vector(cb.family, p)
+        one = one * h_c[local]
+        two = two * (powers[cb.family.sizes[local[c1]]] * h_c[local[c2]])
+    one_dev = np.abs(h_global - one).max()
+    two_dev = np.abs(powers[fam.sizes[c1]] * h_global[c2] - two).max()
+    return float(max(one_dev, two_dev))
 
 
 def verification_report(bundle):

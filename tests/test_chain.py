@@ -264,7 +264,7 @@ def test_transition_matrix_low_level(fig1):
     p = 0.2
     h = h_vector(fam, p)
     g = g_vector(fam, p, h)
-    P = transition_matrix(fam, p, h, g)
+    P = transition_matrix(fam, h, g)
     assert float(np.abs(P.sum(axis=1) - 1.0).max()) < 1e-12
     adm = fam.admissibility
     assert float(np.abs(P[~adm]).max()) == 0.0

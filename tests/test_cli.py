@@ -178,15 +178,13 @@ def test_exit_codes(monoid_files, tmp_path):
                    "--p", "0.5", "--n", "1").returncode == 5
     assert run_cli("sample", "--monoid", monoid_files["fig1"], "--mode", "exact-k",
                    "--n", "1").returncode == 2
-    assert run_cli("sample", "--monoid", monoid_files["fig1"], "--mode", "exact-k",
-                   "--k", "40", "--n", "1", "--seed", "0",
-                   "--max-rejects", "1").returncode == 4
+    res = run_cli("sample", "--monoid", monoid_files["fig1"], "--mode", "exact-k",
+                  "--k", "40", "--n", "1", "--seed", "0", "--max-rejects", "1")
+    assert res.returncode == 4 and res.stdout == ""
 
 
-def test_root_failure_exits_5(tmp_path):
-    # C_18^c (18 letters on a cycle, each depending only on its two
-    # neighbours): the float root finder cannot meet its residual contract
-    n = 18
+def cycle_complement_spec(tmp_path, n):
+    """C_n^c: n letters on a cycle, each depending only on its two neighbours."""
     letters = [f"x{i:02d}" for i in range(n)]
     pairs = [
         [letters[i], letters[j]]
@@ -194,11 +192,30 @@ def test_root_failure_exits_5(tmp_path):
         for j in range(n)
         if (i - j) % n not in (0, 1, n - 1)
     ]
-    spec = tmp_path / "c18.json"
+    spec = tmp_path / f"c{n}.json"
     spec.write_text(json.dumps({"letters": letters, "independence": pairs}), encoding="utf-8")
-    res = run_cli("info", "--monoid", str(spec))
-    assert res.returncode == 5
-    assert res.stderr.startswith("error:")
+    return str(spec)
+
+
+def test_root_failure_exits_5(tmp_path):
+    # C_18^c: the float root finder cannot meet its residual contract, and
+    # every command that needs the root fails before printing anything
+    spec = cycle_complement_spec(tmp_path, 18)
+    for args in (("info",), ("verify",), ("count", "--k", "3", "--mc", "--n", "10"),
+                 ("estimate", "--k", "3", "--n", "10"),
+                 ("sample", "--mode", "boundary", "--k", "3")):
+        res = run_cli(args[0], "--monoid", spec, *args[1:])
+        assert res.returncode == 5, args
+        assert res.stderr.startswith("error:"), args
+        assert res.stdout == "", args
+
+
+def test_verify_c14_ok(tmp_path):
+    # 843 cliques: above 40 the telescoping check runs on paths of length 2
+    res = run_cli("verify", "--monoid", cycle_complement_spec(tmp_path, 14))
+    assert res.returncode == 0, res.stdout
+    assert "check cylinder_max_dev" in res.stdout
+    assert res.stdout.splitlines()[-1] == "result ok"
 
 
 def test_k_zero(monoid_files):

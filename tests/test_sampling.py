@@ -15,6 +15,7 @@ from tracegen import (
     trace_from_layers,
 )
 from tracegen.errors import ParameterOutOfRange, RejectBudgetExhausted
+from tracegen.sampling import _draw_index, _step_states
 
 
 def within_se(observed_freq, prob, n, mult=4.0):
@@ -28,6 +29,30 @@ def test_random_source_determinism():
     c = RandomSource(123, 6).generator().random(100)
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c)
+
+
+class FixedUniform:
+    def __init__(self, u):
+        self.u = u
+
+    def random(self):
+        return self.u
+
+
+def test_step_at_row_total_stays_admissible(cycle5):
+    # rows whose float total falls short of 1 and whose last clique is not
+    # admissible: a uniform at or above the total must land on an admissible
+    # clique (the row's last one), in both step kernels
+    ch = cycle5.boundary_chain()
+    adm = cycle5.family.admissibility
+    totals = np.cumsum(ch.P, axis=1)[:, -1]
+    rows = [r for r in range(1, ch.n_states) if totals[r] < 1.0 and not adm[r, -1]]
+    assert rows
+    for r in rows:
+        last = int(np.flatnonzero(adm[r])[-1])
+        for u in (totals[r], np.nextafter(totals[r], 1.0)):
+            assert _step_states(ch, np.array([r]), np.array([u])).tolist() == [last]
+            assert _draw_index(ch.P_cum[r], FixedUniform(u)) == last
 
 
 def test_boundary_prefix_basics(fig1):

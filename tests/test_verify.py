@@ -1,0 +1,95 @@
+import itertools
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from tracegen import (
+    MonoidBundle,
+    cylinder_probability,
+    h_vector,
+    iter_admissible_chains,
+    path_probability,
+    validate_independence,
+)
+from tracegen.verify import (
+    PARAM_GRID,
+    _chain_length_cap,
+    _cylinder_deviation,
+    _product_factorization_deviation,
+)
+
+
+def scalar_cylinder_deviation(chain, max_len):
+    """One path at a time through the oracle helpers."""
+    worst = 0.0
+    for length in range(1, max_len + 1):
+        for states in iter_admissible_chains(chain.family, length):
+            if chain.at_p0 and 0 in states[:-1]:
+                continue  # empty-clique row undefined at the root
+            dev = abs(path_probability(chain, states) - cylinder_probability(chain, states))
+            worst = max(worst, dev)
+    return worst
+
+
+def scalar_product_deviation(bundle, p):
+    """One clique and one admissible pair at a time, component by component."""
+    decomp = bundle.decomposition
+    fam = bundle.family
+    h_global = h_vector(fam, p)
+    h_comp = [h_vector(cb.family, p) for cb in bundle.components]
+
+    def component_h(ci, local_mask):
+        return h_comp[ci][bundle.components[ci].family.index_of(local_mask)]
+
+    worst = 0.0
+    for idx, mask in enumerate(fam.masks):
+        prod = 1.0
+        for ci, local in enumerate(decomp.split_mask(mask)):
+            prod *= component_h(ci, local)
+        worst = max(worst, abs(h_global[idx] - prod))
+    for c1, c2 in iter_admissible_chains(fam, 2):
+        left = p ** int(fam.sizes[c1]) * h_global[c2]
+        prod = 1.0
+        loc1 = decomp.split_mask(fam.masks[c1])
+        loc2 = decomp.split_mask(fam.masks[c2])
+        for ci in range(len(decomp)):
+            prod *= p ** loc1[ci].bit_count() * component_h(ci, loc2[ci])
+        worst = max(worst, abs(left - prod))
+    return worst
+
+
+def assert_matches_scalar(bundle):
+    max_len = _chain_length_cap(len(bundle.family))
+    for frac in PARAM_GRID:
+        p = bundle.p0 if frac == 1.0 else bundle.p0 * frac
+        if not bundle.irreducible:
+            assert _product_factorization_deviation(bundle, p) == scalar_product_deviation(bundle, p)
+            if frac == 1.0:
+                continue  # a reducible monoid has no root chain
+        ch = bundle.chain(p)
+        assert _cylinder_deviation(ch, max_len) == scalar_cylinder_deviation(ch, max_len)
+
+
+def test_deviations_match_scalar_on_fixtures(irreducible_five, prod32, prod22):
+    for bundle in [*irreducible_five, prod32, prod22]:
+        assert_matches_scalar(bundle)
+
+
+@st.composite
+def independence_graphs(draw):
+    """Independence graph on at most 8 letters; half of the draws are made
+    reducible by letting two blocks of letters commute with each other."""
+    letters = "abcdefgh"[: draw(st.integers(1, 8))]
+    pairs = {p for p in itertools.combinations(letters, 2) if draw(st.booleans())}
+    if len(letters) > 1 and draw(st.booleans()):
+        cut = draw(st.integers(1, len(letters) - 1))
+        pairs |= {(a, b) for a in letters[:cut] for b in letters[cut:]}
+    return list(letters), sorted(pairs)
+
+
+@settings(max_examples=60, deadline=None)
+@given(independence_graphs())
+def test_deviations_match_scalar_on_random_monoids(graph):
+    # same arithmetic in the same order: equal, not approximately equal
+    letters, pairs = graph
+    assert_matches_scalar(MonoidBundle(validate_independence(letters, pairs, symmetric_closure=True)))
