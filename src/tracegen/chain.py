@@ -116,10 +116,11 @@ def clique_chain(family, p, p0):
     h_cum = np.cumsum(h)
     with np.errstate(invalid="ignore"):
         P_cum = np.cumsum(P, axis=1)
-    # a row's float total can fall short of 1; from the row's last admissible
-    # column on its CDF reads +inf, so a uniform at or above the total lands
-    # on that column and never on an inadmissible clique
+    # a float total can fall short of 1; every CDF reads +inf from its last
+    # admissible column on (h: the last clique, a maximal one), so a uniform at
+    # or above the total lands there, never on an inadmissible clique
     n = len(family)
+    h_cum[-1] = np.inf
     last = n - 1 - np.argmax(family.admissibility[:, ::-1], axis=1)
     P_cum[np.arange(n)[None, :] >= last[:, None]] = np.inf
     return CliqueChain(family, p, p0, at_p0, h, g, P, h_cum, P_cum)

@@ -10,7 +10,6 @@ and workers merge in stream order.  Exit codes: 2 usage, 3 bad data,
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -29,7 +28,7 @@ from .sampling import (
     sample_uniform_traces,
     topped_prefix_batch,
 )
-from .traces import trace_line
+from .traces import layers_line, trace_line
 from .verify import verification_report
 
 ENV_CLIQUE_CAP = "TRACEGEN_CLIQUE_CAP"
@@ -87,14 +86,6 @@ def cmd_info(ns):
 
 # -- sample ----------------------------------------------------------------------
 
-def _prefix_lines(bundle, masks_rows):
-    letters = bundle.pair.letters_of_mask
-    return [
-        json.dumps([letters(int(m)) for m in row], separators=(",", ":"))
-        for row in masks_rows
-    ]
-
-
 def _sample_worker(args):
     (path, cap, mode, k, p, count, seed, stream, max_rejects) = args
     bundle = MonoidBundle.from_file(path, clique_cap=cap)
@@ -103,7 +94,7 @@ def _sample_worker(args):
         return []
     if mode == "boundary":
         rows = topped_prefix_batch(bundle, k, count, rng)
-        return _prefix_lines(bundle, rows)
+        return [layers_line(bundle.pair, row) for row in rows]
     if mode == "subuniform":
         return [trace_line(sample_subuniform_trace(bundle, p, rng)) for _ in range(count)]
     traces, _ = sample_uniform_traces(bundle, k, count, rng, max_rejects=max_rejects)

@@ -159,7 +159,10 @@ def root_position(p, p0):
 
 
 def _expected(mu, p):
-    return -p * mu.derivative(p) / mu(p)
+    value = mu(p)
+    if value == 0.0:  # a multiple root of mu flattens it to float zero below p0
+        raise ConvergenceFailure(f"clique polynomial evaluates to 0 at p={p}")
+    return -p * mu.derivative(p) / value
 
 
 def expected_size(mu, p, p0):

@@ -16,7 +16,6 @@ import warnings
 from dataclasses import dataclass
 
 from .errors import ParameterOutOfRange
-from .monoid import cf_admissible
 from .sampling import topped_prefix_batch
 from .traces import divides, left_quotient, parse_trace, remove_bottom
 
@@ -35,34 +34,35 @@ def _iter_submasks(mask):
 
 def _divisor_sums(layers, k, pair):
     """(count, sum of heights, sum of first-layer sizes) of the length-``k``
-    left divisors of ``layers``, memoized on (residual, length, layer below).
+    left divisors of ``layers``, memoized on (residual, length, allowed).
 
-    A divisor is its first layer ``s``, a subset of the bottom layer that may
-    follow the layer peeled below it, then a divisor of the residual.
+    A divisor is its first layer ``s``, a subset of the bottom layer inside
+    ``allowed`` (D of the layer peeled below it, every letter at the bottom),
+    then a divisor of the residual.
     """
     memo = {}
 
-    def walk(layers, j, below):
+    def walk(layers, j, allowed):
         if j == 0:
             return 1, 0, 0
         if not layers:
             return 0, 0, 0
-        key = (layers, j, below)
+        key = (layers, j, allowed)
         hit = memo.get(key)
         if hit is None:
             count = heights = firsts = 0
-            for s in _iter_submasks(layers[0]):
+            for s in _iter_submasks(layers[0] & allowed):
                 size = s.bit_count()
-                if size > j or (below and not cf_admissible(pair, below, s)):
+                if size > j:
                     continue
-                c, h, _ = walk(remove_bottom(layers, s, pair), j - size, s)
+                c, h, _ = walk(remove_bottom(layers, s, pair), j - size, pair.follow(s))
                 count += c
                 heights += h + c
                 firsts += size * c
             hit = memo[key] = (count, heights, firsts)
         return hit
 
-    return walk(layers, k, 0)
+    return walk(layers, k, pair.full_mask)
 
 
 def theta_k(x, k):

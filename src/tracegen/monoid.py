@@ -4,10 +4,10 @@ A monoid presentation is a finite alphabet together with an irreflexive,
 symmetric independence relation telling which letters commute.  Letters are
 indexed in input order and letter sets are stored as bit-masks over those
 indices, so commutation tests are single AND operations.  The cliques of the
-independence graph are the sets of pairwise-commuting letters; chained through
-the admissibility relation ``c -> c'`` (every letter of ``c'`` must depend on
-some letter of ``c``) they are the states of the automaton whose paths are
-exactly the normal forms of traces.
+independence graph are the sets of pairwise-commuting letters and the states
+of the automaton whose paths are exactly the normal forms of traces: clique
+``c'`` may follow ``c`` iff ``c' ⊆ D(c)``, where ``D(c) = pair.follow(c)``
+holds the letters that depend on some letter of ``c``.
 """
 
 from __future__ import annotations
@@ -77,6 +77,13 @@ class IndependencePair:
         for a in letters:
             mask |= 1 << self.letter_index(a)
         return mask
+
+    def follow(self, mask):
+        """D(mask): the letters depending on some letter of ``mask``."""
+        out = 0
+        for i in iter_bits(mask):
+            out |= self.dep_masks[i]
+        return out
 
     def is_clique(self, mask):
         """True iff all distinct members of ``mask`` commute pairwise."""
@@ -149,8 +156,8 @@ class CliqueFamily:
     Cliques are ordered by size then numerically by mask, so index 0 is the
     empty clique and orderings (hence matrices, outputs) are deterministic.
     The dense boolean matrix ``admissibility[i, j]`` says whether clique ``i``
-    may be followed by clique ``j``; it is built lazily since counting-only
-    callers never need it.
+    may be followed by clique ``j``, that is ``c_j ⊆ D(c_i)``; it is built
+    lazily, one row per clique, since counting-only callers never need it.
     """
 
     __slots__ = ("pair", "masks", "sizes", "by_mask", "masks_np", "_adm")
@@ -174,13 +181,10 @@ class CliqueFamily:
     def admissibility(self):
         if self._adm is None:
             n = len(self.masks)
-            adm = np.ones((n, n), dtype=bool)
-            for j, mask in enumerate(self.masks):
-                col = np.ones(n, dtype=bool)
-                for a in iter_bits(mask):
-                    dep = np.uint64(self.pair.dep_masks[a])
-                    col &= (self.masks_np & dep) != 0
-                adm[:, j] = col
+            adm = np.empty((n, n), dtype=bool)
+            for i, mask in enumerate(self.masks):
+                outside = np.uint64(self.pair.full_mask & ~self.pair.follow(mask))
+                np.equal(self.masks_np & outside, 0, out=adm[i])
             self._adm = adm
         return self._adm
 
@@ -189,15 +193,9 @@ class CliqueFamily:
 
 
 def cf_admissible(pair, c, c2):
-    """May clique ``c`` be directly followed by clique ``c2``?
-
-    True iff every letter of ``c2`` depends on some letter of ``c``.  The
-    empty clique may follow anything but can only be followed by itself.
-    """
-    for a in iter_bits(c2):
-        if not c & pair.dep_masks[a]:
-            return False
-    return True
+    """May clique ``c2`` directly follow ``c``, i.e. is ``c2 ⊆ D(c)``?  The
+    empty clique follows anything; only the empty clique follows it."""
+    return not c2 & ~pair.follow(c)
 
 
 def enumerate_cliques(pair, cap=DEFAULT_CLIQUE_CAP):

@@ -2,8 +2,8 @@
 
 Everything here is deliberately naive: exhaustive walks of the clique
 automaton, word-level closures under adjacent swaps, plain averages, path
-probabilities one transition at a time.  Fast code elsewhere is tested
-against these.
+probabilities one transition at a time, the follow rule one letter at a time.
+Fast code elsewhere is tested against these.
 """
 
 from __future__ import annotations
@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BudgetExceeded, InsufficientSamples
+from .monoid import iter_bits
 from .traces import Trace, divides, normalize_word
 
 DEFAULT_ENUM_BUDGET = 10 ** 7
@@ -120,6 +121,12 @@ def exact_uniform_expectation(family, k, phi, budget=DEFAULT_ENUM_BUDGET):
 
 
 # -- clique chain paths ----------------------------------------------------------
+
+def letter_admissible(pair, c, c2):
+    """May clique ``c2`` follow ``c``?  The definition, one letter at a time:
+    every letter of ``c2`` depends on some letter of ``c``."""
+    return all(c & pair.dep_masks[a] for a in iter_bits(c2))
+
 
 def cylinder_probability(chain, states):
     """Probability that the first ``len(states)`` layers equal ``states``.

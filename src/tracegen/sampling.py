@@ -70,8 +70,7 @@ def _layer_union(bundle, states):
 # -- vectorized kernel ---------------------------------------------------------
 
 def _first_states(chain, u):
-    idx = np.searchsorted(chain.h_cum, u, side="right")
-    return np.minimum(idx, chain.n_states - 1).astype(np.int64)
+    return np.searchsorted(chain.h_cum, u, side="right")
 
 
 def _step_states(chain, states, u):
@@ -167,7 +166,7 @@ def sample_uniform_traces(bundle, k, n, rng, max_rejects=DEFAULT_REJECT_BUDGET):
 # -- scalar absorbing walk -----------------------------------------------------
 
 def _draw_index(cum, rng):
-    return min(int(cum.searchsorted(rng.random(), side="right")), len(cum) - 1)
+    return int(cum.searchsorted(rng.random(), side="right"))
 
 
 def _absorbing_walk(chain, rng):

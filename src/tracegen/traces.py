@@ -100,29 +100,24 @@ def trace_concat(u, v):
     return Trace(u.pair, layers)
 
 
-def trace_from_layers(pair, layer_masks, validate=False):
-    """Wrap an admissible chain of non-empty clique masks as a Trace."""
+def trace_from_layers(pair, layer_masks):
+    """Trace from an admissible chain of non-empty clique masks, checked."""
     layers = tuple(layer_masks)
-    if validate:
-        prev = None
-        for m in layers:
-            if m == 0:
-                raise InvalidTrace("empty layer in normal form")
-            if not pair.is_clique(m):
-                raise InvalidTrace("layer letters do not commute pairwise")
-            if prev is not None and not cf_admissible(pair, prev, m):
-                raise InvalidTrace("consecutive layers violate admissibility")
-            prev = m
+    prev = None
+    for m in layers:
+        if m == 0:
+            raise InvalidTrace("empty layer in normal form")
+        if not pair.is_clique(m):
+            raise InvalidTrace("layer letters do not commute pairwise")
+        if prev is not None and not cf_admissible(pair, prev, m):
+            raise InvalidTrace("consecutive layers violate admissibility")
+        prev = m
     return Trace(pair, layers)
 
 
-def topping(u, n, pair=None):
-    """First ``n`` layers of a trace or of a raw admissible layer sequence."""
-    if isinstance(u, Trace):
-        return Trace(u.pair, u.layers[: max(n, 0)])
-    if pair is None:
-        raise ValueError("topping of a raw layer sequence needs the pair")
-    return Trace(pair, tuple(u)[: max(n, 0)])
+def topping(u, n):
+    """First ``n`` layers of the trace ``u``."""
+    return Trace(u.pair, u.layers[: max(n, 0)])
 
 
 def remove_bottom(layers, submask, pair):
@@ -179,8 +174,13 @@ def serialize_trace(u):
     return [u.pair.letters_of_mask(m) for m in u.layers]
 
 
+def layers_line(pair, masks):
+    """One compact JSON line for a sequence of layer masks (ints or numpy ints)."""
+    return json.dumps([pair.letters_of_mask(int(m)) for m in masks], separators=(",", ":"))
+
+
 def trace_line(u):
-    return json.dumps(serialize_trace(u), separators=(",", ":"))
+    return layers_line(u.pair, u.layers)
 
 
 def parse_trace(pair, data):
@@ -206,4 +206,4 @@ def parse_trace(pair, data):
                 raise InvalidTrace(f"letter {a!r} repeated inside one layer")
             mask |= bit
         layers.append(mask)
-    return trace_from_layers(pair, layers, validate=True)
+    return trace_from_layers(pair, layers)

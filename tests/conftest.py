@@ -1,4 +1,7 @@
+import itertools
+
 import pytest
+from hypothesis import strategies as st
 
 from tracegen import MonoidBundle, validate_independence
 
@@ -6,6 +9,18 @@ from tracegen import MonoidBundle, validate_independence
 def make_bundle(letters, pairs):
     """Bundle from one-directional pairs (closure applied)."""
     return MonoidBundle(validate_independence(letters, pairs, symmetric_closure=True))
+
+
+@st.composite
+def independence_graphs(draw):
+    """Independence graph on at most 8 letters; half of the draws are made
+    reducible by letting two blocks of letters commute with each other."""
+    letters = "abcdefgh"[: draw(st.integers(1, 8))]
+    pairs = {p for p in itertools.combinations(letters, 2) if draw(st.booleans())}
+    if len(letters) > 1 and draw(st.booleans()):
+        cut = draw(st.integers(1, len(letters) - 1))
+        pairs |= {(a, b) for a in letters[:cut] for b in letters[cut:]}
+    return list(letters), sorted(pairs)
 
 
 @pytest.fixture(scope="session")

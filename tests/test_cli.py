@@ -210,6 +210,22 @@ def test_root_failure_exits_5(tmp_path):
         assert res.stdout == "", args
 
 
+def test_multiple_root_exact_k_exits_5(tmp_path):
+    # mu = (1-x)^2 and (1-2x)^2: mu reads 0.0 near its double root, and the
+    # tuning equation fails with a typed error instead of a traceback
+    specs = {"comm2": {"letters": ["a", "b"], "independence": [["a", "b"]]},
+             "free2x2": {"letters": ["a", "b", "c", "d"],
+                         "independence": [["a", "c"], ["a", "d"], ["b", "c"], ["b", "d"]]}}
+    for name, spec in specs.items():
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps({**spec, "symmetric_closure": True}), encoding="utf-8")
+        res = run_cli("sample", "--monoid", str(path), "--mode", "exact-k", "--k", "5",
+                      "--n", "10", "--seed", "1")
+        assert res.returncode == 5, (name, res.stderr)
+        assert res.stderr.startswith("error:"), name
+        assert res.stdout == "", name
+
+
 def test_verify_c14_ok(tmp_path):
     # 843 cliques: above 40 the telescoping check runs on paths of length 2
     res = run_cli("verify", "--monoid", cycle_complement_spec(tmp_path, 14))

@@ -2,6 +2,7 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from tracegen import (
     cf_admissible,
@@ -21,8 +22,9 @@ from tracegen.errors import (
     UnknownLetter,
     UnknownLetterInPair,
 )
+from tracegen.oracle import letter_admissible
 
-from conftest import make_bundle
+from conftest import independence_graphs, make_bundle
 
 
 def test_validate_fig1_pair():
@@ -96,13 +98,36 @@ def test_family_closed_under_subsets(fig1, path4, cycle5, tri4, prod32):
                 sub = (sub - 1) & mask
 
 
+def assert_follow_rule(family):
+    """Matrix, ``cf_admissible`` and the oracle's letter rule agree on every pair."""
+    adm = family.admissibility
+    for i, ci in enumerate(family.masks):
+        for j, cj in enumerate(family.masks):
+            want = letter_admissible(family.pair, ci, cj)
+            assert adm[i, j] == want
+            assert cf_admissible(family.pair, ci, cj) == want
+
+
 def test_admissibility_matches_scalar_rule(irreducible_five, prod32):
     for bundle in list(irreducible_five) + [prod32]:
-        fam = bundle.family
-        adm = fam.admissibility
-        for i, ci in enumerate(fam.masks):
-            for j, cj in enumerate(fam.masks):
-                assert adm[i, j] == cf_admissible(bundle.pair, ci, cj)
+        assert_follow_rule(bundle.family)
+
+
+@settings(max_examples=100, deadline=None)
+@given(independence_graphs())
+def test_follow_rule_on_random_monoids(graph):
+    letters, pairs = graph
+    pair = validate_independence(letters, pairs, symmetric_closure=True)
+    assert_follow_rule(enumerate_cliques(pair))
+
+
+def test_follow_examples(fig1):
+    pair = fig1.pair
+    a, b, c = (pair.mask_of_letters([x]) for x in "abc")
+    assert pair.follow(0) == 0
+    assert pair.follow(a) == a | c
+    assert pair.follow(a | b) == pair.full_mask
+    assert pair.follow(c) == pair.full_mask
 
 
 def test_cf_admissible_examples(fig1):

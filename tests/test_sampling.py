@@ -15,7 +15,7 @@ from tracegen import (
     trace_from_layers,
 )
 from tracegen.errors import ParameterOutOfRange, RejectBudgetExhausted
-from tracegen.sampling import _draw_index, _step_states
+from tracegen.sampling import _draw_index, _first_states, _step_states
 
 
 def within_se(observed_freq, prob, n, mult=4.0):
@@ -37,6 +37,18 @@ class FixedUniform:
 
     def random(self):
         return self.u
+
+
+def test_first_state_at_h_total_is_last_clique(irreducible_five):
+    # h's float total can fall short of 1 (path4, cycle5): a uniform at that
+    # total or just below 1 must land on the last clique in both kernels
+    totals = [np.cumsum(b.boundary_chain().h)[-1] for b in irreducible_five]
+    assert min(totals) < 1.0
+    for bundle, total in zip(irreducible_five, totals):
+        ch = bundle.boundary_chain()
+        for u in (total, np.nextafter(1.0, 0.0)):
+            assert _first_states(ch, np.array([u])).tolist() == [ch.n_states - 1]
+            assert _draw_index(ch.h_cum, FixedUniform(u)) == ch.n_states - 1
 
 
 def test_step_at_row_total_stays_admissible(cycle5):
@@ -198,7 +210,7 @@ def test_uniform_mk_reducible(prod32):
     assert all(t.length == 4 for t in ts)
     # layers must be admissible in the product monoid
     for t in ts[:100]:
-        trace_from_layers(prod32.pair, t.layers, validate=True)
+        trace_from_layers(prod32.pair, t.layers)
 
 
 def component_rows(bundle, rows, ci):
@@ -218,7 +230,7 @@ def test_sample_product_structure(prod32, prod22, fig1):
     for ci in (0, 1):  # equal factors: both at the root
         assert all(m != 0 for row in component_rows(prod22, rows22, ci) for m in row)
     t = sample_subuniform_trace(fig1, 0.2, RandomSource(2).generator())
-    trace_from_layers(fig1.pair, t.layers, validate=True)
+    trace_from_layers(fig1.pair, t.layers)
 
 
 def test_merge_product_prefix(prod32):
@@ -229,9 +241,9 @@ def test_merge_product_prefix(prod32):
         layers = [int(m) for m in row]
         assert len(layers) == k
         assert all(m != 0 for m in layers)  # the at-root factor fills every layer
-        trace_from_layers(prod32.pair, layers, validate=True)
+        trace_from_layers(prod32.pair, layers)
         # the big-factor part of each merged layer is a component prefix
-        trace_from_layers(a_pair, a_prefix, validate=True)
+        trace_from_layers(a_pair, a_prefix)
 
 
 def test_product_stop_rate(prod32):
@@ -250,7 +262,7 @@ def test_product_stop_rate(prod32):
 def test_subuniform_trace_merging(prod32):
     rng = RandomSource(14).generator()
     t = sample_subuniform_trace(prod32, 0.25, rng)
-    trace_from_layers(prod32.pair, t.layers, validate=True)
+    trace_from_layers(prod32.pair, t.layers)
     with pytest.raises(ParameterOutOfRange):
         sample_subuniform_trace(prod32, prod32.p0, rng)
 
@@ -272,7 +284,7 @@ def test_topped_prefix_batch_irreducible(fig1):
     assert rows.shape == (500, 5)
     assert (rows != 0).all()
     for row in rows[:50]:
-        trace_from_layers(fig1.pair, (int(m) for m in row), validate=True)
+        trace_from_layers(fig1.pair, (int(m) for m in row))
 
 
 def test_topped_prefix_batch_product(prod32):
@@ -280,7 +292,7 @@ def test_topped_prefix_batch_product(prod32):
     assert rows.shape == (500, 4)
     assert (rows != 0).all()  # the at-root factor never absorbs
     for row in rows[:50]:
-        trace_from_layers(prod32.pair, (int(m) for m in row), validate=True)
+        trace_from_layers(prod32.pair, (int(m) for m in row))
 
 
 def test_topped_prefix_deterministic(prod32):

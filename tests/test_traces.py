@@ -1,6 +1,7 @@
 import itertools
 import json
 
+import numpy as np
 import pytest
 
 from tracegen import (
@@ -18,6 +19,7 @@ from tracegen import (
 )
 from tracegen.errors import InvalidTrace, UnknownLetter
 from tracegen.oracle import congruence_closure, enumerate_Mk
+from tracegen.traces import layers_line
 
 
 def is_valid_chain(t):
@@ -94,7 +96,6 @@ def test_topping(fig1):
     assert topping(t, 2) == normalize_word("ac", fig1.pair)
     assert topping(t, 0) == Trace(fig1.pair)
     assert topping(t, 7) == t
-    assert topping(t.layers, 2, pair=fig1.pair) == normalize_word("ac", fig1.pair)
 
 
 def test_divides_examples(fig1):
@@ -205,12 +206,19 @@ def test_parse_trace_rejects_bad_input(fig1):
         parse_trace(pair, json.dumps({"layers": []}))
 
 
+def test_layers_line(fig1):
+    t = normalize_word("acab", fig1.pair)
+    assert trace_line(t) == '[["a"],["c"],["a","b"]]'
+    assert layers_line(fig1.pair, np.array(t.layers, dtype=np.uint64)) == trace_line(t)
+    assert layers_line(fig1.pair, []) == "[]"
+
+
 def test_trace_from_layers_validation(fig1):
     pair = fig1.pair
-    good = trace_from_layers(pair, (1, 4, 3), validate=True)
+    good = trace_from_layers(pair, (1, 4, 3))
     assert good == normalize_word("acab", pair)
     with pytest.raises(InvalidTrace):
-        trace_from_layers(pair, (1, 2), validate=True)
+        trace_from_layers(pair, (1, 2))
 
 
 def test_trace_hashable_set_semantics(fig1):

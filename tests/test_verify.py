@@ -1,7 +1,4 @@
-import itertools
-
 from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from tracegen import (
     MonoidBundle,
@@ -17,6 +14,8 @@ from tracegen.verify import (
     _cylinder_deviation,
     _product_factorization_deviation,
 )
+
+from conftest import independence_graphs
 
 
 def scalar_cylinder_deviation(chain, max_len):
@@ -73,18 +72,6 @@ def assert_matches_scalar(bundle):
 def test_deviations_match_scalar_on_fixtures(irreducible_five, prod32, prod22):
     for bundle in [*irreducible_five, prod32, prod22]:
         assert_matches_scalar(bundle)
-
-
-@st.composite
-def independence_graphs(draw):
-    """Independence graph on at most 8 letters; half of the draws are made
-    reducible by letting two blocks of letters commute with each other."""
-    letters = "abcdefgh"[: draw(st.integers(1, 8))]
-    pairs = {p for p in itertools.combinations(letters, 2) if draw(st.booleans())}
-    if len(letters) > 1 and draw(st.booleans()):
-        cut = draw(st.integers(1, len(letters) - 1))
-        pairs |= {(a, b) for a in letters[:cut] for b in letters[cut:]}
-    return list(letters), sorted(pairs)
 
 
 @settings(max_examples=60, deadline=None)
