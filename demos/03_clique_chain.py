@@ -28,9 +28,7 @@ for p in (0.2, bundle.p0):
     print(f"parameter p = {p:.6f} ({tag})")
     print("  initial law h:", {n: round(float(v), 6) for n, v in zip(names, ch.h)})
     print("  h sums to:", float(ch.h.sum()))
-    start = 1 if ch.at_p0 else 0  # the empty-clique row is undefined at the root
-    rows = ch.P[start:].sum(axis=1)
-    print("  defined transition row sums:", np.round(rows, 12))
+    print("  transition row sums:", np.round(ch.P.sum(axis=1), 12))
     print()
 
 # path probabilities telescope: h(c1) P(c1,c2) ... equals

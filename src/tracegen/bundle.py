@@ -2,8 +2,8 @@
 
 Everything downstream (samplers, estimators, the CLI) needs the same handful
 of objects: clique family, clique polynomial, principal root, component
-decomposition, chains at various parameters.  The bundle computes each lazily
-and caches it, and hands out one sub-bundle per irreducible component.
+decomposition, one clique chain.  The bundle computes each lazily and caches
+it, and hands out one sub-bundle per irreducible component.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ class MonoidBundle:
         self._components = None
         self._component_masks = None
         self._growth = None
-        self._chains = {}
+        self._chain = None
         self._optimal = {}
 
     @classmethod
@@ -55,13 +55,10 @@ class MonoidBundle:
 
     @property
     def p0(self):
-        # reducible monoids can carry a multiple root (equal component roots),
-        # which defeats sign-based scanning; component roots are always simple
         if self._p0 is None:
-            if self.irreducible:
-                self._p0 = principal_root(self.mu)
-            else:
-                self._p0 = min(cb.p0 for cb in self.components)
+            # a reducible mu can have a multiple root (equal component roots) that
+            # defeats sign-based scanning, so only component polynomials are scanned
+            self._p0 = min(principal_root(cb.mu) for cb in self.components)
         return self._p0
 
     @property
@@ -109,10 +106,13 @@ class MonoidBundle:
         return self.growth(k)[k]
 
     def chain(self, p):
-        key = float(p)
-        if key not in self._chains:
-            self._chains[key] = clique_chain(self.family, key, self.p0)
-        return self._chains[key]
+        """The clique chain at ``p``.  One chain is kept: the same ``p`` returns
+        it, another ``p`` drops it before the new one is built."""
+        p = float(p)
+        if self._chain is None or self._chain.p != p:
+            self._chain = None
+            self._chain = clique_chain(self.family, p, self.p0)
+        return self._chain
 
     def boundary_chain(self):
         return self.chain(self.p0)

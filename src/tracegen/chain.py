@@ -13,7 +13,7 @@ with the Parry chain of the weighted clique automaton.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -54,10 +54,10 @@ def g_vector(family, p, h):
 def transition_matrix(family, h, g, at_p0=False):
     """Row-stochastic transitions ``P[c, c'] = h(c')/g(c)`` on admissible edges.
 
-    At the root the empty-clique row is undefined and stored as NaN; below the
-    root it is the absorbing point mass on the empty clique.
+    Only the empty clique follows itself, so row 0 is its point mass at every
+    ``p``: absorbing below the root, unreachable at the root, where ``h[0] = 0``
+    makes every ``P[c, 0]`` zero (and ``g[0] = 0`` is no degenerate row).
     """
-    n = len(family)
     adm = family.admissibility
     start = 1 if at_p0 else 0
     gs = g[start:]
@@ -69,16 +69,16 @@ def transition_matrix(family, h, g, at_p0=False):
         raise DegenerateState(
             f"g vanishes on clique index {bad} where a transition row is required"
         )
-    with np.errstate(divide="ignore", invalid="ignore"):
-        P = np.where(adm, h[None, :], 0.0) / g[:, None]
-    if at_p0:
-        P[0, :] = np.nan
+    P = np.where(adm, h[None, :], 0.0)
+    P[1:] /= g[1:, None]
+    P[0, 0] = 1.0
     return P
 
 
 @dataclass
 class CliqueChain:
-    """Bundle of ``p``, ``h``, ``g``, transitions and their sampling CDFs."""
+    """Bundle of ``p``, ``h``, ``g`` and the sampling CDFs ``h_cum``, ``P_cum``;
+    the transitions ``P``, which no sampler reads, are formed on first read."""
 
     family: object
     p: float
@@ -86,13 +86,19 @@ class CliqueChain:
     at_p0: bool
     h: np.ndarray
     g: np.ndarray
-    P: np.ndarray
     h_cum: np.ndarray
     P_cum: np.ndarray
+    _P: np.ndarray | None = field(default=None, repr=False)
 
     @property
     def n_states(self):
         return len(self.family)
+
+    @property
+    def P(self):
+        if self._P is None:
+            self._P = transition_matrix(self.family, self.h, self.g, at_p0=self.at_p0)
+        return self._P
 
 
 def clique_chain(family, p, p0):
@@ -112,10 +118,9 @@ def clique_chain(family, p, p0):
         # sets it to exact zero so the empty clique is truly unreachable
         h[0] = 0.0
     g = g_vector(family, p, h)
-    P = transition_matrix(family, h, g, at_p0=at_p0)
+    P_cum = transition_matrix(family, h, g, at_p0=at_p0)
+    np.cumsum(P_cum, axis=1, out=P_cum)
     h_cum = np.cumsum(h)
-    with np.errstate(invalid="ignore"):
-        P_cum = np.cumsum(P, axis=1)
     # a float total can fall short of 1; every CDF reads +inf from its last
     # admissible column on (h: the last clique, a maximal one), so a uniform at
     # or above the total lands there, never on an inadmissible clique
@@ -123,7 +128,7 @@ def clique_chain(family, p, p0):
     h_cum[-1] = np.inf
     last = n - 1 - np.argmax(family.admissibility[:, ::-1], axis=1)
     P_cum[np.arange(n)[None, :] >= last[:, None]] = np.inf
-    return CliqueChain(family, p, p0, at_p0, h, g, P, h_cum, P_cum)
+    return CliqueChain(family, p, p0, at_p0, h, g, h_cum, P_cum)
 
 
 # -- Parry comparison ---------------------------------------------------------

@@ -60,11 +60,6 @@ def _cylinder_deviation(chain, max_len):
         worst = float(np.max(dev, initial=worst))
         if length == max_len:
             break
-        if chain.at_p0:
-            # the empty-clique row is undefined at the root; only the empty
-            # clique follows it, so paths with 0 before their last state drop
-            keep = last != 0
-            last, prod, prefix = last[keep], prod[keep], prefix[keep]
         src, nxt = np.nonzero(fam.admissibility[last])
         prev = last[src]
         prod = prod[src] * chain.P[prev, nxt]
@@ -117,8 +112,7 @@ def verification_report(bundle):
             continue
         ch = bundle.chain(p)
         h_sum_dev = max(h_sum_dev, abs(float(ch.h.sum()) - 1.0))
-        start = 1 if ch.at_p0 else 0
-        row_sums = ch.P[start:].sum(axis=1)
+        row_sums = ch.P.sum(axis=1)
         row_dev = max(row_dev, float(np.abs(row_sums - 1.0).max()))
         cyl_dev = max(cyl_dev, _cylinder_deviation(ch, max_len))
     checks.append(_dev_check("h_sum_max_dev", h_sum_dev, VERIFY_IDENTITY_TOL))

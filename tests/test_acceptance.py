@@ -62,10 +62,7 @@ def test_c02_chain_algebra(irreducible_five):
             p = bundle.p0 if frac == 1.0 else bundle.p0 * frac
             ch = bundle.chain(p)
             worst_sum = max(worst_sum, abs(float(ch.h.sum()) - 1.0))
-            start = 1 if ch.at_p0 else 0
-            worst_row = max(
-                worst_row, float(np.abs(ch.P[start:].sum(axis=1) - 1.0).max())
-            )
+            worst_row = max(worst_row, float(np.abs(ch.P.sum(axis=1) - 1.0).max()))
             assert float(ch.h[1:].min()) > 0.0
             assert (ch.h[0] == 0.0) == ch.at_p0
             assert (frac == 1.0) == ch.at_p0
@@ -83,8 +80,6 @@ def test_c03_cylinder_consistency(irreducible_five):
             ch = bundle.chain(p)
             for length in range(1, 5):
                 for states in iter_admissible_chains(bundle.family, length):
-                    if ch.at_p0 and 0 in states[:-1]:
-                        continue  # the empty-clique row is undefined at the root
                     path = float(ch.h[states[0]])
                     for a, b in zip(states, states[1:]):
                         path *= float(ch.P[a, b])

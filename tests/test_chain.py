@@ -1,3 +1,5 @@
+import weakref
+
 import numpy as np
 import pytest
 
@@ -19,15 +21,9 @@ from tracegen.cli import main
 from tracegen.counting import AT_P0_RTOL, RootPosition, root_position
 from tracegen.errors import DegenerateState, ParameterOutOfRange, ReducibleMonoid
 
+from conftest import make_bundle
+
 PARAM_FRACTIONS = (0.25, 0.5, 0.75, 1.0)
-
-
-def chains_with_defined_rows(chain, length):
-    """Admissible index chains whose path probability uses defined rows only."""
-    for states in iter_admissible_chains(chain.family, length):
-        if chain.at_p0 and 0 in states[:-1]:
-            continue
-        yield states
 
 
 def test_h_fig1_at_root(fig1):
@@ -93,8 +89,9 @@ def test_chain_algebra_on_grid(irreducible_five):
             ch = bundle.chain(p)
             assert ch.at_p0 == (frac == 1.0)
             assert abs(float(ch.h.sum()) - 1.0) < 1e-12
-            start = 1 if ch.at_p0 else 0
-            rows = ch.P[start:].sum(axis=1)
+            # the empty clique absorbs at every p, so every row is a law
+            assert ch.P[0].tolist() == [1.0] + [0.0] * (ch.n_states - 1)
+            rows = ch.P.sum(axis=1)
             assert float(np.abs(rows - 1.0).max()) < 1e-12
             assert float(ch.h[1:].min()) > 0.0
             if ch.at_p0:
@@ -102,8 +99,6 @@ def test_chain_algebra_on_grid(irreducible_five):
                 assert float(np.abs(ch.P[1:, 0]).max()) == 0.0
             else:
                 assert ch.h[0] > 0.0
-                assert ch.P[0, 0] == 1.0
-                assert float(ch.P[0, 1:].max()) == 0.0
 
 
 def test_transition_fig1_entry(fig1):
@@ -157,7 +152,7 @@ def test_cylinder_consistency(irreducible_five):
             p = bundle.p0 if frac == 1.0 else bundle.p0 * frac
             ch = bundle.chain(p)
             for length in range(1, 5):
-                for states in chains_with_defined_rows(ch, length):
+                for states in iter_admissible_chains(ch.family, length):
                     dev = abs(path_probability(ch, states) - cylinder_probability(ch, states))
                     assert dev < 1e-12
 
@@ -254,9 +249,25 @@ def test_product_factorization_exact(prod32):
             assert abs(joint - prod) < 1e-10
 
 
-def test_bundle_chain_cache(fig1):
-    assert fig1.chain(0.2) is fig1.chain(0.2)
-    assert fig1.boundary_chain() is fig1.chain(fig1.p0)
+def test_bundle_chain_cache():
+    bundle = make_bundle(["a", "b", "c"], [("a", "b")])
+    first = bundle.chain(0.2)
+    assert bundle.chain(0.2) is first
+    kept = weakref.ref(first)
+    del first
+    second = bundle.chain(0.3)
+    assert kept() is None  # another p replaces the chain
+    assert bundle.chain(0.3) is second
+    assert bundle.boundary_chain() is bundle.chain(bundle.p0)
+    assert bundle.chain(0.3) is not second
+
+
+def test_chain_keeps_P_and_its_cdf_agrees(fig1):
+    for p in (0.2, fig1.p0):
+        ch = clique_chain(fig1.family, p, fig1.p0)
+        assert ch.P is ch.P
+        finite = np.isfinite(ch.P_cum)
+        assert (ch.P_cum[finite] == np.cumsum(ch.P, axis=1)[finite]).all()
 
 
 def test_transition_matrix_low_level(fig1):

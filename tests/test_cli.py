@@ -10,7 +10,7 @@ import pytest
 from tracegen import parse_trace, validate_independence
 
 
-def run_cli(*args, env=None):
+def run_cli(*args, env=None, timeout=300):
     full_env = os.environ.copy()
     if env:
         full_env.update(env)
@@ -19,7 +19,7 @@ def run_cli(*args, env=None):
         capture_output=True,
         text=True,
         env=full_env,
-        timeout=300,
+        timeout=timeout,
     )
 
 
@@ -262,6 +262,33 @@ def test_negative_k_is_usage_error(monoid_files):
         res = run_cli(args[0], "--monoid", monoid_files["fig1"], *args[1:])
         assert res.returncode == 2 and res.stdout == "", args
         assert "non-negative" in res.stderr
+
+
+def test_worker_counts_are_usage_errors(monoid_files):
+    for args in (("sample", "--mode", "exact-k", "--k", "3", "--jobs", "0"),
+                 ("sample", "--mode", "boundary", "--k", "3", "--jobs", "-3"),
+                 ("count", "--k", "3", "--jobs", "0"),
+                 ("estimate", "--k", "3", "--n", "10", "--jobs", "-1"),
+                 ("sample", "--mode", "exact-k", "--k", "3", "--max-rejects", "-1")):
+        res = run_cli(args[0], "--monoid", monoid_files["fig1"], *args[1:])
+        assert res.returncode == 2 and res.stdout == "", args
+
+
+def test_near_root_subuniform_is_refused_up_front(monoid_files, fig1):
+    # the mean trace at p0 (1 - 1e-9) has 1e9 letters: far more layers than
+    # the walk's step cap, so the command must stop before the walk starts
+    p = fig1.p0 * (1.0 - 1e-9)
+    res = run_cli("sample", "--monoid", monoid_files["fig1"], "--mode", "subuniform",
+                  "--p", repr(p), "--n", "1", timeout=60)
+    assert res.returncode == 4 and res.stdout == ""
+    assert res.stderr.startswith("error:")
+
+
+def test_cli_import_leaves_out_the_process_pool():
+    code = "import sys, tracegen.cli; print('concurrent.futures.process' in sys.modules)"
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         timeout=60)
+    assert res.stdout.strip() == "False", res.stderr
 
 
 def test_clique_cap_env(monoid_files):

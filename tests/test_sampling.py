@@ -14,7 +14,9 @@ from tracegen import (
     topped_prefix_batch,
     trace_from_layers,
 )
+from tracegen.chain import CliqueChain
 from tracegen.errors import ParameterOutOfRange, RejectBudgetExhausted
+from tracegen.estimate import accumulate_moments, builtin_cost
 from tracegen.sampling import _draw_index, _first_states, _step_states
 
 
@@ -299,3 +301,18 @@ def test_topped_prefix_deterministic(prod32):
     a = topped_prefix_batch(prod32, 4, 200, RandomSource(42).generator())
     b = topped_prefix_batch(prod32, 4, 200, RandomSource(42).generator())
     assert np.array_equal(a, b)
+
+
+def test_samplers_never_form_P(monkeypatch, fig1, prod32):
+    # the samplers and the estimator draw from the CDFs only; the dense
+    # transitions are formed for verification
+    def refuse(chain):
+        raise AssertionError("CliqueChain.P read outside verification")
+
+    monkeypatch.setattr(CliqueChain, "P", property(refuse))
+    rng = RandomSource(5).generator()
+    for bundle in (fig1, prod32):
+        topped_prefix_batch(bundle, 6, 20, rng)
+        sample_uniform_traces(bundle, 4, 20, rng)
+        sample_subuniform_trace(bundle, bundle.p0 / 2, rng)
+        accumulate_moments(bundle, 4, builtin_cost("height", bundle.pair), 20, rng)

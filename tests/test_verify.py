@@ -23,8 +23,6 @@ def scalar_cylinder_deviation(chain, max_len):
     worst = 0.0
     for length in range(1, max_len + 1):
         for states in iter_admissible_chains(chain.family, length):
-            if chain.at_p0 and 0 in states[:-1]:
-                continue  # empty-clique row undefined at the root
             dev = abs(path_probability(chain, states) - cylinder_probability(chain, states))
             worst = max(worst, dev)
     return worst
