@@ -9,6 +9,18 @@ mass ``h(c')/g(c)`` along admissible edges.  Below the root the empty clique
 is an absorbing state reached in finite time; at the root it is unreachable
 and the chain restricted to non-empty cliques shares its transition matrix
 with the Parry chain of the weighted clique automaton.
+
+A chain stores its transition law compactly, for the samplers: the
+cumulative sums of each row over its admissible columns only, in row-major
+order.  ``P_cum`` is one ``complex128`` array whose real part is the row
+index and whose imaginary part is the cumulative value, and ``cols`` holds
+each entry's column.  numpy orders complex numbers by real part, then
+imaginary part, so one ``searchsorted`` of ``state + 1j*u`` finds the step
+inside the walker's own row in O(log n), for any number of walkers.  A
+row's cumulative sums over its admissible entries equal the dense row's
+cumulative sums there bit for bit (adding the 0.0 of an inadmissible
+entry is exact), so the draws are those of the dense CDF.  The dense
+transitions ``P`` are formed only when read, which ``verify`` does.
 """
 
 from __future__ import annotations
@@ -51,14 +63,9 @@ def g_vector(family, p, h):
     return h / p ** family.sizes
 
 
-def transition_matrix(family, h, g, at_p0=False):
-    """Row-stochastic transitions ``P[c, c'] = h(c')/g(c)`` on admissible edges.
-
-    Only the empty clique follows itself, so row 0 is its point mass at every
-    ``p``: absorbing below the root, unreachable at the root, where ``h[0] = 0``
-    makes every ``P[c, 0]`` zero (and ``g[0] = 0`` is no degenerate row).
-    """
-    adm = family.admissibility
+def _check_rows(g, at_p0):
+    """Refuse a chain whose transition row ``h/g(c)`` needs a vanishing ``g(c)``
+    (row 0 is the empty clique's point mass and needs none at the root)."""
     start = 1 if at_p0 else 0
     gs = g[start:]
     # a mathematical zero of g shows up as a float residue of arbitrary sign,
@@ -69,16 +76,55 @@ def transition_matrix(family, h, g, at_p0=False):
         raise DegenerateState(
             f"g vanishes on clique index {bad} where a transition row is required"
         )
-    P = np.where(adm, h[None, :], 0.0)
+
+
+def transition_matrix(family, h, g, at_p0=False):
+    """Row-stochastic transitions ``P[c, c'] = h(c')/g(c)`` on admissible edges.
+
+    Only the empty clique follows itself, so row 0 is its point mass at every
+    ``p``: absorbing below the root, unreachable at the root, where ``h[0] = 0``
+    makes every ``P[c, 0]`` zero (and ``g[0] = 0`` is no degenerate row).
+    """
+    _check_rows(g, at_p0)
+    P = np.where(family.admissibility, h[None, :], 0.0)
     P[1:] /= g[1:, None]
     P[0, 0] = 1.0
     return P
 
 
+def _compact_cdf(family, h, g):
+    """Row-major cumulative transition sums over the admissible entries only.
+
+    Returns ``(P_cum, cols)``: ``P_cum`` holds ``row + 1j*cum`` and ``cols``
+    the column of each entry.  Row 0 is the empty clique's point mass: its
+    one entry, the empty clique itself.  Each row's last entry is ``+inf``,
+    so a uniform at or above the row's float total (which can fall short of
+    1) lands on the row's last admissible column, never outside the row.
+    The rows are filled one at a time, so no dense n x n array is formed.
+    """
+    adm = family.admissibility
+    ends = np.cumsum(np.count_nonzero(adm, axis=1))
+    P_cum = np.empty(int(ends[-1]), dtype=np.complex128)
+    cols = np.empty(len(P_cum), dtype=np.int32)
+    rows, cums = P_cum.real, P_cum.imag
+    start = 0
+    for row, stop in enumerate(ends.tolist()):
+        idx = adm[row].nonzero()[0]
+        cols[start:stop] = idx
+        rows[start:stop] = row
+        if row:
+            (h[idx] / g[row]).cumsum(out=cums[start:stop])
+        start = stop
+    cums[ends - 1] = np.inf
+    return P_cum, cols
+
+
 @dataclass
 class CliqueChain:
-    """Bundle of ``p``, ``h``, ``g`` and the sampling CDFs ``h_cum``, ``P_cum``;
-    the transitions ``P``, which no sampler reads, are formed on first read."""
+    """Bundle of ``p``, ``h``, ``g`` and the sampling CDFs: ``h_cum`` over
+    cliques and the compact transition CDF ``P_cum``/``cols`` (see
+    ``_compact_cdf``); the dense transitions ``P``, which no sampler reads,
+    are formed on first read."""
 
     family: object
     p: float
@@ -88,6 +134,7 @@ class CliqueChain:
     g: np.ndarray
     h_cum: np.ndarray
     P_cum: np.ndarray
+    cols: np.ndarray
     _P: np.ndarray | None = field(default=None, repr=False)
 
     @property
@@ -118,17 +165,14 @@ def clique_chain(family, p, p0):
         # sets it to exact zero so the empty clique is truly unreachable
         h[0] = 0.0
     g = g_vector(family, p, h)
-    P_cum = transition_matrix(family, h, g, at_p0=at_p0)
-    np.cumsum(P_cum, axis=1, out=P_cum)
+    _check_rows(g, at_p0)
+    P_cum, cols = _compact_cdf(family, h, g)
+    # a float total can fall short of 1; like each row of P_cum, h_cum ends in
+    # +inf (on the last clique, a maximal one), so a uniform at or above the
+    # total lands there
     h_cum = np.cumsum(h)
-    # a float total can fall short of 1; every CDF reads +inf from its last
-    # admissible column on (h: the last clique, a maximal one), so a uniform at
-    # or above the total lands there, never on an inadmissible clique
-    n = len(family)
     h_cum[-1] = np.inf
-    last = n - 1 - np.argmax(family.admissibility[:, ::-1], axis=1)
-    P_cum[np.arange(n)[None, :] >= last[:, None]] = np.inf
-    return CliqueChain(family, p, p0, at_p0, h, g, h_cum, P_cum)
+    return CliqueChain(family, p, p0, at_p0, h, g, h_cum, P_cum, cols)
 
 
 # -- Parry comparison ---------------------------------------------------------
@@ -176,6 +220,7 @@ def parry_matrices(family, p0, h, g):
     sizes = family.sizes[1:]
     gs = g[1:]
     B = np.where(adm, p0 ** sizes[None, :], 0.0)
-    C = B * gs[None, :] / gs[:, None]
+    C = B * gs[None, :]
+    C /= gs[:, None]
     rho, _ = power_iteration(B)
     return ParryPair(B=B, C=C, g=gs, spectral_radius=rho)

@@ -93,7 +93,7 @@ def _sample_worker(args):
     rng = RandomSource(seed, stream).generator()
     if mode == "boundary":
         rows = topped_prefix_batch(bundle, k, count, rng)
-        return [layers_line(bundle.pair, row) for row in rows]
+        return [layers_line(bundle.pair, row) for row in rows.tolist()]
     if mode == "subuniform":
         return [trace_line(sample_subuniform_trace(bundle, p, rng)) for _ in range(count)]
     traces, _ = sample_uniform_traces(bundle, k, count, rng, max_rejects=max_rejects)

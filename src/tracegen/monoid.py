@@ -39,6 +39,19 @@ def iter_bits(mask):
         mask ^= low
 
 
+class _LayerJSON(dict):
+    """Compact JSON array of a layer's letters, keyed by the layer's mask;
+    each mask is encoded on its first lookup only."""
+
+    def __init__(self, letters_of_mask):
+        super().__init__()
+        self.letters_of_mask = letters_of_mask
+
+    def __missing__(self, mask):
+        out = self[mask] = json.dumps(self.letters_of_mask(mask), separators=(",", ":"))
+        return out
+
+
 class IndependencePair:
     """Alphabet plus independence relation, with per-letter neighbor masks.
 
@@ -47,7 +60,7 @@ class IndependencePair:
     ``i`` itself (no letter commutes with itself).
     """
 
-    __slots__ = ("letters", "indep_masks", "dep_masks", "full_mask", "_index")
+    __slots__ = ("letters", "indep_masks", "dep_masks", "full_mask", "_index", "layer_json")
 
     def __init__(self, letters, indep_masks):
         self.letters = tuple(letters)
@@ -55,6 +68,7 @@ class IndependencePair:
         self.full_mask = (1 << len(self.letters)) - 1
         self.dep_masks = tuple(self.full_mask & ~m for m in self.indep_masks)
         self._index = {a: i for i, a in enumerate(self.letters)}
+        self.layer_json = _LayerJSON(self.letters_of_mask)
 
     @property
     def size(self):

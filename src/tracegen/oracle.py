@@ -2,7 +2,8 @@
 
 Everything here is deliberately naive: exhaustive walks of the clique
 automaton, word-level closures under adjacent swaps, plain averages, path
-probabilities one transition at a time, the follow rule one letter at a time.
+probabilities one transition at a time, the follow rule one letter at a time,
+chain steps by counting a dense CDF row.
 Fast code elsewhere is tested against these.
 """
 
@@ -149,6 +150,23 @@ def path_probability(chain, states):
     for a, b in zip(states, states[1:]):
         acc *= float(chain.P[a, b])
     return acc
+
+
+def dense_cdf(chain):
+    """The chain's transition CDF as a dense n x n array: the row cumsums of
+    ``P``, reading ``+inf`` from each row's last admissible column on."""
+    cum = np.cumsum(chain.P, axis=1)
+    adm = chain.family.admissibility
+    n = chain.n_states
+    last = n - 1 - np.argmax(adm[:, ::-1], axis=1)
+    cum[np.arange(n)[None, :] >= last[:, None]] = np.inf
+    return cum
+
+
+def dense_steps(cum, states, u):
+    """Next states the dense way: how many entries of each walker's CDF row
+    ``cum[state]`` are at most its uniform."""
+    return (cum[states] <= u[:, None]).sum(axis=1)
 
 
 def iter_admissible_chains(family, length, include_empty=True):

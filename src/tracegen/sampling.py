@@ -13,10 +13,12 @@ One engine, the clique chain, serves all three regimes:
   (``sample_uniform_traces``).
 
 Batches run many walkers at once through one vectorized step kernel; a
-single subuniform draw runs one scalar walk until absorption.  Reducible
-monoids run each irreducible component's chain at the same parameter and
-union the layers through the bundle's component-to-global gather tables,
-which is exactly how the product monoid stacks its heaps.
+single subuniform draw runs one scalar walk until absorption.  Both take a
+step the same way: one ``searchsorted`` of ``state + 1j*u`` in the chain's
+compact row-keyed CDF (see ``chain.py``), O(log n) in the number of cliques.
+Reducible monoids run each irreducible component's chain at the same
+parameter and union the layers through the bundle's component-to-global
+gather tables, which is exactly how the product monoid stacks its heaps.
 
 Randomness is counter-based (Philox, 4x64) keyed by ``(seed, stream_id)``:
 identical sources replay identical streams and distinct stream ids give
@@ -35,7 +37,6 @@ from .traces import Trace
 
 RNG_ALGORITHM = "philox4x64"
 _MASK64 = (1 << 64) - 1
-_STEP_BLOCK = 1 << 22   # cap walkers*states handled per vectorized CDF slice
 _BATCH_CAP = 1 << 18
 FINITE_STEP_CAP = 10 ** 8
 DEFAULT_REJECT_BUDGET = 10 ** 7
@@ -74,15 +75,7 @@ def _first_states(chain, u):
 
 
 def _step_states(chain, states, u):
-    cum = chain.P_cum
-    n_states = cum.shape[1]
-    out = np.empty(len(states), dtype=np.int64)
-    block = max(1, _STEP_BLOCK // n_states)
-    for s in range(0, len(states), block):
-        e = min(s + block, len(states))
-        rows = cum[states[s:e]]
-        out[s:e] = (rows <= u[s:e, None]).sum(axis=1)
-    return out
+    return chain.cols[np.searchsorted(chain.P_cum, states + 1j * u, side="right")]
 
 
 def _chain_states_batch(chain, k, n, rng):
@@ -169,6 +162,11 @@ def _draw_index(cum, rng):
     return int(cum.searchsorted(rng.random(), side="right"))
 
 
+def _step_state(chain, state, rng):
+    key = complex(state, rng.random())
+    return int(chain.cols[chain.P_cum.searchsorted(key, side="right")])
+
+
 def _absorbing_walk(chain, rng):
     """Non-empty states of one walk below the root, up to absorption."""
     states = []
@@ -177,7 +175,7 @@ def _absorbing_walk(chain, rng):
         if len(states) >= FINITE_STEP_CAP:
             raise IterationCap(f"no absorption within {FINITE_STEP_CAP} steps")
         states.append(state)
-        state = _draw_index(chain.P_cum[state], rng)
+        state = _step_state(chain, state, rng)
     return np.array(states, dtype=np.intp)
 
 

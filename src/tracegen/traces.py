@@ -175,8 +175,10 @@ def serialize_trace(u):
 
 
 def layers_line(pair, masks):
-    """One compact JSON line for a sequence of layer masks (ints or numpy ints)."""
-    return json.dumps([pair.letters_of_mask(int(m)) for m in masks], separators=(",", ":"))
+    """One compact JSON line for a sequence of layer masks, given as Python
+    ints (a numpy row goes through ``.tolist()`` first).  It joins the pair's
+    cached per-mask fragments, so each distinct layer is encoded once."""
+    return "[" + ",".join(map(pair.layer_json.__getitem__, masks)) + "]"
 
 
 def trace_line(u):

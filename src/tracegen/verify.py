@@ -130,7 +130,8 @@ def verification_report(bundle):
         ))
         bg_dev = float(np.abs(pp.B @ pp.g - pp.g).max())
         checks.append(_dev_check("parry_Bg_dev", bg_dev, VERIFY_IDENTITY_TOL))
-        cp_dev = float(np.abs(pp.C - boundary.P[1:, 1:]).max())
+        diff = pp.C - boundary.P[1:, 1:]
+        cp_dev = float(np.abs(diff, out=diff).max())
         checks.append(_dev_check("parry_CP_dev", cp_dev, VERIFY_IDENTITY_TOL))
     else:
         for frac in (0.5, 1.0):

@@ -1,3 +1,4 @@
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -17,6 +18,7 @@ from tracegen import (
     sample_subuniform_trace,
     transition_matrix,
 )
+from tracegen import chain as chain_mod
 from tracegen.cli import main
 from tracegen.counting import AT_P0_RTOL, RootPosition, root_position
 from tracegen.errors import DegenerateState, ParameterOutOfRange, ReducibleMonoid
@@ -263,11 +265,46 @@ def test_bundle_chain_cache():
 
 
 def test_chain_keeps_P_and_its_cdf_agrees(fig1):
+    adm = fig1.family.admissibility
+    rows, cols = np.nonzero(adm)
     for p in (0.2, fig1.p0):
         ch = clique_chain(fig1.family, p, fig1.p0)
         assert ch.P is ch.P
-        finite = np.isfinite(ch.P_cum)
-        assert (ch.P_cum[finite] == np.cumsum(ch.P, axis=1)[finite]).all()
+        # the compact CDF holds the dense one's admissible entries, row-major
+        assert (ch.P_cum.real == rows).all() and (ch.cols == cols).all()
+        cum = ch.P_cum.imag
+        finite = np.isfinite(cum)
+        assert (cum[finite] == np.cumsum(ch.P, axis=1)[adm][finite]).all()
+
+
+def cycle_complement(n):
+    """C_n^c: n letters on a cycle, each depending only on its two neighbours."""
+    letters = [f"x{i:02d}" for i in range(n)]
+    pairs = [(letters[i], letters[j]) for i in range(n) for j in range(i + 2, n)
+             if (j - i) % n != n - 1]
+    return make_bundle(letters, pairs)
+
+
+def test_compact_cdf_memory_on_c14(monkeypatch):
+    # the sampling CDF stores the admissible entries only, and building it
+    # forms no n x n float array; h comes precomputed, because h_vector's
+    # superset product needs one (a smaller block would change h's last bits)
+    bundle = cycle_complement(14)
+    fam = bundle.family
+    n = len(fam)
+    assert n == 843
+    adm = fam.admissibility
+    for p in (bundle.p0, 0.5 * bundle.p0):
+        h = h_vector(fam, p)
+        monkeypatch.setattr(chain_mod, "h_vector", lambda family, p: h.copy())
+        tracemalloc.start()
+        try:
+            ch = clique_chain(fam, p, bundle.p0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert ch.P_cum.size == adm.sum()
+        assert peak < n * n * np.dtype(np.float64).itemsize
 
 
 def test_transition_matrix_low_level(fig1):

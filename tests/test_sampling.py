@@ -2,8 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from tracegen import (
+    MonoidBundle,
     RandomSource,
     Trace,
     cf_admissible,
@@ -13,11 +15,15 @@ from tracegen import (
     sample_uniform_traces,
     topped_prefix_batch,
     trace_from_layers,
+    validate_independence,
 )
 from tracegen.chain import CliqueChain
 from tracegen.errors import ParameterOutOfRange, RejectBudgetExhausted
 from tracegen.estimate import accumulate_moments, builtin_cost
-from tracegen.sampling import _draw_index, _first_states, _step_states
+from tracegen.oracle import dense_cdf, dense_steps
+from tracegen.sampling import _draw_index, _first_states, _step_state, _step_states
+
+from conftest import independence_graphs
 
 
 def within_se(observed_freq, prob, n, mult=4.0):
@@ -66,7 +72,45 @@ def test_step_at_row_total_stays_admissible(cycle5):
         last = int(np.flatnonzero(adm[r])[-1])
         for u in (totals[r], np.nextafter(totals[r], 1.0)):
             assert _step_states(ch, np.array([r]), np.array([u])).tolist() == [last]
-            assert _draw_index(ch.P_cum[r], FixedUniform(u)) == last
+            assert _step_state(ch, r, FixedUniform(u)) == last
+
+
+def compact_steps_match_dense(chain):
+    # u at 0, at each row's float total and just above it: both step kernels
+    # land where counting the dense CDF row lands
+    n = chain.n_states
+    totals = np.cumsum(chain.P, axis=1)[:, -1]
+    states = np.repeat(np.arange(n), 3)
+    u = np.stack([np.zeros(n), totals, np.nextafter(totals, np.inf)], axis=1).ravel()
+    want = dense_steps(dense_cdf(chain), states, u)
+    assert _step_states(chain, states, u).tolist() == want.tolist()
+    assert [_step_state(chain, s, FixedUniform(x)) for s, x in zip(states, u)] == want.tolist()
+    # each row ends in +inf, on its last admissible column
+    adm = chain.family.admissibility
+    ends = np.cumsum(adm.sum(axis=1)) - 1
+    assert np.isinf(chain.P_cum.imag[ends]).all()
+    assert np.isinf(chain.P_cum.imag).sum() == n
+    assert (chain.P_cum.real[ends] == np.arange(n)).all()
+    assert (chain.cols[ends] == n - 1 - np.argmax(adm[:, ::-1], axis=1)).all()
+
+
+def test_compact_steps_match_dense_on_fixtures(irreducible_five, prod32):
+    for bundle in [*irreducible_five, prod32]:
+        for cb in bundle.components:
+            for p in (bundle.p0, 0.5 * bundle.p0):
+                compact_steps_match_dense(cb.chain(p))
+
+
+@settings(max_examples=60, deadline=None)
+@given(independence_graphs())
+def test_compact_steps_match_dense_on_random_monoids(graph):
+    # each component's chain at the monoid's root (its own root or below it)
+    # and at half the root
+    letters, pairs = graph
+    bundle = MonoidBundle(validate_independence(letters, pairs, symmetric_closure=True))
+    for cb in bundle.components:
+        for p in (bundle.p0, 0.5 * bundle.p0):
+            compact_steps_match_dense(cb.chain(p))
 
 
 def test_boundary_prefix_basics(fig1):

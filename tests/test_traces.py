@@ -209,7 +209,7 @@ def test_parse_trace_rejects_bad_input(fig1):
 def test_layers_line(fig1):
     t = normalize_word("acab", fig1.pair)
     assert trace_line(t) == '[["a"],["c"],["a","b"]]'
-    assert layers_line(fig1.pair, np.array(t.layers, dtype=np.uint64)) == trace_line(t)
+    assert layers_line(fig1.pair, np.array(t.layers, dtype=np.uint64).tolist()) == trace_line(t)
     assert layers_line(fig1.pair, []) == "[]"
 
 
