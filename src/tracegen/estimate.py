@@ -3,10 +3,12 @@
 The average of a cost ``phi`` over all traces of length ``k`` equals, up to
 the factor ``p0^k * lambda(k)``, the expectation under the uniform boundary
 measure of the lifted cost: the sum of ``phi`` over all length-``k`` left
-divisors of the first ``k`` layers.  One memoized walk over those divisors
-yields their count (the lift of the constant cost, which estimates
-``lambda(k)``), summed heights and summed first-layer sizes; ``prefix:u`` is
-lifted as the divisor count of ``u^-1 x``.  Only these builtin costs lift.
+divisors of the first ``k`` layers.  Those divisors are the size-``k`` order
+ideals of the prefix's heap, and one forward pass over its layers counts them
+together with their summed heights and summed first-layer sizes; the count
+is the lift of the constant cost, which estimates ``lambda(k)``.
+``prefix:u`` is lifted as the divisor count of ``u^-1 x``.  Only these
+builtin costs lift.
 """
 
 from __future__ import annotations
@@ -17,52 +19,58 @@ from dataclasses import dataclass
 
 from .errors import ParameterOutOfRange
 from .sampling import topped_prefix_batch
-from .traces import divides, left_quotient, parse_trace, remove_bottom
+from .traces import divides, left_quotient, parse_trace
 
 _PREFIX_BATCH = 8192  # prefixes per topped_prefix_batch call; stdout depends on it
 
 
-# -- the divisor walk ------------------------------------------------------------
-
-def _iter_submasks(mask):
-    """Non-empty submasks of ``mask``, largest first (standard walk)."""
-    sub = mask
-    while sub:
-        yield sub
-        sub = (sub - 1) & mask
-
+# -- the divisor lift ------------------------------------------------------------
 
 def _divisor_sums(layers, k, pair):
     """(count, sum of heights, sum of first-layer sizes) of the length-``k``
-    left divisors of ``layers``, memoized on (residual, length, allowed).
+    left divisors of the normal form ``layers``.
 
-    A divisor is its first layer ``s``, a subset of the bottom layer inside
-    ``allowed`` (D of the layer peeled below it, every letter at the bottom),
-    then a divisor of the residual.
+    A divisor is a size-``k`` order ideal of the heap, and an occurrence keeps
+    its level in any ideal holding it, so a divisor's height is one more than
+    the last layer it uses and its first layer is its part of layer 0.  The
+    occurrences of one letter form a chain, so the rest of a partial ideal is
+    fixed by the letters it blocks: those depending on an occurrence left out.
+    The pass keeps ``(blocked, size) -> (count, sum of first-layer sizes)``
+    and, at each layer, takes every subset ``S`` of its unblocked letters; the
+    letters left out block ``D(layer & ~S)``.  A divisor is complete at the
+    layer where its size reaches ``k``, which sets its height.  States that
+    cannot reach ``k`` with the letters above them are dropped.
     """
-    memo = {}
-
-    def walk(layers, j, allowed):
-        if j == 0:
-            return 1, 0, 0
-        if not layers:
-            return 0, 0, 0
-        key = (layers, j, allowed)
-        hit = memo.get(key)
-        if hit is None:
-            count = heights = firsts = 0
-            for s in _iter_submasks(layers[0] & allowed):
-                size = s.bit_count()
-                if size > j:
-                    continue
-                c, h, _ = walk(remove_bottom(layers, s, pair), j - size, pair.follow(s))
-                count += c
-                heights += h + c
-                firsts += size * c
-            hit = memo[key] = (count, heights, firsts)
-        return hit
-
-    return walk(layers, k, pair.full_mask)
+    if k == 0:
+        return 1, 0, 0
+    left = sum(m.bit_count() for m in layers)
+    count = heights = firsts = 0
+    states = {(0, 0): (1, 0)}
+    for t, layer in enumerate(layers):
+        left -= layer.bit_count()
+        need = k - left
+        nxt = {}
+        for (blocked, size), (c, f) in states.items():
+            avail = layer & ~blocked
+            s = avail
+            while True:
+                n = s.bit_count()
+                if need <= size + n <= k:
+                    if t == 0:
+                        f = c * n
+                    if size + n == k:
+                        count += c
+                        heights += c * (t + 1)
+                        firsts += f
+                    else:
+                        key = (blocked | pair.follow(layer & ~s), size + n)
+                        o = nxt.get(key)
+                        nxt[key] = (c, f) if o is None else (o[0] + c, o[1] + f)
+                if not s:
+                    break
+                s = (s - 1) & avail
+        states = nxt
+    return count, heights, firsts
 
 
 def theta_k(x, k):
@@ -176,8 +184,8 @@ def accumulate_moments(bundle, k, phi, n, rng):
     while remaining > 0:
         take = min(_PREFIX_BATCH, remaining)
         gm = topped_prefix_batch(bundle, k, take, rng)
-        for row in gm:
-            layers = tuple(int(m) for m in row if m)
+        for row in gm.tolist():
+            layers = tuple(m for m in row if m)
             sums = _divisor_sums(layers, k, pair)
             moments.add(float(phi.lift(layers, k, sums)), float(sums[0]))
         remaining -= take

@@ -3,7 +3,7 @@
 Everything here is deliberately naive: exhaustive walks of the clique
 automaton, word-level closures under adjacent swaps, plain averages, path
 probabilities one transition at a time, the follow rule one letter at a time,
-chain steps by counting a dense CDF row.
+chain steps by counting a dense CDF row, divisor sums by peeling the heap.
 Fast code elsewhere is tested against these.
 """
 
@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import BudgetExceeded, InsufficientSamples
 from .monoid import iter_bits
-from .traces import Trace, divides, normalize_word
+from .traces import Trace, divides, normalize_word, remove_bottom
 
 DEFAULT_ENUM_BUDGET = 10 ** 7
 
@@ -113,6 +113,41 @@ def congruence_closure(word, pair, max_len=8):
 def length_k_divisors(family, x, k):
     """Every trace ``y`` of length ``k`` with ``y <= x``, by filtering ``M_k``."""
     return [y for y in enumerate_Mk(family, k) if divides(y, x)]
+
+
+def divisor_sums_by_peeling(layers, k, pair):
+    """(count, sum of heights, sum of first-layer sizes) of the length-``k``
+    left divisors of ``layers``, memoized on (residual, length, allowed).
+
+    A divisor is its first layer ``s``, a subset of the bottom layer inside
+    ``allowed`` (D of the layer peeled below it, every letter at the bottom),
+    then a divisor of the residual, re-settled by ``remove_bottom``.
+    """
+    memo = {}
+
+    def walk(layers, j, allowed):
+        if j == 0:
+            return 1, 0, 0
+        if not layers:
+            return 0, 0, 0
+        key = (layers, j, allowed)
+        hit = memo.get(key)
+        if hit is None:
+            count = heights = firsts = 0
+            bottom = layers[0] & allowed
+            s = bottom
+            while s:
+                size = s.bit_count()
+                if size <= j:
+                    c, h, _ = walk(remove_bottom(layers, s, pair), j - size, pair.follow(s))
+                    count += c
+                    heights += h + c
+                    firsts += size * c
+                s = (s - 1) & bottom
+            hit = memo[key] = (count, heights, firsts)
+        return hit
+
+    return walk(tuple(layers), k, pair.full_mask)
 
 
 def exact_uniform_expectation(family, k, phi, budget=DEFAULT_ENUM_BUDGET):

@@ -11,6 +11,14 @@ def make_bundle(letters, pairs):
     return MonoidBundle(validate_independence(letters, pairs, symmetric_closure=True))
 
 
+def cycle_complement(n):
+    """C_n^c: n letters on a cycle, each depending only on its two neighbours."""
+    letters = [f"x{i:02d}" for i in range(n)]
+    pairs = [(letters[i], letters[j]) for i in range(n) for j in range(i + 2, n)
+             if (j - i) % n != n - 1]
+    return make_bundle(letters, pairs)
+
+
 @st.composite
 def independence_graphs(draw):
     """Independence graph on at most 8 letters; half of the draws are made
@@ -70,6 +78,11 @@ def prod32():
     letters = ["a1", "a2", "a3", "b1", "b2"]
     pairs = [(a, b) for a in ("a1", "a2", "a3") for b in ("b1", "b2")]
     return make_bundle(letters, pairs)
+
+
+@pytest.fixture(scope="session")
+def c14():
+    return cycle_complement(14)
 
 
 @pytest.fixture(scope="session")

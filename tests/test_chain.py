@@ -23,7 +23,7 @@ from tracegen.cli import main
 from tracegen.counting import AT_P0_RTOL, RootPosition, root_position
 from tracegen.errors import DegenerateState, ParameterOutOfRange, ReducibleMonoid
 
-from conftest import make_bundle
+from conftest import cycle_complement, make_bundle
 
 PARAM_FRACTIONS = (0.25, 0.5, 0.75, 1.0)
 
@@ -275,14 +275,6 @@ def test_chain_keeps_P_and_its_cdf_agrees(fig1):
         cum = ch.P_cum.imag
         finite = np.isfinite(cum)
         assert (cum[finite] == np.cumsum(ch.P, axis=1)[adm][finite]).all()
-
-
-def cycle_complement(n):
-    """C_n^c: n letters on a cycle, each depending only on its two neighbours."""
-    letters = [f"x{i:02d}" for i in range(n)]
-    pairs = [(letters[i], letters[j]) for i in range(n) for j in range(i + 2, n)
-             if (j - i) % n != n - 1]
-    return make_bundle(letters, pairs)
 
 
 def test_compact_cdf_memory_on_c14(monkeypatch):

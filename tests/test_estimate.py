@@ -23,7 +23,13 @@ from tracegen import (
     validate_independence,
 )
 from tracegen.errors import ParameterOutOfRange
-from tracegen.oracle import enumerate_Mk, exact_uniform_expectation, length_k_divisors
+from tracegen.estimate import _divisor_sums
+from tracegen.oracle import (
+    divisor_sums_by_peeling,
+    enumerate_Mk,
+    exact_uniform_expectation,
+    length_k_divisors,
+)
 
 LIFTED = ("height", "first-layer", "one")
 
@@ -92,6 +98,33 @@ def test_phibar_height_example(fig1):
     heights = sorted(y.height for y in length_k_divisors(fig1.family, x, 2))
     assert heights == [1, 2, 2]
     assert phibar(builtin_cost("height"), x, 2) == 5.0
+
+
+def test_lift_edges(fig1):
+    # the empty divisor, a prefix cost at exactly |u| (u a proper divisor and
+    # u == x), and a prefix longer than the divisors asked for
+    assert theta_k(Trace(fig1.pair), 0) == 1
+    assert _divisor_sums((), 0, fig1.pair) == (1, 0, 0)
+    x = normalize_word("abcab", fig1.pair)
+    for word in ("a", "ab", "abc", "abcab"):
+        u = normalize_word(word, fig1.pair)
+        phi = builtin_cost("prefix:" + trace_line(u), fig1.pair)
+        assert divides(u, x)
+        assert phibar(phi, x, u.length) == 1
+        assert phibar(phi, x, u.length - 1) == 0
+
+
+@pytest.mark.parametrize("name, k, n", [("fig1", 10, 1_000), ("prod32", 10, 300), ("c14", 6, 100)])
+def test_lift_matches_peeling_walk(name, k, n, request):
+    # the layer pass against the normal-form walk, triple for triple, on
+    # sampled boundary prefixes
+    bundle = request.getfixturevalue(name)
+    rows = topped_prefix_batch(bundle, k, n, RandomSource(29).generator())
+    for row in rows.tolist():
+        layers = tuple(m for m in row if m)
+        assert _divisor_sums(layers, k, bundle.pair) == divisor_sums_by_peeling(
+            layers, k, bundle.pair
+        ), layers
 
 
 @st.composite
