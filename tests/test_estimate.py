@@ -104,7 +104,6 @@ def test_lift_edges(fig1):
     # the empty divisor, a prefix cost at exactly |u| (u a proper divisor and
     # u == x), and a prefix longer than the divisors asked for
     assert theta_k(Trace(fig1.pair), 0) == 1
-    assert _divisor_sums((), 0, fig1.pair) == (1, 0, 0)
     x = normalize_word("abcab", fig1.pair)
     for word in ("a", "ab", "abc", "abcab"):
         u = normalize_word(word, fig1.pair)
