@@ -33,6 +33,7 @@ class MonoidBundle:
         self._decomposition = None
         self._components = None
         self._component_masks = None
+        self._component_mask_lists = None
         self._growth = None
         self._chain = None
         self._optimal = {}
@@ -94,6 +95,13 @@ class MonoidBundle:
                 for ci, cb in enumerate(self.components)
             ]
         return self._component_masks
+
+    @property
+    def component_mask_lists(self):
+        """``component_masks`` as lists of Python ints, for scalar walks."""
+        if self._component_mask_lists is None:
+            self._component_mask_lists = [t.tolist() for t in self.component_masks]
+        return self._component_mask_lists
 
     def growth(self, n):
         if self._growth is None or len(self._growth) <= n:

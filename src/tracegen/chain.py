@@ -124,7 +124,8 @@ class CliqueChain:
     """Bundle of ``p``, ``h``, ``g`` and the sampling CDFs: ``h_cum`` over
     cliques and the compact transition CDF ``P_cum``/``cols`` (see
     ``_compact_cdf``); the dense transitions ``P``, which no sampler reads,
-    are formed on first read."""
+    are formed on first read.  Scalar walks read the same CDFs as Python
+    lists (``h_cum_list``, ``cdf_row``), built on first use."""
 
     family: object
     p: float
@@ -136,6 +137,8 @@ class CliqueChain:
     P_cum: np.ndarray
     cols: np.ndarray
     _P: np.ndarray | None = field(default=None, repr=False)
+    _h_cum_list: list | None = field(default=None, repr=False)
+    _rows: dict = field(default_factory=dict, repr=False)
 
     @property
     def n_states(self):
@@ -146,6 +149,25 @@ class CliqueChain:
         if self._P is None:
             self._P = transition_matrix(self.family, self.h, self.g, at_p0=self.at_p0)
         return self._P
+
+    @property
+    def h_cum_list(self):
+        if self._h_cum_list is None:
+            self._h_cum_list = self.h_cum.tolist()
+        return self._h_cum_list
+
+    def cdf_row(self, state):
+        """Row ``state`` of the compact CDF as Python lists ``(cums, cols)``,
+        its ``+inf`` tail kept; each row is sliced out on its first request,
+        so a walk lists only the rows it visits."""
+        row = self._rows.get(state)
+        if row is None:
+            start = int(self.P_cum.searchsorted(complex(state, -np.inf)))
+            stop = int(self.P_cum.searchsorted(complex(state, np.inf), side="right"))
+            row = self._rows[state] = (
+                self.P_cum.imag[start:stop].tolist(), self.cols[start:stop].tolist()
+            )
+        return row
 
 
 def clique_chain(family, p, p0):

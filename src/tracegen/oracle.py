@@ -3,7 +3,8 @@
 Everything here is deliberately naive: exhaustive walks of the clique
 automaton, word-level closures under adjacent swaps, plain averages, path
 probabilities one transition at a time, the follow rule one letter at a time,
-chain steps by counting a dense CDF row, divisor sums by peeling the heap.
+chain steps by counting a dense CDF row, divisor sums by peeling the heap,
+rejection sampling that steps every walker to the horizon.
 Fast code elsewhere is tested against these.
 """
 
@@ -14,8 +15,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BudgetExceeded, InsufficientSamples
+from .counting import ACCEPTANCE_FLOOR
+from .errors import BudgetExceeded, InsufficientSamples, RejectBudgetExhausted
 from .monoid import iter_bits
+from .sampling import _BATCH_CAP, DEFAULT_REJECT_BUDGET, _chain_states_batch, _layer_union
 from .traces import Trace, divides, normalize_word, remove_bottom
 
 DEFAULT_ENUM_BUDGET = 10 ** 7
@@ -202,6 +205,44 @@ def dense_steps(cum, states, u):
     """Next states the dense way: how many entries of each walker's CDF row
     ``cum[state]`` are at most its uniform."""
     return (cum[states] <= u[:, None]).sum(axis=1)
+
+
+def all_walker_uniform_traces(bundle, k, n, rng, max_rejects=DEFAULT_REJECT_BUDGET):
+    """``sample_uniform_traces`` stepping every walker k+1 times per component.
+
+    Same batches, same draws (one (batch, k+1) block per component), same
+    acceptance scan; absorbed and overlong walkers keep walking, and lengths
+    are summed over the whole state history afterwards.
+    """
+    pair = bundle.pair
+    if k == 0:
+        return [Trace(pair)] * n, 0
+    p = bundle.optimal_parameter(k)
+    chains = [cb.chain(p) for cb in bundle.components]
+    sizes = [cb.family.sizes for cb in bundle.components]
+    accept_rate = bundle.expected_acceptance(k, p)
+    traces = []
+    closed = 0
+    rejections = 0
+    while len(traces) < n:
+        need = n - len(traces)
+        batch = int(min(max(4096, need / max(accept_rate, ACCEPTANCE_FLOOR) * 1.2), _BATCH_CAP))
+        batch = min(batch, n + max_rejects - closed)
+        if batch <= 0:
+            raise RejectBudgetExhausted(f"no {n} length-{k} traces within {max_rejects} rejections")
+        hists = [_chain_states_batch(ch, k + 1, batch, rng) for ch in chains]
+        total_len = sum(sz[hist].sum(axis=1) for sz, hist in zip(sizes, hists))
+        acc_idx = np.flatnonzero(total_len == k)
+        gm = _layer_union(bundle, [hist[acc_idx] for hist in hists])
+        for r, i in enumerate(acc_idx.tolist()):
+            traces.append(Trace(pair, [int(m) for m in gm[r] if m]))
+            if len(traces) == n:
+                return traces, closed + i + 1 - n
+        closed += batch
+        rejections = closed - len(traces)
+        if rejections > max_rejects:
+            raise RejectBudgetExhausted(f"no {n} length-{k} traces within {max_rejects} rejections")
+    return traces, rejections
 
 
 def iter_admissible_chains(family, length, include_empty=True):

@@ -12,12 +12,15 @@ One engine, the clique chain, serves all three regimes:
   outcomes, which are equally likely by construction
   (``sample_uniform_traces``).
 
-Batches run many walkers at once through one vectorized step kernel; a
-single subuniform draw runs one scalar walk until absorption.  Both take a
-step the same way: one ``searchsorted`` of ``state + 1j*u`` in the chain's
-compact row-keyed CDF (see ``chain.py``), O(log n) in the number of cliques.
-Reducible monoids run each irreducible component's chain at the same
-parameter and union the layers through the bundle's component-to-global
+Batches run many walkers at once through one vectorized step kernel: one
+``searchsorted`` of ``state + 1j*u`` in the chain's compact row-keyed CDF
+(see ``chain.py``), O(log n) in the number of cliques.  Rejection steps only
+the walkers that are neither absorbed nor over length, a row chunk at a
+time.  A single subuniform draw runs one scalar walk until absorption, with
+Python lists of the same CDF rows and ``bisect``, so it makes no numpy array
+per step or per draw; both kernels land on the same state for the same
+uniform.  Reducible monoids run each irreducible component's chain at the
+same parameter and union the layers through the bundle's component-to-global
 gather tables, which is exactly how the product monoid stacks its heaps.
 
 Randomness is counter-based (Philox, 4x64) keyed by ``(seed, stream_id)``:
@@ -27,6 +30,7 @@ independent streams for worker replication.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,6 +42,7 @@ from .traces import Trace
 RNG_ALGORITHM = "philox4x64"
 _MASK64 = (1 << 64) - 1
 _BATCH_CAP = 1 << 18
+_CHUNK_ROWS = 1 << 13  # rows of uniforms drawn and stepped at once
 FINITE_STEP_CAP = 10 ** 8
 DEFAULT_REJECT_BUDGET = 10 ** 7
 
@@ -102,11 +107,63 @@ def topped_prefix_batch(bundle, k, n, rng):
     return _layer_union(bundle, states)
 
 
+def _walk_live(chain, size, u, hist, total, live):
+    """Step the walkers ``live`` of one row chunk while they are neither
+    absorbed nor over length.
+
+    ``u`` is the chunk's (rows, k+1) uniforms, ``hist`` its (k+1, rows) view
+    of the state history and ``total`` its running lengths, both updated in
+    place.  Walkers dropped here keep state 0 in the later columns, as the
+    empty clique's point mass would give them; an over-length walker's later
+    states are never read.
+    """
+    if not len(live):
+        return
+    k = u.shape[1] - 1
+    s = _first_states(chain, u[live, 0])
+    tot = total[live]
+    for t in range(k + 1):
+        if t:
+            s = _step_states(chain, s, u[live, t])
+        hist[t, live] = s
+        tot += size[s]
+        total[live] = tot
+        keep = (s != 0) & (tot <= k)
+        if keep.all():
+            continue
+        live, s, tot = live[keep], s[keep], tot[keep]
+        if not len(live):
+            break
+
+
+def _proposals(chains, sizes, k, batch, rng):
+    """One batch of proposals: each walker's total length and, per component,
+    the (k+1, batch) state history.
+
+    Each component's uniforms are drawn in row chunks, so the stream is that
+    of one (batch, k+1) draw per component.  A component starts only the
+    walkers the earlier ones left at length <= k.
+    """
+    total = np.zeros(batch, dtype=np.int64)
+    hists = []
+    for ci, (chain, size) in enumerate(zip(chains, sizes)):
+        # the narrowest type that holds a state index: uint8 up to 256 cliques
+        hist = np.zeros((k + 1, batch), dtype=np.min_scalar_type(chain.n_states - 1))
+        for lo in range(0, batch, _CHUNK_ROWS):
+            hi = min(lo + _CHUNK_ROWS, batch)
+            u = rng.random((hi - lo, k + 1))
+            chunk_total = total[lo:hi]
+            live = np.flatnonzero(chunk_total <= k) if ci else np.arange(hi - lo)
+            _walk_live(chain, size, u, hist[:, lo:hi], chunk_total, live)
+        hists.append(hist)
+    return total, hists
+
+
 def sample_uniform_traces(bundle, k, n, rng, max_rejects=DEFAULT_REJECT_BUDGET):
     """``n`` exactly-uniform length-``k`` traces, batched.
 
-    Proposals run k+1 chain steps per component: a walker still alive after
-    k+1 non-empty layers is already overlong, so that horizon decides
+    Proposals run up to k+1 chain steps per component: a walker still alive
+    after k+1 non-empty layers is already overlong, so that horizon decides
     acceptance.  Returns (traces, rejections before the n-th acceptance).
     """
     pair = bundle.pair
@@ -114,7 +171,7 @@ def sample_uniform_traces(bundle, k, n, rng, max_rejects=DEFAULT_REJECT_BUDGET):
         return [Trace(pair)] * n, 0
     p = bundle.optimal_parameter(k)
     chains = [cb.chain(p) for cb in bundle.components]
-    # clique sizes are at most 64: uint8 keeps the per-batch gather small
+    # clique sizes are at most 64: uint8 keeps the per-step gather small
     sizes = [cb.family.sizes.astype(np.uint8) for cb in bundle.components]
     accept_rate = bundle.expected_acceptance(k, p)
 
@@ -130,15 +187,10 @@ def sample_uniform_traces(bundle, k, n, rng, max_rejects=DEFAULT_REJECT_BUDGET):
             raise RejectBudgetExhausted(
                 f"no {n} length-{k} traces within {max_rejects} rejections"
             )
-        hists = []
-        total_len = np.zeros(batch, dtype=np.int64)
-        for ch, sz in zip(chains, sizes):
-            hist = _chain_states_batch(ch, k + 1, batch, rng)
-            total_len += sz[hist].sum(axis=1, dtype=np.int64)
-            hists.append(hist)
+        total_len, hists = _proposals(chains, sizes, k, batch, rng)
         acc_idx = np.flatnonzero(total_len == k)
         if len(acc_idx):
-            gm = _layer_union(bundle, [hist[acc_idx] for hist in hists])
+            gm = _layer_union(bundle, [hist[:, acc_idx].T for hist in hists])
             heights = (gm != 0).sum(axis=1)
             for r in range(len(acc_idx)):
                 traces.append(Trace(pair, gm[r, : heights[r]].tolist()))
@@ -158,25 +210,18 @@ def sample_uniform_traces(bundle, k, n, rng, max_rejects=DEFAULT_REJECT_BUDGET):
 
 # -- scalar absorbing walk -----------------------------------------------------
 
-def _draw_index(cum, rng):
-    return int(cum.searchsorted(rng.random(), side="right"))
-
-
-def _step_state(chain, state, rng):
-    key = complex(state, rng.random())
-    return int(chain.cols[chain.P_cum.searchsorted(key, side="right")])
-
-
 def _absorbing_walk(chain, rng):
-    """Non-empty states of one walk below the root, up to absorption."""
+    """Non-empty states of one walk below the root, up to absorption: one
+    uniform per state, looked up with ``bisect`` in the chain's CDFs as lists."""
     states = []
-    state = _draw_index(chain.h_cum, rng)
-    while state != 0:
+    state = bisect_right(chain.h_cum_list, rng.random())
+    while state:
         if len(states) >= FINITE_STEP_CAP:
             raise IterationCap(f"no absorption within {FINITE_STEP_CAP} steps")
         states.append(state)
-        state = _step_state(chain, state, rng)
-    return np.array(states, dtype=np.intp)
+        cums, cols = chain.cdf_row(state)
+        state = cols[bisect_right(cums, rng.random())]
+    return states
 
 
 def sample_subuniform_trace(bundle, p, rng):
@@ -185,5 +230,10 @@ def sample_subuniform_trace(bundle, p, rng):
         raise ParameterOutOfRange(
             f"subuniform finite sampling needs p strictly below {bundle.p0}"
         )
-    walks = [_absorbing_walk(cb.chain(p), rng) for cb in bundle.components]
-    return Trace(bundle.pair, _layer_union(bundle, walks).tolist())
+    layers = []
+    for cb, table in zip(bundle.components, bundle.component_mask_lists):
+        walk = _absorbing_walk(cb.chain(p), rng)
+        layers.extend([0] * (len(walk) - len(layers)))
+        for i, state in enumerate(walk):
+            layers[i] |= table[state]
+    return Trace(bundle.pair, layers)

@@ -1,4 +1,5 @@
 import math
+from bisect import bisect_right
 
 import numpy as np
 import pytest
@@ -17,11 +18,12 @@ from tracegen import (
     trace_from_layers,
     validate_independence,
 )
+from tracegen import oracle, sampling
 from tracegen.chain import CliqueChain
-from tracegen.errors import ParameterOutOfRange, RejectBudgetExhausted
+from tracegen.errors import IterationCap, ParameterOutOfRange, RejectBudgetExhausted
 from tracegen.estimate import accumulate_moments, builtin_cost
-from tracegen.oracle import dense_cdf, dense_steps
-from tracegen.sampling import _draw_index, _first_states, _step_state, _step_states
+from tracegen.oracle import all_walker_uniform_traces, dense_cdf, dense_steps
+from tracegen.sampling import _absorbing_walk, _first_states, _step_states
 
 from conftest import independence_graphs
 
@@ -47,6 +49,20 @@ class FixedUniform:
         return self.u
 
 
+class ScriptedUniform:
+    def __init__(self, us):
+        self.us = iter(us)
+
+    def random(self):
+        return next(self.us)
+
+
+def list_step(chain, state, u):
+    """The scalar walk's step: ``bisect`` in the state's CDF row as lists."""
+    cums, cols = chain.cdf_row(state)
+    return cols[bisect_right(cums, u)]
+
+
 def test_first_state_at_h_total_is_last_clique(irreducible_five):
     # h's float total can fall short of 1 (path4, cycle5): a uniform at that
     # total or just below 1 must land on the last clique in both kernels
@@ -54,9 +70,10 @@ def test_first_state_at_h_total_is_last_clique(irreducible_five):
     assert min(totals) < 1.0
     for bundle, total in zip(irreducible_five, totals):
         ch = bundle.boundary_chain()
+        assert ch.h_cum_list == ch.h_cum.tolist() and ch.h_cum_list[-1] == math.inf
         for u in (total, np.nextafter(1.0, 0.0)):
             assert _first_states(ch, np.array([u])).tolist() == [ch.n_states - 1]
-            assert _draw_index(ch.h_cum, FixedUniform(u)) == ch.n_states - 1
+            assert bisect_right(ch.h_cum_list, float(u)) == ch.n_states - 1
 
 
 def test_step_at_row_total_stays_admissible(cycle5):
@@ -72,7 +89,7 @@ def test_step_at_row_total_stays_admissible(cycle5):
         last = int(np.flatnonzero(adm[r])[-1])
         for u in (totals[r], np.nextafter(totals[r], 1.0)):
             assert _step_states(ch, np.array([r]), np.array([u])).tolist() == [last]
-            assert _step_state(ch, r, FixedUniform(u)) == last
+            assert list_step(ch, r, float(u)) == last
 
 
 def compact_steps_match_dense(chain):
@@ -84,14 +101,20 @@ def compact_steps_match_dense(chain):
     u = np.stack([np.zeros(n), totals, np.nextafter(totals, np.inf)], axis=1).ravel()
     want = dense_steps(dense_cdf(chain), states, u)
     assert _step_states(chain, states, u).tolist() == want.tolist()
-    assert [_step_state(chain, s, FixedUniform(x)) for s, x in zip(states, u)] == want.tolist()
-    # each row ends in +inf, on its last admissible column
+    assert [list_step(chain, int(s), float(x)) for s, x in zip(states, u)] == want.tolist()
+    # each row ends in +inf, on its last admissible column, in both forms
     adm = chain.family.admissibility
     ends = np.cumsum(adm.sum(axis=1)) - 1
     assert np.isinf(chain.P_cum.imag[ends]).all()
     assert np.isinf(chain.P_cum.imag).sum() == n
     assert (chain.P_cum.real[ends] == np.arange(n)).all()
-    assert (chain.cols[ends] == n - 1 - np.argmax(adm[:, ::-1], axis=1)).all()
+    last = n - 1 - np.argmax(adm[:, ::-1], axis=1)
+    assert (chain.cols[ends] == last).all()
+    for row in range(n):
+        cums, cols = chain.cdf_row(row)
+        assert cols == np.flatnonzero(adm[row]).tolist()
+        assert cums[-1] == math.inf and cols[-1] == last[row]
+        assert not any(map(math.isinf, cums[:-1]))
 
 
 def test_compact_steps_match_dense_on_fixtures(irreducible_five, prod32):
@@ -111,6 +134,30 @@ def test_compact_steps_match_dense_on_random_monoids(graph):
     for cb in bundle.components:
         for p in (bundle.p0, 0.5 * bundle.p0):
             compact_steps_match_dense(cb.chain(p))
+
+
+def test_walk_lists_only_visited_rows(fig1, prod32):
+    # rows become lists on a walk's first visit; the others stay unlisted
+    for bundle in (fig1, prod32):
+        for cb in bundle.components:
+            chain = cb.chain(0.5 * bundle.p0)
+            chain._rows.clear()
+            visited = set()
+            rng = RandomSource(3).generator()
+            for _ in range(5):
+                visited.update(_absorbing_walk(chain, rng))
+            assert set(chain._rows) == visited
+
+
+def test_walk_stops_at_step_cap(monkeypatch, fig1):
+    # u just below 1 always picks the row's last column, a non-empty clique,
+    # so the walk never absorbs and must stop at the cap
+    monkeypatch.setattr(sampling, "FINITE_STEP_CAP", 5)
+    chain = fig1.chain(0.2)
+    with pytest.raises(IterationCap):
+        _absorbing_walk(chain, FixedUniform(np.nextafter(1.0, 0.0)))
+    # five steps and an absorbing sixth draw fit under the cap
+    assert len(_absorbing_walk(chain, ScriptedUniform([0.99] * 5 + [0.0]))) == 5
 
 
 def test_boundary_prefix_basics(fig1):
@@ -360,3 +407,36 @@ def test_samplers_never_form_P(monkeypatch, fig1, prod32):
         sample_uniform_traces(bundle, 4, 20, rng)
         sample_subuniform_trace(bundle, bundle.p0 / 2, rng)
         accumulate_moments(bundle, 4, builtin_cost("height", bundle.pair), 20, rng)
+
+
+@pytest.mark.parametrize("name, k, n", [("fig1", 6, 700), ("prod32", 8, 400), ("c14", 6, 150)])
+def test_live_walkers_match_all_walker_reference(request, monkeypatch, name, k, n):
+    # a 61-row chunk: many chunks per batch, and the n-th acceptance lands
+    # inside one; the generators must also agree on what comes next
+    bundle = request.getfixturevalue(name)
+    monkeypatch.setattr(sampling, "_CHUNK_ROWS", 61)
+    rng, ref_rng = RandomSource(4).generator(), RandomSource(4).generator()
+    traces, rej = sample_uniform_traces(bundle, k, n, rng)
+    want, want_rej = all_walker_uniform_traces(bundle, k, n, ref_rng)
+    assert traces == want and rej == want_rej
+    assert (n + rej) % 61 != 0
+    assert rng.random() == ref_rng.random()
+    # both give up in the same batch, having drawn the same uniforms
+    rng, ref_rng = RandomSource(5).generator(), RandomSource(5).generator()
+    with pytest.raises(RejectBudgetExhausted):
+        sample_uniform_traces(bundle, k, 10 * n, rng, max_rejects=n)
+    with pytest.raises(RejectBudgetExhausted):
+        all_walker_uniform_traces(bundle, k, 10 * n, ref_rng, max_rejects=n)
+    assert rng.random() == ref_rng.random()
+
+
+def test_product_exact_k_spans_batches(monkeypatch, prod32):
+    # k = 20 on prod32 accepts about 2 % of proposals: with batches capped at
+    # 2^14 rows, n = 1 500 takes several batches of four chunks each
+    monkeypatch.setattr(sampling, "_CHUNK_ROWS", 1 << 12)
+    monkeypatch.setattr(sampling, "_BATCH_CAP", 1 << 14)
+    monkeypatch.setattr(oracle, "_BATCH_CAP", 1 << 14)
+    traces, rej = sample_uniform_traces(prod32, 20, 1500, RandomSource(6).generator())
+    want, want_rej = all_walker_uniform_traces(prod32, 20, 1500, RandomSource(6).generator())
+    assert traces == want and rej == want_rej
+    assert 1500 + rej > 3 << 14
