@@ -123,9 +123,9 @@ def _compact_cdf(family, h, g):
 class CliqueChain:
     """Bundle of ``p``, ``h``, ``g`` and the sampling CDFs: ``h_cum`` over
     cliques and the compact transition CDF ``P_cum``/``cols`` (see
-    ``_compact_cdf``); the dense transitions ``P``, which no sampler reads,
-    are formed on first read.  Scalar walks read the same CDFs as Python
-    lists (``h_cum_list``, ``cdf_row``), built on first use."""
+    ``_compact_cdf``), which scalar walks read through ``walk_tables``; the
+    dense transitions ``P``, which no sampler reads, are formed on first
+    read."""
 
     family: object
     p: float
@@ -137,8 +137,7 @@ class CliqueChain:
     P_cum: np.ndarray
     cols: np.ndarray
     _P: np.ndarray | None = field(default=None, repr=False)
-    _h_cum_list: list | None = field(default=None, repr=False)
-    _rows: dict = field(default_factory=dict, repr=False)
+    _walk_tables: tuple | None = field(default=None, repr=False)
 
     @property
     def n_states(self):
@@ -151,23 +150,19 @@ class CliqueChain:
         return self._P
 
     @property
-    def h_cum_list(self):
-        if self._h_cum_list is None:
-            self._h_cum_list = self.h_cum.tolist()
-        return self._h_cum_list
-
-    def cdf_row(self, state):
-        """Row ``state`` of the compact CDF as Python lists ``(cums, cols)``,
-        its ``+inf`` tail kept; each row is sliced out on its first request,
-        so a walk lists only the rows it visits."""
-        row = self._rows.get(state)
-        if row is None:
-            start = int(self.P_cum.searchsorted(complex(state, -np.inf)))
-            stop = int(self.P_cum.searchsorted(complex(state, np.inf), side="right"))
-            row = self._rows[state] = (
-                self.P_cum.imag[start:stop].tolist(), self.cols[start:stop].tolist()
+    def walk_tables(self):
+        """The sampling CDFs as a scalar walk reads them, one Python float or
+        int per lookup and no numpy scalar: ``h_cum`` as a list, memoryviews
+        of ``P_cum``'s cumulative values and of ``cols``, and the ``n + 1``
+        row offsets into those (a row's ``+inf`` entry is its last).  Nothing
+        is copied but ``h_cum`` and the offsets."""
+        if self._walk_tables is None:
+            cums = self.P_cum.imag
+            starts = [0, *(np.flatnonzero(np.isinf(cums)) + 1).tolist()]
+            self._walk_tables = (
+                self.h_cum.tolist(), memoryview(cums), memoryview(self.cols), starts
             )
-        return row
+        return self._walk_tables
 
 
 def clique_chain(family, p, p0):

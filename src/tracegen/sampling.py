@@ -16,12 +16,13 @@ Batches run many walkers at once through one vectorized step kernel: one
 ``searchsorted`` of ``state + 1j*u`` in the chain's compact row-keyed CDF
 (see ``chain.py``), O(log n) in the number of cliques.  Rejection steps only
 the walkers that are neither absorbed nor over length, a row chunk at a
-time.  A single subuniform draw runs one scalar walk until absorption, with
-Python lists of the same CDF rows and ``bisect``, so it makes no numpy array
-per step or per draw; both kernels land on the same state for the same
-uniform.  Reducible monoids run each irreducible component's chain at the
-same parameter and union the layers through the bundle's component-to-global
-gather tables, which is exactly how the product monoid stacks its heaps.
+time.  A single subuniform draw runs one scalar walk until absorption: a
+``bisect`` inside the walker's row of the same CDF, read through memoryviews,
+so it makes no numpy array or scalar per step or per draw; both kernels land
+on the same state for the same uniform.  Reducible monoids run each
+irreducible component's chain at the same parameter and union the layers
+through the bundle's component-to-global gather tables (Python ints for a
+single draw), which is exactly how the product monoid stacks its heaps.
 
 Randomness is counter-based (Philox, 4x64) keyed by ``(seed, stream_id)``:
 identical sources replay identical streams and distinct stream ids give
@@ -212,15 +213,16 @@ def sample_uniform_traces(bundle, k, n, rng, max_rejects=DEFAULT_REJECT_BUDGET):
 
 def _absorbing_walk(chain, rng):
     """Non-empty states of one walk below the root, up to absorption: one
-    uniform per state, looked up with ``bisect`` in the chain's CDFs as lists."""
+    uniform per state, looked up with ``bisect`` in ``h_cum`` and then inside
+    the current state's row of the compact CDF."""
+    h_cum, cums, cols, starts = chain.walk_tables
     states = []
-    state = bisect_right(chain.h_cum_list, rng.random())
+    state = bisect_right(h_cum, rng.random())
     while state:
         if len(states) >= FINITE_STEP_CAP:
             raise IterationCap(f"no absorption within {FINITE_STEP_CAP} steps")
         states.append(state)
-        cums, cols = chain.cdf_row(state)
-        state = cols[bisect_right(cums, rng.random())]
+        state = cols[bisect_right(cums, rng.random(), starts[state], starts[state + 1])]
     return states
 
 

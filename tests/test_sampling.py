@@ -57,10 +57,10 @@ class ScriptedUniform:
         return next(self.us)
 
 
-def list_step(chain, state, u):
-    """The scalar walk's step: ``bisect`` in the state's CDF row as lists."""
-    cums, cols = chain.cdf_row(state)
-    return cols[bisect_right(cums, u)]
+def scalar_step(chain, state, u):
+    """The scalar walk's step: ``bisect`` inside the state's row of the CDF."""
+    _, cums, cols, starts = chain.walk_tables
+    return cols[bisect_right(cums, u, starts[state], starts[state + 1])]
 
 
 def test_first_state_at_h_total_is_last_clique(irreducible_five):
@@ -70,10 +70,11 @@ def test_first_state_at_h_total_is_last_clique(irreducible_five):
     assert min(totals) < 1.0
     for bundle, total in zip(irreducible_five, totals):
         ch = bundle.boundary_chain()
-        assert ch.h_cum_list == ch.h_cum.tolist() and ch.h_cum_list[-1] == math.inf
+        h_cum = ch.walk_tables[0]
+        assert h_cum == ch.h_cum.tolist() and h_cum[-1] == math.inf
         for u in (total, np.nextafter(1.0, 0.0)):
             assert _first_states(ch, np.array([u])).tolist() == [ch.n_states - 1]
-            assert bisect_right(ch.h_cum_list, float(u)) == ch.n_states - 1
+            assert bisect_right(h_cum, float(u)) == ch.n_states - 1
 
 
 def test_step_at_row_total_stays_admissible(cycle5):
@@ -89,7 +90,7 @@ def test_step_at_row_total_stays_admissible(cycle5):
         last = int(np.flatnonzero(adm[r])[-1])
         for u in (totals[r], np.nextafter(totals[r], 1.0)):
             assert _step_states(ch, np.array([r]), np.array([u])).tolist() == [last]
-            assert list_step(ch, r, float(u)) == last
+            assert scalar_step(ch, r, float(u)) == last
 
 
 def compact_steps_match_dense(chain):
@@ -101,7 +102,7 @@ def compact_steps_match_dense(chain):
     u = np.stack([np.zeros(n), totals, np.nextafter(totals, np.inf)], axis=1).ravel()
     want = dense_steps(dense_cdf(chain), states, u)
     assert _step_states(chain, states, u).tolist() == want.tolist()
-    assert [list_step(chain, int(s), float(x)) for s, x in zip(states, u)] == want.tolist()
+    assert [scalar_step(chain, int(s), float(x)) for s, x in zip(states, u)] == want.tolist()
     # each row ends in +inf, on its last admissible column, in both forms
     adm = chain.family.admissibility
     ends = np.cumsum(adm.sum(axis=1)) - 1
@@ -110,11 +111,13 @@ def compact_steps_match_dense(chain):
     assert (chain.P_cum.real[ends] == np.arange(n)).all()
     last = n - 1 - np.argmax(adm[:, ::-1], axis=1)
     assert (chain.cols[ends] == last).all()
+    # the scalar walk's row offsets bracket each row, +inf entry last
+    _, cums, cols, starts = chain.walk_tables
+    assert starts[0] == 0 and starts[1:] == (ends + 1).tolist()
     for row in range(n):
-        cums, cols = chain.cdf_row(row)
-        assert cols == np.flatnonzero(adm[row]).tolist()
-        assert cums[-1] == math.inf and cols[-1] == last[row]
-        assert not any(map(math.isinf, cums[:-1]))
+        lo, hi = starts[row], starts[row + 1]
+        assert cols[lo:hi].tolist() == np.flatnonzero(adm[row]).tolist()
+        assert cums[hi - 1] == math.inf and cols[hi - 1] == last[row]
 
 
 def test_compact_steps_match_dense_on_fixtures(irreducible_five, prod32):
@@ -134,19 +137,6 @@ def test_compact_steps_match_dense_on_random_monoids(graph):
     for cb in bundle.components:
         for p in (bundle.p0, 0.5 * bundle.p0):
             compact_steps_match_dense(cb.chain(p))
-
-
-def test_walk_lists_only_visited_rows(fig1, prod32):
-    # rows become lists on a walk's first visit; the others stay unlisted
-    for bundle in (fig1, prod32):
-        for cb in bundle.components:
-            chain = cb.chain(0.5 * bundle.p0)
-            chain._rows.clear()
-            visited = set()
-            rng = RandomSource(3).generator()
-            for _ in range(5):
-                visited.update(_absorbing_walk(chain, rng))
-            assert set(chain._rows) == visited
 
 
 def test_walk_stops_at_step_cap(monkeypatch, fig1):
