@@ -23,7 +23,7 @@ print("clique polynomial coefficients:", bundle.mu.coefficients)
 
 # counts by length satisfy lam(n) = 3 lam(n-1) - lam(n-2)
 table = bundle.growth(12)
-print("trace counts by length:", list(table.values))
+print("trace counts by length:", list(table))
 
 # the smallest positive root of the polynomial is the reciprocal growth rate
 print("principal root:", bundle.p0)

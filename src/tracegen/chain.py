@@ -10,13 +10,15 @@ is an absorbing state reached in finite time; at the root it is unreachable
 and the chain restricted to non-empty cliques shares its transition matrix
 with the Parry chain of the weighted clique automaton.
 
-A chain stores its transition law compactly, for the samplers: the
-cumulative sums of each row over its admissible columns only, in row-major
-order.  ``P_cum`` is one ``complex128`` array whose real part is the row
-index and whose imaginary part is the cumulative value, and ``cols`` holds
-each entry's column.  numpy orders complex numbers by real part, then
+A chain stores its whole law compactly, for the samplers: the cumulative
+sums of each transition row over its admissible columns only, in row-major
+order, followed by a start row ``n`` holding the cumulative sums of ``h``
+over every clique.  ``P_cum`` is one ``complex128`` array whose real part is
+the row index and whose imaginary part is the cumulative value, and ``cols``
+holds each entry's column.  numpy orders complex numbers by real part, then
 imaginary part, so one ``searchsorted`` of ``state + 1j*u`` finds the step
-inside the walker's own row in O(log n), for any number of walkers.  A
+inside the walker's own row in O(log n), for any number of walkers; a walk
+starts in state ``n``, so its first draw is a step like every other.  A
 row's cumulative sums over its admissible entries equal the dense row's
 cumulative sums there bit for bit (adding the 0.0 of an inadmissible
 entry is exact), so the draws are those of the dense CDF.  The dense
@@ -93,39 +95,45 @@ def transition_matrix(family, h, g, at_p0=False):
 
 
 def _compact_cdf(family, h, g):
-    """Row-major cumulative transition sums over the admissible entries only.
+    """Row-major cumulative transition sums over the admissible entries only,
+    then the start row ``n``: the cumulative sums of ``h`` over every clique.
 
-    Returns ``(P_cum, cols)``: ``P_cum`` holds ``row + 1j*cum`` and ``cols``
-    the column of each entry.  Row 0 is the empty clique's point mass: its
-    one entry, the empty clique itself.  Each row's last entry is ``+inf``,
-    so a uniform at or above the row's float total (which can fall short of
-    1) lands on the row's last admissible column, never outside the row.
-    The rows are filled one at a time, so no dense n x n array is formed.
+    Returns ``(P_cum, cols, starts)``: ``P_cum`` holds ``row + 1j*cum``,
+    ``cols`` the column of each entry and ``starts`` the ``n + 2`` row offsets
+    into both.  Row 0 is the empty clique's point mass: its one entry, the
+    empty clique itself.  Each row's last entry is ``+inf``, so a uniform at
+    or above the row's float total (which can fall short of 1) lands on the
+    row's last admissible column, never outside the row; in the start row
+    that is clique ``n - 1``, a maximal one.  The rows are filled one at a
+    time, so no dense n x n array is formed.
     """
     adm = family.admissibility
-    ends = np.cumsum(np.count_nonzero(adm, axis=1))
-    P_cum = np.empty(int(ends[-1]), dtype=np.complex128)
+    n = len(h)
+    starts = np.cumsum([0, *np.count_nonzero(adm, axis=1).tolist(), n])
+    P_cum = np.empty(int(starts[-1]), dtype=np.complex128)
     cols = np.empty(len(P_cum), dtype=np.int32)
     rows, cums = P_cum.real, P_cum.imag
-    start = 0
-    for row, stop in enumerate(ends.tolist()):
+    bounds = starts.tolist()
+    for row, (lo, hi) in enumerate(zip(bounds[:n], bounds[1:])):
         idx = adm[row].nonzero()[0]
-        cols[start:stop] = idx
-        rows[start:stop] = row
+        cols[lo:hi] = idx
+        rows[lo:hi] = row
         if row:
-            (h[idx] / g[row]).cumsum(out=cums[start:stop])
-        start = stop
-    cums[ends - 1] = np.inf
-    return P_cum, cols
+            (h[idx] / g[row]).cumsum(out=cums[lo:hi])
+    cols[bounds[n]:] = np.arange(n)
+    rows[bounds[n]:] = n
+    h.cumsum(out=cums[bounds[n]:])
+    cums[starts[1:] - 1] = np.inf
+    return P_cum, cols, starts
 
 
 @dataclass
 class CliqueChain:
-    """Bundle of ``p``, ``h``, ``g`` and the sampling CDFs: ``h_cum`` over
-    cliques and the compact transition CDF ``P_cum``/``cols`` (see
-    ``_compact_cdf``), which scalar walks read through ``walk_tables``; the
-    dense transitions ``P``, which no sampler reads, are formed on first
-    read."""
+    """Bundle of ``p``, ``h``, ``g`` and the sampling CDF: the compact
+    transition CDF ``P_cum``/``cols`` with its start row ``n`` for the law
+    ``h`` and its row offsets ``starts`` (see ``_compact_cdf``), which scalar
+    walks read through ``walk_tables``; the dense transitions ``P``, which no
+    sampler reads, are formed on first read."""
 
     family: object
     p: float
@@ -133,9 +141,9 @@ class CliqueChain:
     at_p0: bool
     h: np.ndarray
     g: np.ndarray
-    h_cum: np.ndarray
     P_cum: np.ndarray
     cols: np.ndarray
+    starts: np.ndarray
     _P: np.ndarray | None = field(default=None, repr=False)
     _walk_tables: tuple | None = field(default=None, repr=False)
 
@@ -151,16 +159,16 @@ class CliqueChain:
 
     @property
     def walk_tables(self):
-        """The sampling CDFs as a scalar walk reads them, one Python float or
-        int per lookup and no numpy scalar: ``h_cum`` as a list, memoryviews
-        of ``P_cum``'s cumulative values and of ``cols``, and the ``n + 1``
-        row offsets into those (a row's ``+inf`` entry is its last).  Nothing
-        is copied but ``h_cum`` and the offsets."""
+        """The sampling CDF as a scalar walk reads it, one Python float or
+        int per lookup and no numpy scalar: the start row's cumulative values
+        as a list (a first draw reads no offsets), memoryviews of ``P_cum``'s
+        cumulative values and of ``cols``, and the ``n + 2`` row offsets.
+        Nothing is copied but the start row and the offsets."""
         if self._walk_tables is None:
             cums = self.P_cum.imag
-            starts = [0, *(np.flatnonzero(np.isinf(cums)) + 1).tolist()]
+            starts = self.starts.tolist()
             self._walk_tables = (
-                self.h_cum.tolist(), memoryview(cums), memoryview(self.cols), starts
+                cums[starts[-2]:].tolist(), memoryview(cums), memoryview(self.cols), starts
             )
         return self._walk_tables
 
@@ -183,13 +191,7 @@ def clique_chain(family, p, p0):
         h[0] = 0.0
     g = g_vector(family, p, h)
     _check_rows(g, at_p0)
-    P_cum, cols = _compact_cdf(family, h, g)
-    # a float total can fall short of 1; like each row of P_cum, h_cum ends in
-    # +inf (on the last clique, a maximal one), so a uniform at or above the
-    # total lands there
-    h_cum = np.cumsum(h)
-    h_cum[-1] = np.inf
-    return CliqueChain(family, p, p0, at_p0, h, g, h_cum, P_cum, cols)
+    return CliqueChain(family, p, p0, at_p0, h, g, *_compact_cdf(family, h, g))
 
 
 # -- Parry comparison ---------------------------------------------------------

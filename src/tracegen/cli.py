@@ -61,7 +61,10 @@ def _run_workers(worker, arg_list, jobs):
         return [worker(a) for a in arg_list]
     # imported here: the pool's import adds 20 to 40 ms to every one-process run
     from concurrent.futures import ProcessPoolExecutor
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
+    # streams are keyed by --jobs, not by the pool, so the pool forks no more
+    # processes than there are arguments and usable cores
+    workers = min(len(arg_list), len(os.sched_getaffinity(0)))
+    with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(worker, arg_list))
 
 

@@ -71,21 +71,9 @@ def mobius_polynomial(family):
     return MobiusPolynomial(coeffs)
 
 
-@dataclass(frozen=True)
-class GrowthTable:
-    """Exact trace counts by length, 0..n."""
-
-    values: tuple
-
-    def __getitem__(self, k):
-        return self.values[k]
-
-    def __len__(self):
-        return len(self.values)
-
-
 def growth_coefficients(mu, n):
-    """Counts lam(0..n) from the recurrence lam(m) = -sum_j mu_j lam(m-j).
+    """Counts lam(0..n) from the recurrence lam(m) = -sum_j mu_j lam(m-j), as
+    a tuple indexed by length.
 
     Plain Python integers: the counts grow geometrically and leave 64 bits
     quickly.
@@ -99,7 +87,7 @@ def growth_coefficients(mu, n):
         for j in range(1, min(mu.degree, m) + 1):
             acc -= coeffs[j] * lam[m - j]
         lam.append(acc)
-    return GrowthTable(tuple(lam))
+    return tuple(lam)
 
 
 @lru_cache(maxsize=None)

@@ -4,7 +4,7 @@ Everything here is deliberately naive: exhaustive walks of the clique
 automaton, word-level closures under adjacent swaps, plain averages, path
 probabilities one transition at a time, the follow rule one letter at a time,
 chain steps by counting a dense CDF row, divisor sums by peeling the heap,
-rejection sampling that steps every walker to the horizon.
+boundary prefixes and rejection that step every walker to the horizon.
 Fast code elsewhere is tested against these.
 """
 
@@ -18,7 +18,7 @@ import numpy as np
 from .counting import ACCEPTANCE_FLOOR
 from .errors import BudgetExceeded, InsufficientSamples, RejectBudgetExhausted
 from .monoid import iter_bits
-from .sampling import _BATCH_CAP, DEFAULT_REJECT_BUDGET, _chain_states_batch, _layer_union
+from .sampling import _BATCH_CAP, DEFAULT_REJECT_BUDGET, _layer_union, _step_states
 from .traces import Trace, divides, normalize_word, remove_bottom
 
 DEFAULT_ENUM_BUDGET = 10 ** 7
@@ -205,6 +205,24 @@ def dense_steps(cum, states, u):
     """Next states the dense way: how many entries of each walker's CDF row
     ``cum[state]`` are at most its uniform."""
     return (cum[states] <= u[:, None]).sum(axis=1)
+
+
+def _chain_states_batch(chain, k, n, rng):
+    """(n, k) chain states: k steps of every walker from the start row, one
+    (n, k) draw, absorbed walkers included."""
+    states = np.empty((n, k), dtype=np.int32)
+    u = rng.random((n, k))
+    s = np.full(n, chain.n_states)
+    for t in range(k):
+        s = _step_states(chain, s, u[:, t])
+        states[:, t] = s
+    return states
+
+
+def all_walker_prefix_batch(bundle, k, n, rng):
+    """``topped_prefix_batch`` stepping every walker k times per component."""
+    chains = [cb.chain(bundle.p0) for cb in bundle.components]
+    return _layer_union(bundle, [_chain_states_batch(ch, k, n, rng) for ch in chains])
 
 
 def all_walker_uniform_traces(bundle, k, n, rng, max_rejects=DEFAULT_REJECT_BUDGET):

@@ -14,15 +14,19 @@ One engine, the clique chain, serves all three regimes:
 
 Batches run many walkers at once through one vectorized step kernel: one
 ``searchsorted`` of ``state + 1j*u`` in the chain's compact row-keyed CDF
-(see ``chain.py``), O(log n) in the number of cliques.  Rejection steps only
-the walkers that are neither absorbed nor over length, a row chunk at a
-time.  A single subuniform draw runs one scalar walk until absorption: a
-``bisect`` inside the walker's row of the same CDF, read through memoryviews,
-so it makes no numpy array or scalar per step or per draw; both kernels land
-on the same state for the same uniform.  Reducible monoids run each
-irreducible component's chain at the same parameter and union the layers
-through the bundle's component-to-global gather tables (Python ints for a
-single draw), which is exactly how the product monoid stacks its heaps.
+(see ``chain.py``), O(log n) in the number of cliques.  Every walk starts in
+the CDF's start row, so its first draw, from the initial law, is a step like
+the others.  Boundary prefixes and rejection share one batched walk: a row
+chunk at a time, it steps only the walkers that are neither absorbed nor
+over a length bound (rejection's ``k``; boundary walkers weigh every clique
+0, so only absorption drops them).  A single subuniform draw runs one scalar
+walk until absorption: a ``bisect`` inside the walker's row of the same CDF,
+read through memoryviews, so it makes no numpy array or scalar per step or
+per draw; both kernels land on the same state for the same uniform.
+Reducible monoids run each irreducible component's chain at the same
+parameter and union the layers through the bundle's component-to-global
+gather tables (Python ints for a single draw), which is exactly how the
+product monoid stacks its heaps.
 
 Randomness is counter-based (Philox, 4x64) keyed by ``(seed, stream_id)``:
 identical sources replay identical streams and distinct stream ids give
@@ -61,103 +65,79 @@ class RandomSource:
 
 
 def _layer_union(bundle, states):
-    """Global layer masks from per-component state arrays aligned at layer 0.
-
-    Arrays may be shorter than the longest along the last axis (an absorbed
-    walk); the missing layers contribute the empty clique.
-    """
-    tables = bundle.component_masks
-    width = max(s.shape[-1] for s in states)
-    out = np.zeros(states[0].shape[:-1] + (width,), dtype=np.uint64)
-    for table, s in zip(tables, states):
-        out[..., : s.shape[-1]] |= table[s]
+    """Global layer masks from per-component state arrays of one shape, one
+    row per walker and one column per layer."""
+    out = np.zeros(states[0].shape, dtype=np.uint64)
+    for table, s in zip(bundle.component_masks, states):
+        out |= table[s]
     return out
 
 
 # -- vectorized kernel ---------------------------------------------------------
 
-def _first_states(chain, u):
-    return np.searchsorted(chain.h_cum, u, side="right")
-
-
 def _step_states(chain, states, u):
     return chain.cols[np.searchsorted(chain.P_cum, states + 1j * u, side="right")]
 
 
-def _chain_states_batch(chain, k, n, rng):
-    """(n, k) chain states: initial draw plus k-1 transitions per walker."""
-    states = np.empty((n, k), dtype=np.int32)
-    if k == 0:
-        return states
-    u = rng.random((n, k))
-    s = _first_states(chain, u[:, 0])
-    states[:, 0] = s
-    for t in range(1, k):
-        s = _step_states(chain, s, u[:, t])
-        states[:, t] = s
-    return states
+def _walk_live(chain, size, bound, u, hist, total):
+    """Walk the walkers of one row chunk that are within length ``bound``
+    from the start row, while they are neither absorbed nor over the bound.
+
+    ``u`` is the chunk's (rows, steps) uniforms, ``hist`` its (steps, rows)
+    view of the state history and ``total`` its running lengths, both updated
+    in place.  Walkers dropped here keep state 0 in the later columns, as the
+    empty clique's point mass would give them; an over-length walker's later
+    states are never read.
+    """
+    live = np.flatnonzero(total <= bound)
+    s = np.full(len(live), chain.n_states)
+    tot = total[live]
+    for t in range(u.shape[1]):
+        if not len(live):
+            break
+        s = _step_states(chain, s, u[live, t])
+        hist[t, live] = s
+        tot += size[s]
+        total[live] = tot
+        keep = (s != 0) & (tot <= bound)
+        if not keep.all():
+            live, s, tot = live[keep], s[keep], tot[keep]
+
+
+def _walk_batch(chains, sizes, bound, steps, batch, rng):
+    """``batch`` walks of ``steps`` states per component: each walker's total
+    length (clique sizes weighted by ``sizes``) and, per component, the
+    (steps, batch) state history.
+
+    Each component's uniforms are drawn in row chunks, so the stream is that
+    of one (batch, steps) draw per component.  A component starts only the
+    walkers the earlier ones left at length <= ``bound``.
+    """
+    total = np.zeros(batch, dtype=np.int64)
+    hists = []
+    for chain, size in zip(chains, sizes):
+        # the narrowest type that holds a state index: uint8 up to 256 cliques
+        hist = np.zeros((steps, batch), dtype=np.min_scalar_type(chain.n_states - 1))
+        for lo in range(0, batch, _CHUNK_ROWS):
+            hi = min(lo + _CHUNK_ROWS, batch)
+            u = rng.random((hi - lo, steps))
+            _walk_live(chain, size, bound, u, hist[:, lo:hi], total[lo:hi])
+        hists.append(hist)
+    return total, hists
 
 
 def topped_prefix_batch(bundle, k, n, rng):
     """(n, k) global layer masks of the first ``k`` layers under the uniform law.
 
     Each component runs its chain at the global root: the boundary chain where
-    that is the component's own root, the absorbing chain elsewhere.
+    that is the component's own root, the absorbing chain elsewhere.  Every
+    clique weighs 0 here, so no walker passes the bound and each walks ``k``
+    states or until it absorbs.
     """
-    states = [_chain_states_batch(cb.chain(bundle.p0), k, n, rng) for cb in bundle.components]
-    return _layer_union(bundle, states)
-
-
-def _walk_live(chain, size, u, hist, total, live):
-    """Step the walkers ``live`` of one row chunk while they are neither
-    absorbed nor over length.
-
-    ``u`` is the chunk's (rows, k+1) uniforms, ``hist`` its (k+1, rows) view
-    of the state history and ``total`` its running lengths, both updated in
-    place.  Walkers dropped here keep state 0 in the later columns, as the
-    empty clique's point mass would give them; an over-length walker's later
-    states are never read.
-    """
-    if not len(live):
-        return
-    k = u.shape[1] - 1
-    s = _first_states(chain, u[live, 0])
-    tot = total[live]
-    for t in range(k + 1):
-        if t:
-            s = _step_states(chain, s, u[live, t])
-        hist[t, live] = s
-        tot += size[s]
-        total[live] = tot
-        keep = (s != 0) & (tot <= k)
-        if keep.all():
-            continue
-        live, s, tot = live[keep], s[keep], tot[keep]
-        if not len(live):
-            break
-
-
-def _proposals(chains, sizes, k, batch, rng):
-    """One batch of proposals: each walker's total length and, per component,
-    the (k+1, batch) state history.
-
-    Each component's uniforms are drawn in row chunks, so the stream is that
-    of one (batch, k+1) draw per component.  A component starts only the
-    walkers the earlier ones left at length <= k.
-    """
-    total = np.zeros(batch, dtype=np.int64)
-    hists = []
-    for ci, (chain, size) in enumerate(zip(chains, sizes)):
-        # the narrowest type that holds a state index: uint8 up to 256 cliques
-        hist = np.zeros((k + 1, batch), dtype=np.min_scalar_type(chain.n_states - 1))
-        for lo in range(0, batch, _CHUNK_ROWS):
-            hi = min(lo + _CHUNK_ROWS, batch)
-            u = rng.random((hi - lo, k + 1))
-            chunk_total = total[lo:hi]
-            live = np.flatnonzero(chunk_total <= k) if ci else np.arange(hi - lo)
-            _walk_live(chain, size, u, hist[:, lo:hi], chunk_total, live)
-        hists.append(hist)
-    return total, hists
+    chains = [cb.chain(bundle.p0) for cb in bundle.components]
+    weightless = [np.zeros(chain.n_states, dtype=np.uint8) for chain in chains]
+    _, hists = _walk_batch(chains, weightless, 0, k, n, rng)
+    return _layer_union(bundle, [hist.T for hist in hists])
 
 
 def sample_uniform_traces(bundle, k, n, rng, max_rejects=DEFAULT_REJECT_BUDGET):
@@ -188,7 +168,7 @@ def sample_uniform_traces(bundle, k, n, rng, max_rejects=DEFAULT_REJECT_BUDGET):
             raise RejectBudgetExhausted(
                 f"no {n} length-{k} traces within {max_rejects} rejections"
             )
-        total_len, hists = _proposals(chains, sizes, k, batch, rng)
+        total_len, hists = _walk_batch(chains, sizes, k, k + 1, batch, rng)
         acc_idx = np.flatnonzero(total_len == k)
         if len(acc_idx):
             gm = _layer_union(bundle, [hist[:, acc_idx].T for hist in hists])
@@ -213,11 +193,11 @@ def sample_uniform_traces(bundle, k, n, rng, max_rejects=DEFAULT_REJECT_BUDGET):
 
 def _absorbing_walk(chain, rng):
     """Non-empty states of one walk below the root, up to absorption: one
-    uniform per state, looked up with ``bisect`` in ``h_cum`` and then inside
-    the current state's row of the compact CDF."""
-    h_cum, cums, cols, starts = chain.walk_tables
+    uniform per state, looked up with ``bisect`` in the compact CDF's start
+    row and then inside the current state's row."""
+    first, cums, cols, starts = chain.walk_tables
     states = []
-    state = bisect_right(h_cum, rng.random())
+    state = bisect_right(first, rng.random())
     while state:
         if len(states) >= FINITE_STEP_CAP:
             raise IterationCap(f"no absorption within {FINITE_STEP_CAP} steps")

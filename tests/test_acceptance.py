@@ -48,7 +48,7 @@ def test_c01_mobius_and_counting(fig1):
     assert abs(fig1.p0 - (3 - math.sqrt(5)) / 2) <= 1e-12
     expected = (1, 3, 8, 21, 55, 144, 377, 987, 2584)
     lam = fig1.growth(8)
-    assert lam.values[:9] == expected
+    assert lam[:9] == expected
     for k in range(9):
         assert len(enumerate_Mk(fig1.family, k)) == expected[k]
     report("criterion-01 mobius & counting",

@@ -271,10 +271,16 @@ def test_chain_keeps_P_and_its_cdf_agrees(fig1):
         ch = clique_chain(fig1.family, p, fig1.p0)
         assert ch.P is ch.P
         # the compact CDF holds the dense one's admissible entries, row-major
-        assert (ch.P_cum.real == rows).all() and (ch.cols == cols).all()
-        cum = ch.P_cum.imag
+        m, n = len(rows), ch.n_states
+        assert (ch.P_cum.real[:m] == rows).all() and (ch.cols[:m] == cols).all()
+        cum = ch.P_cum.imag[:m]
         finite = np.isfinite(cum)
         assert (cum[finite] == np.cumsum(ch.P, axis=1)[adm][finite]).all()
+        # then the start row n: h's cumulative sums over every clique
+        assert (ch.P_cum.real[m:] == n).all() and (ch.cols[m:] == np.arange(n)).all()
+        start = ch.P_cum.imag[m:]
+        assert (start[:-1] == np.cumsum(ch.h)[:-1]).all() and start[-1] == np.inf
+        assert ch.starts.tolist() == [0, *np.cumsum(adm.sum(axis=1)).tolist(), m + n]
 
 
 def test_compact_cdf_memory_on_c14(monkeypatch):
@@ -295,7 +301,7 @@ def test_compact_cdf_memory_on_c14(monkeypatch):
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert ch.P_cum.size == adm.sum()
+        assert ch.P_cum.size == adm.sum() + n  # the start row holds every clique
         assert peak < n * n * np.dtype(np.float64).itemsize
 
 

@@ -113,6 +113,41 @@ def test_sample_jobs_deterministic(monoid_files):
     assert len(body_lines(first.stdout)) == 6
 
 
+def test_pool_is_bounded_by_arguments_and_cores(monkeypatch, monoid_files, capsys):
+    # an in-process stand-in for the pool records its size and starts no process
+    import concurrent.futures
+
+    from tracegen import cli
+
+    sizes = []
+
+    class InProcessPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, args):
+            return map(fn, args)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
+    cores = len(os.sched_getaffinity(0))
+    args = list(range(5000))
+    assert cli._run_workers(abs, args, 5000) == args
+    assert cli._run_workers(abs, args[:2], 5000) == args[:2]
+    assert sizes == [min(5000, cores), min(2, cores)]
+    # streams stay keyed by --jobs, so the pool's size leaves stdout as it is
+    argv = ["sample", "--monoid", monoid_files["fig1"], "--mode", "boundary",
+            "--k", "5", "--n", "7", "--seed", "4", "--jobs", "3"]
+    assert cli.main(argv) == 0
+    assert sizes[-1] == min(3, cores)
+    assert capsys.readouterr().out == run_cli(*argv).stdout
+
+
 def test_count(monoid_files):
     res = run_cli("count", "--monoid", monoid_files["fig1"], "--k", "6",
                   "--exact", "--mc", "--n", "20000", "--seed", "2")

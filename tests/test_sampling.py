@@ -22,8 +22,13 @@ from tracegen import oracle, sampling
 from tracegen.chain import CliqueChain
 from tracegen.errors import IterationCap, ParameterOutOfRange, RejectBudgetExhausted
 from tracegen.estimate import accumulate_moments, builtin_cost
-from tracegen.oracle import all_walker_uniform_traces, dense_cdf, dense_steps
-from tracegen.sampling import _absorbing_walk, _first_states, _step_states
+from tracegen.oracle import (
+    all_walker_prefix_batch,
+    all_walker_uniform_traces,
+    dense_cdf,
+    dense_steps,
+)
+from tracegen.sampling import _absorbing_walk, _step_states
 
 from conftest import independence_graphs
 
@@ -70,11 +75,14 @@ def test_first_state_at_h_total_is_last_clique(irreducible_five):
     assert min(totals) < 1.0
     for bundle, total in zip(irreducible_five, totals):
         ch = bundle.boundary_chain()
-        h_cum = ch.walk_tables[0]
-        assert h_cum == ch.h_cum.tolist() and h_cum[-1] == math.inf
+        n = ch.n_states
+        first = ch.walk_tables[0]
+        assert first == ch.P_cum.imag[ch.starts[n]:].tolist() and first[-1] == math.inf
         for u in (total, np.nextafter(1.0, 0.0)):
-            assert _first_states(ch, np.array([u])).tolist() == [ch.n_states - 1]
-            assert bisect_right(h_cum, float(u)) == ch.n_states - 1
+            # the first draw is a step from the start row n
+            assert _step_states(ch, np.array([n]), np.array([u])).tolist() == [n - 1]
+            assert bisect_right(first, float(u)) == n - 1
+            assert scalar_step(ch, n, float(u)) == n - 1
 
 
 def test_step_at_row_total_stays_admissible(cycle5):
@@ -107,17 +115,24 @@ def compact_steps_match_dense(chain):
     adm = chain.family.admissibility
     ends = np.cumsum(adm.sum(axis=1)) - 1
     assert np.isinf(chain.P_cum.imag[ends]).all()
-    assert np.isinf(chain.P_cum.imag).sum() == n
+    assert np.isinf(chain.P_cum.imag).sum() == n + 1
     assert (chain.P_cum.real[ends] == np.arange(n)).all()
     last = n - 1 - np.argmax(adm[:, ::-1], axis=1)
     assert (chain.cols[ends] == last).all()
-    # the scalar walk's row offsets bracket each row, +inf entry last
-    _, cums, cols, starts = chain.walk_tables
-    assert starts[0] == 0 and starts[1:] == (ends + 1).tolist()
+    # then the start row n: h's cumulative sums over every clique, +inf last
+    start = chain.P_cum[ends[-1] + 1 :]
+    assert (start.real == n).all() and chain.cols[ends[-1] + 1 :].tolist() == list(range(n))
+    assert (start.imag[:-1] == np.cumsum(chain.h)[:-1]).all() and start.imag[-1] == math.inf
+    # the scalar walk's row offsets bracket each row, the start row's too,
+    # +inf entry last; its first draw reads the start row as a list
+    first, cums, cols, starts = chain.walk_tables
+    assert starts == chain.starts.tolist()
+    assert starts[0] == 0 and starts[1:] == [*(ends + 1).tolist(), len(chain.P_cum)]
     for row in range(n):
         lo, hi = starts[row], starts[row + 1]
         assert cols[lo:hi].tolist() == np.flatnonzero(adm[row]).tolist()
         assert cums[hi - 1] == math.inf and cols[hi - 1] == last[row]
+    assert first == cums[starts[n] :].tolist()
 
 
 def test_compact_steps_match_dense_on_fixtures(irreducible_five, prod32):
@@ -418,6 +433,27 @@ def test_live_walkers_match_all_walker_reference(request, monkeypatch, name, k, 
     with pytest.raises(RejectBudgetExhausted):
         all_walker_uniform_traces(bundle, k, 10 * n, ref_rng, max_rejects=n)
     assert rng.random() == ref_rng.random()
+
+
+@pytest.mark.parametrize("name, k, n", [
+    ("fig1", 7, 500), ("prod32", 9, 400), ("c14", 6, 200),
+    ("fig1", 0, 100), ("prod32", 0, 100), ("prod32", 1, 130),
+])
+def test_boundary_chunks_match_all_walker_reference(request, monkeypatch, name, k, n):
+    # a 61-row chunk: several chunks per call, the last one short; prod32's
+    # second component walks below its own root and absorbs
+    bundle = request.getfixturevalue(name)
+    monkeypatch.setattr(sampling, "_CHUNK_ROWS", 61)
+    assert n % 61 != 0
+    rng, ref_rng = RandomSource(8).generator(), RandomSource(8).generator()
+    rows = topped_prefix_batch(bundle, k, n, rng)
+    assert rows.shape == (n, k)
+    assert np.array_equal(rows, all_walker_prefix_batch(bundle, k, n, ref_rng))
+    assert rng.random() == ref_rng.random()
+    if name == "prod32" and k:
+        # a layer without b letters: the b component has absorbed there
+        b_letters = np.bitwise_or.reduce(bundle.component_masks[1])
+        assert ((rows & b_letters) == 0).any()
 
 
 def test_product_exact_k_spans_batches(monkeypatch, prod32):
