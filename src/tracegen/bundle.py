@@ -9,6 +9,7 @@ it, and hands out one sub-bundle per irreducible component.
 from __future__ import annotations
 
 import math
+from functools import cached_property
 
 import numpy as np
 
@@ -27,13 +28,6 @@ class MonoidBundle:
     def __init__(self, pair, clique_cap=DEFAULT_CLIQUE_CAP):
         self.pair = pair
         self.clique_cap = clique_cap
-        self._family = None
-        self._mu = None
-        self._p0 = None
-        self._decomposition = None
-        self._components = None
-        self._component_masks = None
-        self._component_mask_lists = None
         self._growth = None
         self._chain = None
         self._optimal = {}
@@ -42,66 +36,49 @@ class MonoidBundle:
     def from_file(cls, path, clique_cap=DEFAULT_CLIQUE_CAP):
         return cls(load_monoid(path), clique_cap=clique_cap)
 
-    @property
+    @cached_property
     def family(self):
-        if self._family is None:
-            self._family = enumerate_cliques(self.pair, cap=self.clique_cap)
-        return self._family
+        return enumerate_cliques(self.pair, cap=self.clique_cap)
 
-    @property
+    @cached_property
     def mu(self):
-        if self._mu is None:
-            self._mu = mobius_polynomial(self.family)
-        return self._mu
+        return mobius_polynomial(self.family)
 
-    @property
+    @cached_property
     def p0(self):
-        if self._p0 is None:
-            # a reducible mu can have a multiple root (equal component roots) that
-            # defeats sign-based scanning, so only component polynomials are scanned
-            self._p0 = min(principal_root(cb.mu) for cb in self.components)
-        return self._p0
+        # a reducible mu can have a multiple root (equal component roots) that
+        # defeats sign-based scanning, so only component polynomials are scanned
+        return min(principal_root(cb.mu) for cb in self.components)
 
-    @property
+    @cached_property
     def decomposition(self):
-        if self._decomposition is None:
-            self._decomposition = decompose_components(self.pair)
-        return self._decomposition
+        return decompose_components(self.pair)
 
     @property
     def irreducible(self):
         return self.decomposition.irreducible
 
-    @property
+    @cached_property
     def components(self):
         """One sub-bundle per irreducible component, in first-letter order."""
-        if self._components is None:
-            comps = self.decomposition.components
-            if len(comps) == 1 and comps[0] == self.pair:
-                self._components = [self]
-            else:
-                self._components = [
-                    MonoidBundle(comp, clique_cap=self.clique_cap) for comp in comps
-                ]
-        return self._components
+        comps = self.decomposition.components
+        if len(comps) == 1 and comps[0] == self.pair:
+            return [self]
+        return [MonoidBundle(comp, clique_cap=self.clique_cap) for comp in comps]
 
-    @property
+    @cached_property
     def component_masks(self):
         """Per component: the global clique mask of each component clique (uint64)."""
-        if self._component_masks is None:
-            decomp = self.decomposition
-            self._component_masks = [
-                np.array([decomp.to_global_mask(ci, m) for m in cb.family.masks], dtype=np.uint64)
-                for ci, cb in enumerate(self.components)
-            ]
-        return self._component_masks
+        decomp = self.decomposition
+        return [
+            np.array([decomp.to_global_mask(ci, m) for m in cb.family.masks], dtype=np.uint64)
+            for ci, cb in enumerate(self.components)
+        ]
 
-    @property
+    @cached_property
     def component_mask_lists(self):
         """``component_masks`` as lists of Python ints, for scalar walks."""
-        if self._component_mask_lists is None:
-            self._component_mask_lists = [t.tolist() for t in self.component_masks]
-        return self._component_mask_lists
+        return [t.tolist() for t in self.component_masks]
 
     def growth(self, n):
         if self._growth is None or len(self._growth) <= n:

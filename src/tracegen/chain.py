@@ -27,7 +27,8 @@ transitions ``P`` are formed only when read, which ``verify`` does.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -144,33 +145,25 @@ class CliqueChain:
     P_cum: np.ndarray
     cols: np.ndarray
     starts: np.ndarray
-    _P: np.ndarray | None = field(default=None, repr=False)
-    _walk_tables: tuple | None = field(default=None, repr=False)
 
     @property
     def n_states(self):
         return len(self.family)
 
-    @property
+    @cached_property
     def P(self):
-        if self._P is None:
-            self._P = transition_matrix(self.family, self.h, self.g, at_p0=self.at_p0)
-        return self._P
+        return transition_matrix(self.family, self.h, self.g, at_p0=self.at_p0)
 
-    @property
+    @cached_property
     def walk_tables(self):
         """The sampling CDF as a scalar walk reads it, one Python float or
         int per lookup and no numpy scalar: the start row's cumulative values
         as a list (a first draw reads no offsets), memoryviews of ``P_cum``'s
         cumulative values and of ``cols``, and the ``n + 2`` row offsets.
         Nothing is copied but the start row and the offsets."""
-        if self._walk_tables is None:
-            cums = self.P_cum.imag
-            starts = self.starts.tolist()
-            self._walk_tables = (
-                cums[starts[-2]:].tolist(), memoryview(cums), memoryview(self.cols), starts
-            )
-        return self._walk_tables
+        cums = self.P_cum.imag
+        starts = self.starts.tolist()
+        return cums[starts[-2]:].tolist(), memoryview(cums), memoryview(self.cols), starts
 
 
 def clique_chain(family, p, p0):

@@ -42,18 +42,9 @@ def _f18(x):
     return format(float(x), ".18g")
 
 
-def _clique_cap():
-    raw = os.environ.get(ENV_CLIQUE_CAP)
-    return int(raw) if raw else DEFAULT_CLIQUE_CAP
-
-
 def _bundle(ns):
-    return MonoidBundle.from_file(ns.monoid, clique_cap=_clique_cap())
-
-
-def _split_counts(n, jobs):
-    base, extra = divmod(n, jobs)
-    return [base + (1 if w < extra else 0) for w in range(jobs)]
+    raw = os.environ.get(ENV_CLIQUE_CAP)
+    return MonoidBundle.from_file(ns.monoid, clique_cap=int(raw) if raw else DEFAULT_CLIQUE_CAP)
 
 
 def _run_workers(worker, arg_list, jobs):
@@ -66,6 +57,21 @@ def _run_workers(worker, arg_list, jobs):
     workers = min(len(arg_list), len(os.sched_getaffinity(0)))
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(worker, arg_list))
+
+
+def _stream(args):
+    bundle, task, count, seed, stream, params = args
+    return task(bundle, count, RandomSource(seed, stream).generator(), *params)
+
+
+def _fan_out(ns, bundle, task, *params):
+    """``task(bundle, count, rng, *params)`` on each non-empty stream ``w`` of
+    ``--jobs``, drawing from ``(seed, w)``; results come back in stream order.
+    One job runs on ``bundle`` itself, a pool on a pickled copy of it."""
+    base, extra = divmod(ns.n, ns.jobs)
+    args = [(bundle, task, base + (w < extra), ns.seed, w, params)
+            for w in range(ns.jobs) if base + (w < extra)]
+    return _run_workers(_stream, args, ns.jobs)
 
 
 # -- info ----------------------------------------------------------------------
@@ -90,15 +96,16 @@ def cmd_info(ns):
 
 # -- sample ----------------------------------------------------------------------
 
-def _sample_worker(args):
-    (path, cap, mode, k, p, count, seed, stream, max_rejects) = args
-    bundle = MonoidBundle.from_file(path, clique_cap=cap)
-    rng = RandomSource(seed, stream).generator()
-    if mode == "boundary":
-        rows = topped_prefix_batch(bundle, k, count, rng)
-        return [layers_line(bundle.pair, row) for row in rows.tolist()]
-    if mode == "subuniform":
-        return [trace_line(sample_subuniform_trace(bundle, p, rng)) for _ in range(count)]
+def _boundary_lines(bundle, count, rng, k):
+    rows = topped_prefix_batch(bundle, k, count, rng)
+    return [layers_line(bundle.pair, row) for row in rows.tolist()]
+
+
+def _subuniform_lines(bundle, count, rng, p):
+    return [trace_line(sample_subuniform_trace(bundle, p, rng)) for _ in range(count)]
+
+
+def _exact_lines(bundle, count, rng, k, max_rejects):
     traces, _ = sample_uniform_traces(bundle, k, count, rng, max_rejects=max_rejects)
     return [trace_line(t) for t in traces]
 
@@ -133,13 +140,12 @@ def cmd_sample(ns):
     )
     if mode == "exact-k" and k > 0:
         header += f" expected_acceptance={_f17(bundle.expected_acceptance(k, p))}"
-    counts = _split_counts(ns.n, ns.jobs)
-    args = [
-        (ns.monoid, _clique_cap(), mode, k, p, counts[w], ns.seed, w, ns.max_rejects)
-        for w in range(len(counts))
-        if counts[w] > 0
-    ]
-    results = _run_workers(_sample_worker, args, ns.jobs)
+    if mode == "boundary":
+        results = _fan_out(ns, bundle, _boundary_lines, k)
+    elif mode == "subuniform":
+        results = _fan_out(ns, bundle, _subuniform_lines, p)
+    else:
+        results = _fan_out(ns, bundle, _exact_lines, k, ns.max_rejects)
     print(header)
     for lines in results:
         for line in lines:
@@ -156,7 +162,8 @@ def cmd_count(ns):
     bundle = _bundle(ns)
     lam = bundle.lambda_k(k)
     lam_oracle = len(enumerate_Mk(bundle.family, k)) if ns.exact else None
-    report = report_from_moments(_merged_moments(ns, "one"), k, bundle.p0) if ns.mc else None
+    if ns.mc:
+        report = report_from_moments(_merged_moments(ns, bundle, "one"), k, bundle.p0)
     print(f"# tracegen count monoid={ns.monoid} k={k} seed={ns.seed} n={ns.n} jobs={ns.jobs}")
     print(f"lambda {k} {lam}")
     if ns.exact:
@@ -169,25 +176,15 @@ def cmd_count(ns):
 
 # -- estimate ---------------------------------------------------------------------
 
-def _estimate_worker(args):
-    (path, cap, k, phi_name, count, seed, stream) = args
-    bundle = MonoidBundle.from_file(path, clique_cap=cap)
-    phi = builtin_cost(phi_name, bundle.pair)
-    rng = RandomSource(seed, stream).generator()
-    m = accumulate_moments(bundle, k, phi, count, rng)
-    return (m.n, m.s_phi, m.s_theta, m.s_phi2, m.s_theta2, m.s_cross)
+def _moments(bundle, count, rng, k, phi_name):
+    # the cost is resolved here: its lambdas do not pickle
+    return accumulate_moments(bundle, k, builtin_cost(phi_name, bundle.pair), count, rng)
 
 
-def _merged_moments(ns, phi_name):
-    counts = _split_counts(ns.n, ns.jobs)
-    args = [
-        (ns.monoid, _clique_cap(), ns.k, phi_name, counts[w], ns.seed, w)
-        for w in range(len(counts))
-        if counts[w] > 0
-    ]
+def _merged_moments(ns, bundle, phi_name):
     merged = Moments()
-    for tup in _run_workers(_estimate_worker, args, ns.jobs):
-        merged.merge(Moments(*tup))
+    for m in _fan_out(ns, bundle, _moments, ns.k, phi_name):
+        merged.merge(m)
     return merged
 
 
@@ -196,7 +193,7 @@ def cmd_estimate(ns):
         raise UsageError("estimate needs --k at least 1 and --n at least 2")
     bundle = _bundle(ns)
     builtin_cost(ns.phi, bundle.pair)  # validate the name before spawning work
-    report = report_from_moments(_merged_moments(ns, ns.phi), ns.k, bundle.p0)
+    report = report_from_moments(_merged_moments(ns, bundle, ns.phi), ns.k, bundle.p0)
     print(
         f"# tracegen estimate monoid={ns.monoid} k={ns.k} phi={ns.phi} n={ns.n}"
         f" seed={ns.seed} jobs={ns.jobs} rng={RNG_ALGORITHM}"

@@ -246,8 +246,6 @@ def all_walker_uniform_traces(bundle, k, n, rng, max_rejects=DEFAULT_REJECT_BUDG
         need = n - len(traces)
         batch = int(min(max(4096, need / max(accept_rate, ACCEPTANCE_FLOOR) * 1.2), _BATCH_CAP))
         batch = min(batch, n + max_rejects - closed)
-        if batch <= 0:
-            raise RejectBudgetExhausted(f"no {n} length-{k} traces within {max_rejects} rejections")
         hists = [_chain_states_batch(ch, k + 1, batch, rng) for ch in chains]
         total_len = sum(sz[hist].sum(axis=1) for sz, hist in zip(sizes, hists))
         acc_idx = np.flatnonzero(total_len == k)

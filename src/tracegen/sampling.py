@@ -164,10 +164,6 @@ def sample_uniform_traces(bundle, k, n, rng, max_rejects=DEFAULT_REJECT_BUDGET):
         need = n - len(traces)
         batch = int(min(max(4096, need / max(accept_rate, ACCEPTANCE_FLOOR) * 1.2), _BATCH_CAP))
         batch = min(batch, allowed - proposals_closed)
-        if batch <= 0:
-            raise RejectBudgetExhausted(
-                f"no {n} length-{k} traces within {max_rejects} rejections"
-            )
         total_len, hists = _walk_batch(chains, sizes, k, k + 1, batch, rng)
         acc_idx = np.flatnonzero(total_len == k)
         if len(acc_idx):

@@ -148,6 +148,30 @@ def test_pool_is_bounded_by_arguments_and_cores(monkeypatch, monoid_files, capsy
     assert capsys.readouterr().out == run_cli(*argv).stdout
 
 
+def test_single_job_reads_the_spec_once(monkeypatch, monoid_files, capsys):
+    # one job runs on the front end's bundle: the spec is loaded once per command
+    from tracegen import bundle, cli
+
+    calls = []
+    load = bundle.load_monoid
+
+    def counting_load(path):
+        calls.append(path)
+        return load(path)
+
+    monkeypatch.setattr(bundle, "load_monoid", counting_load)
+    fig1 = monoid_files["fig1"]
+    for argv in (["sample", "--monoid", fig1, "--mode", "exact-k", "--k", "4", "--n", "5"],
+                 ["sample", "--monoid", fig1, "--mode", "boundary", "--k", "4", "--n", "5"],
+                 ["sample", "--monoid", fig1, "--mode", "subuniform", "--p", "0.2", "--n", "5"],
+                 ["estimate", "--monoid", fig1, "--k", "4", "--n", "50"],
+                 ["count", "--monoid", fig1, "--k", "4", "--mc", "--n", "50"]):
+        calls.clear()
+        assert cli.main(argv) == 0
+        assert calls == [fig1], argv
+    capsys.readouterr()
+
+
 def test_count(monoid_files):
     res = run_cli("count", "--monoid", monoid_files["fig1"], "--k", "6",
                   "--exact", "--mc", "--n", "20000", "--seed", "2")
