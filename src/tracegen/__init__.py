@@ -5,7 +5,8 @@ stacked layers of commuting letters (heaps of pieces).  The package counts
 them exactly through the clique polynomial, realizes the uniform and
 length-biased laws as a Markov chain over cliques, samples fixed-length
 traces exactly uniformly by rejection, and estimates uniform average costs
-by boundary sampling.
+by boundary sampling.  The brute-force references that the tests check the
+fast code against live in ``tracegen.oracle``, which is not re-exported here.
 """
 
 from .bundle import MonoidBundle
@@ -35,17 +36,6 @@ from .monoid import (
     load_monoid,
     parse_monoid,
     validate_independence,
-)
-from .oracle import (
-    chi_square_uniformity,
-    congruence_closure,
-    cylinder_probability,
-    enumerate_Mk,
-    enumerate_Mk_by_words,
-    exact_uniform_expectation,
-    iter_admissible_chains,
-    path_probability,
-    regularized_gamma_q,
 )
 from .sampling import (
     RandomSource,

@@ -2,8 +2,9 @@
 
 Everything downstream (samplers, estimators, the CLI) needs the same handful
 of objects: clique family, clique polynomial, principal root, component
-decomposition, one clique chain.  The bundle computes each lazily and caches
-it, and hands out one sub-bundle per irreducible component.
+decomposition, one clique chain.  The bundle computes each lazily, keeps
+those that are read again, and hands out one sub-bundle per irreducible
+component.
 """
 
 from __future__ import annotations
@@ -28,9 +29,7 @@ class MonoidBundle:
     def __init__(self, pair, clique_cap=DEFAULT_CLIQUE_CAP):
         self.pair = pair
         self.clique_cap = clique_cap
-        self._growth = None
         self._chain = None
-        self._optimal = {}
 
     @classmethod
     def from_file(cls, path, clique_cap=DEFAULT_CLIQUE_CAP):
@@ -46,9 +45,11 @@ class MonoidBundle:
 
     @cached_property
     def p0(self):
+        if self.irreducible:
+            return principal_root(self.mu)
         # a reducible mu can have a multiple root (equal component roots) that
         # defeats sign-based scanning, so only component polynomials are scanned
-        return min(principal_root(cb.mu) for cb in self.components)
+        return min(cb.p0 for cb in self.components)
 
     @cached_property
     def decomposition(self):
@@ -81,9 +82,8 @@ class MonoidBundle:
         return [t.tolist() for t in self.component_masks]
 
     def growth(self, n):
-        if self._growth is None or len(self._growth) <= n:
-            self._growth = growth_coefficients(self.mu, max(n, 16))
-        return self._growth
+        """Trace counts by length, ``lambda(0..n)``."""
+        return growth_coefficients(self.mu, n)
 
     def lambda_k(self, k):
         if k < 0:
@@ -103,9 +103,7 @@ class MonoidBundle:
         return self.chain(self.p0)
 
     def optimal_parameter(self, k):
-        if k not in self._optimal:
-            self._optimal[k] = optimal_boltzmann_parameter(self.mu, k, self.p0)
-        return self._optimal[k]
+        return optimal_boltzmann_parameter(self.mu, k, self.p0)
 
     def expected_acceptance(self, k, p):
         """Probability that a parameter-``p`` draw has length exactly ``k``."""

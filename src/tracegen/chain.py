@@ -138,7 +138,6 @@ class CliqueChain:
 
     family: object
     p: float
-    p0: float
     at_p0: bool
     h: np.ndarray
     g: np.ndarray
@@ -184,7 +183,7 @@ def clique_chain(family, p, p0):
         h[0] = 0.0
     g = g_vector(family, p, h)
     _check_rows(g, at_p0)
-    return CliqueChain(family, p, p0, at_p0, h, g, *_compact_cdf(family, h, g))
+    return CliqueChain(family, p, at_p0, h, g, *_compact_cdf(family, h, g))
 
 
 # -- Parry comparison ---------------------------------------------------------

@@ -18,7 +18,6 @@ from .counting import RootPosition, expected_size, root_position
 from .errors import IterationCap, ParameterOutOfRange, TracegenError
 from .estimate import Moments, accumulate_moments, builtin_cost, report_from_moments
 from .monoid import DEFAULT_CLIQUE_CAP
-from .oracle import enumerate_Mk
 from .sampling import (
     RNG_ALGORITHM,
     DEFAULT_REJECT_BUDGET,
@@ -54,7 +53,8 @@ def _run_workers(worker, arg_list, jobs):
     from concurrent.futures import ProcessPoolExecutor
     # streams are keyed by --jobs, not by the pool, so the pool forks no more
     # processes than there are arguments and usable cores
-    workers = min(len(arg_list), len(os.sched_getaffinity(0)))
+    affinity = getattr(os, "sched_getaffinity", None)  # Linux only
+    workers = min(len(arg_list), len(affinity(0)) if affinity else os.cpu_count() or 1)
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(worker, arg_list))
 
@@ -161,7 +161,9 @@ def cmd_count(ns):
         raise UsageError("--mc needs --k at least 1 and --n at least 2")
     bundle = _bundle(ns)
     lam = bundle.lambda_k(k)
-    lam_oracle = len(enumerate_Mk(bundle.family, k)) if ns.exact else None
+    if ns.exact:
+        from . import oracle  # the brute-force reference, loaded only here
+        lam_oracle = sum(1 for _ in oracle.iter_Mk(bundle.family, k))
     if ns.mc:
         report = report_from_moments(_merged_moments(ns, bundle, "one"), k, bundle.p0)
     print(f"# tracegen count monoid={ns.monoid} k={k} seed={ns.seed} n={ns.n} jobs={ns.jobs}")

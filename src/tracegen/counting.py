@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache
 
 import numpy as np
 
@@ -90,7 +89,6 @@ def growth_coefficients(mu, n):
     return tuple(lam)
 
 
-@lru_cache(maxsize=None)
 def principal_root(mu):
     """Smallest positive root of the clique polynomial, in (0, 1].
 

@@ -163,15 +163,12 @@ class Moments:
 class EstimateReport:
     """Ratio estimate of the uniform average cost, with delta-method error."""
 
-    k: int
-    p0: float
     sample_count: int
     estimate: float
     standard_error: float
     phibar_mean: float
     phibar_sd: float
     theta_mean: float
-    theta_sd: float
     lambda_hat: float
     lambda_hat_se: float
 
@@ -184,8 +181,10 @@ def accumulate_moments(bundle, k, phi, n, rng):
     while remaining > 0:
         take = min(_PREFIX_BATCH, remaining)
         gm = topped_prefix_batch(bundle, k, take, rng)
+        # a prefix drawn at the root has no empty layer: some component walks
+        # its own boundary chain, which never reaches the empty clique
         for row in gm.tolist():
-            layers = tuple(m for m in row if m)
+            layers = tuple(row)
             sums = _divisor_sums(layers, k, pair)
             moments.add(float(phi.lift(layers, k, sums)), float(sums[0]))
         remaining -= take
@@ -205,15 +204,12 @@ def report_from_moments(moments, k, p0):
     var_ratio = (var_phi - 2.0 * ratio * cov + ratio * ratio * var_theta) / (n * m_theta * m_theta)
     scale = p0 ** (-k)
     return EstimateReport(
-        k=k,
-        p0=p0,
         sample_count=n,
         estimate=ratio,
         standard_error=math.sqrt(max(0.0, var_ratio)),
         phibar_mean=m_phi,
         phibar_sd=math.sqrt(var_phi),
         theta_mean=m_theta,
-        theta_sd=math.sqrt(var_theta),
         lambda_hat=m_theta * scale,
         lambda_hat_se=math.sqrt(var_theta / n) * scale,
     )

@@ -241,10 +241,9 @@ class ComponentDecomposition:
     irreducible.
     """
 
-    __slots__ = ("pair", "components", "letter_map", "global_indices")
+    __slots__ = ("components", "letter_map", "global_indices")
 
-    def __init__(self, pair, components, letter_map, global_indices):
-        self.pair = pair
+    def __init__(self, components, letter_map, global_indices):
         self.components = tuple(components)
         self.letter_map = tuple(letter_map)
         self.global_indices = tuple(tuple(g) for g in global_indices)
@@ -308,7 +307,7 @@ def decompose_components(pair):
         components.append(IndependencePair(letters, masks))
         for g in members:
             letter_map[g] = (ci, local_of[g])
-    return ComponentDecomposition(pair, components, letter_map, order)
+    return ComponentDecomposition(components, letter_map, order)
 
 
 # -- monoid files ------------------------------------------------------------

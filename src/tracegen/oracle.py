@@ -45,19 +45,22 @@ class TraceSet:
         return self.traces[i]
 
 
-def enumerate_Mk(family, k, budget=DEFAULT_ENUM_BUDGET):
-    """Every trace of length exactly ``k``, by walking the clique automaton."""
+def iter_Mk(family, k, budget=DEFAULT_ENUM_BUDGET):
+    """Every trace of length exactly ``k``, by walking the clique automaton;
+    raises ``BudgetExceeded`` on the trace past ``budget``."""
     pair = family.pair
     adm = family.admissibility
     sizes = family.sizes
     masks = family.masks
-    out = []
+    found = 0
 
     def extend(prev, layers, remaining):
+        nonlocal found
         if remaining == 0:
-            out.append(Trace(pair, tuple(layers)))
-            if len(out) > budget:
+            found += 1
+            if found > budget:
                 raise BudgetExceeded(f"more than {budget} traces of length {k}")
+            yield Trace(pair, layers)
             return
         allowed = range(1, len(masks)) if prev is None else np.flatnonzero(adm[prev])
         for idx in allowed:
@@ -65,11 +68,15 @@ def enumerate_Mk(family, k, budget=DEFAULT_ENUM_BUDGET):
             if idx == 0 or sizes[idx] > remaining:
                 continue
             layers.append(masks[idx])
-            extend(idx, layers, remaining - int(sizes[idx]))
+            yield from extend(idx, layers, remaining - int(sizes[idx]))
             layers.pop()
 
-    extend(None, [], k)
-    return TraceSet(pair, k, out)
+    yield from extend(None, [], k)
+
+
+def enumerate_Mk(family, k, budget=DEFAULT_ENUM_BUDGET):
+    """``iter_Mk`` as a ``TraceSet``."""
+    return TraceSet(family.pair, k, iter_Mk(family, k, budget))
 
 
 def enumerate_Mk_by_words(pair, k, budget=DEFAULT_ENUM_BUDGET):

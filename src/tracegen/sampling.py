@@ -157,32 +157,24 @@ def sample_uniform_traces(bundle, k, n, rng, max_rejects=DEFAULT_REJECT_BUDGET):
     accept_rate = bundle.expected_acceptance(k, p)
 
     traces = []
-    proposals_closed = 0
-    rejections = 0
-    allowed = n + max_rejects  # most proposals the budget lets us scan
+    closed = 0  # proposals in fully scanned batches
     while len(traces) < n:
         need = n - len(traces)
         batch = int(min(max(4096, need / max(accept_rate, ACCEPTANCE_FLOOR) * 1.2), _BATCH_CAP))
-        batch = min(batch, allowed - proposals_closed)
+        # the last batch holds no more proposals than the budget lets us scan
+        batch = min(batch, n + max_rejects - closed)
         total_len, hists = _walk_batch(chains, sizes, k, k + 1, batch, rng)
         acc_idx = np.flatnonzero(total_len == k)
-        if len(acc_idx):
-            gm = _layer_union(bundle, [hist[:, acc_idx].T for hist in hists])
-            heights = (gm != 0).sum(axis=1)
-            for r in range(len(acc_idx)):
-                traces.append(Trace(pair, gm[r, : heights[r]].tolist()))
-                if len(traces) == n:
-                    scanned = proposals_closed + int(acc_idx[r]) + 1
-                    rejections = scanned - n
-                    break
-        if len(traces) < n:
-            proposals_closed += batch
-            rejections = proposals_closed - len(traces)
-            if rejections > max_rejects:
-                raise RejectBudgetExhausted(
-                    f"no {n} length-{k} traces within {max_rejects} rejections"
-                )
-    return traces, rejections
+        gm = _layer_union(bundle, [hist[:, acc_idx].T for hist in hists])
+        heights = (gm != 0).sum(axis=1).tolist()
+        for r, i in enumerate(acc_idx.tolist()):
+            traces.append(Trace(pair, gm[r, : heights[r]].tolist()))
+            if len(traces) == n:
+                return traces, closed + i + 1 - n
+        closed += batch
+        if closed - len(traces) > max_rejects:
+            raise RejectBudgetExhausted(f"no {n} length-{k} traces within {max_rejects} rejections")
+    return traces, 0
 
 
 # -- scalar absorbing walk -----------------------------------------------------

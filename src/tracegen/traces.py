@@ -22,12 +22,15 @@ class Trace:
     the presentation, so traces can be collected in sets and dicts.
     """
 
-    __slots__ = ("pair", "layers", "length")
+    __slots__ = ("pair", "layers")
 
     def __init__(self, pair, layers=()):
         self.pair = pair
         self.layers = tuple(layers)
-        self.length = sum(m.bit_count() for m in self.layers)
+
+    @property
+    def length(self):
+        return sum(m.bit_count() for m in self.layers)
 
     @property
     def height(self):

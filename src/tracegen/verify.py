@@ -104,7 +104,7 @@ def verification_report(bundle):
     row_dev = 0.0
     cyl_dev = 0.0
     for frac in PARAM_GRID:
-        p = p0 if frac == 1.0 else p0 * frac
+        p = p0 * frac
         if frac == 1.0 and not bundle.irreducible:
             # a reducible monoid has no root chain (some rows degenerate);
             # its initial law still normalizes
@@ -135,7 +135,7 @@ def verification_report(bundle):
         checks.append(_dev_check("parry_CP_dev", cp_dev, VERIFY_IDENTITY_TOL))
     else:
         for frac in (0.5, 1.0):
-            p = p0 if frac == 1.0 else p0 * frac
+            p = p0 * frac
             dev = _product_factorization_deviation(bundle, p)
             checks.append(_dev_check(f"product_factorization_dev_p{frac}", dev, VERIFY_PRODUCT_TOL))
     return checks

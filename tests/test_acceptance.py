@@ -20,7 +20,6 @@ from tracegen import (
     divides,
     estimate_expectation,
     h_vector,
-    iter_admissible_chains,
     normalize_word,
     parry_matrices,
     phibar,
@@ -34,6 +33,7 @@ from tracegen.oracle import (
     congruence_closure,
     enumerate_Mk,
     exact_uniform_expectation,
+    iter_admissible_chains,
 )
 
 SE = 4.0  # statistical window, in standard errors

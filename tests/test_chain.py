@@ -8,13 +8,10 @@ from tracegen import (
     RandomSource,
     Trace,
     clique_chain,
-    cylinder_probability,
     divides,
     g_vector,
     h_vector,
-    iter_admissible_chains,
     parry_matrices,
-    path_probability,
     sample_subuniform_trace,
     transition_matrix,
 )
@@ -22,6 +19,7 @@ from tracegen import chain as chain_mod
 from tracegen.cli import main
 from tracegen.counting import AT_P0_RTOL, RootPosition, root_position
 from tracegen.errors import DegenerateState, ParameterOutOfRange, ReducibleMonoid
+from tracegen.oracle import cylinder_probability, iter_admissible_chains, path_probability
 
 from conftest import cycle_complement, make_bundle
 

@@ -113,11 +113,11 @@ def test_sample_jobs_deterministic(monoid_files):
     assert len(body_lines(first.stdout)) == 6
 
 
-def test_pool_is_bounded_by_arguments_and_cores(monkeypatch, monoid_files, capsys):
-    # an in-process stand-in for the pool records its size and starts no process
+@pytest.fixture
+def pool_sizes(monkeypatch):
+    """Swap the process pool for an in-process stand-in that records its size
+    and starts no process; returns the recorded sizes."""
     import concurrent.futures
-
-    from tracegen import cli
 
     sizes = []
 
@@ -135,6 +135,13 @@ def test_pool_is_bounded_by_arguments_and_cores(monkeypatch, monoid_files, capsy
             return map(fn, args)
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
+    return sizes
+
+
+def test_pool_is_bounded_by_arguments_and_cores(pool_sizes, monoid_files, capsys):
+    from tracegen import cli
+
+    sizes = pool_sizes
     cores = len(os.sched_getaffinity(0))
     args = list(range(5000))
     assert cli._run_workers(abs, args, 5000) == args
@@ -145,6 +152,18 @@ def test_pool_is_bounded_by_arguments_and_cores(monkeypatch, monoid_files, capsy
             "--k", "5", "--n", "7", "--seed", "4", "--jobs", "3"]
     assert cli.main(argv) == 0
     assert sizes[-1] == min(3, cores)
+    assert capsys.readouterr().out == run_cli(*argv).stdout
+
+
+def test_pool_without_sched_getaffinity(pool_sizes, monkeypatch, monoid_files, capsys):
+    # macOS and Windows have no os.sched_getaffinity: the pool is sized by cpu_count
+    from tracegen import cli
+
+    monkeypatch.delattr(os, "sched_getaffinity")
+    argv = ["sample", "--monoid", monoid_files["fig1"], "--mode", "boundary",
+            "--k", "5", "--n", "7", "--seed", "4", "--jobs", "3"]
+    assert cli.main(argv) == 0
+    assert pool_sizes == [min(3, os.cpu_count())]
     assert capsys.readouterr().out == run_cli(*argv).stdout
 
 
@@ -343,11 +362,54 @@ def test_near_root_subuniform_is_refused_up_front(monoid_files, fig1):
     assert res.stderr.startswith("error:")
 
 
-def test_cli_import_leaves_out_the_process_pool():
-    code = "import sys, tracegen.cli; print('concurrent.futures.process' in sys.modules)"
+@pytest.mark.parametrize("module", ["concurrent.futures.process", "tracegen.oracle"])
+def test_cli_import_leaves_out_the_process_pool(module):
+    # the pool and the brute-force oracle are loaded only by the commands that use them
+    code = (f"import sys, tracegen; print({module!r} in sys.modules); "
+            f"import tracegen.cli; print({module!r} in sys.modules)")
     res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          timeout=60)
-    assert res.stdout.strip() == "False", res.stderr
+    assert res.stdout.split() == ["False", "False"], res.stderr
+
+
+@pytest.mark.parametrize("name, roots", [("fig1", 1), ("prod32", 2)])
+def test_each_root_is_computed_once(monkeypatch, monoid_files, capsys, name, roots):
+    # the bundle that owns a root computes it once: one per irreducible component
+    from tracegen import bundle, cli
+
+    calls = []
+    root = bundle.principal_root
+
+    def counting_root(mu):
+        calls.append(mu)
+        return root(mu)
+
+    monkeypatch.setattr(bundle, "principal_root", counting_root)
+    for argv in (["info", "--monoid", monoid_files[name]],
+                 ["sample", "--monoid", monoid_files[name], "--mode", "exact-k",
+                  "--k", "4", "--n", "3"]):
+        calls.clear()
+        assert cli.main(argv) == 0
+        assert len(calls) == roots, argv
+    capsys.readouterr()
+
+
+def test_count_exact_builds_no_trace_set(monkeypatch, monoid_files, capsys):
+    # --exact counts the enumeration as it streams: M_k is never held whole
+    from tracegen import cli, oracle
+
+    def refuse(*args):
+        raise AssertionError("count --exact built a TraceSet")
+
+    monkeypatch.setattr(oracle, "TraceSet", refuse)
+    assert cli.main(["count", "--monoid", monoid_files["fig1"], "--k", "6", "--exact"]) == 0
+    vals = kv(capsys.readouterr().out)
+    assert vals["lambda_oracle 6"] == vals["lambda 6"] == "377"
+    # past the enumeration budget it exits 4 before printing anything
+    iter_Mk = oracle.iter_Mk
+    monkeypatch.setattr(oracle, "iter_Mk", lambda family, k: iter_Mk(family, k, budget=100))
+    assert cli.main(["count", "--monoid", monoid_files["fig1"], "--k", "6", "--exact"]) == 4
+    assert capsys.readouterr().out == ""
 
 
 def test_clique_cap_env(monoid_files):

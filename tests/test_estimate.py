@@ -14,7 +14,6 @@ from tracegen import (
     enumerate_cliques,
     estimate_expectation,
     h_vector,
-    iter_admissible_chains,
     normalize_word,
     phibar,
     theta_k,
@@ -28,6 +27,7 @@ from tracegen.oracle import (
     divisor_sums_by_peeling,
     enumerate_Mk,
     exact_uniform_expectation,
+    iter_admissible_chains,
     length_k_divisors,
 )
 

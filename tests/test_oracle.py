@@ -2,18 +2,18 @@ import numpy as np
 import pytest
 import scipy.special
 
-from tracegen import (
-    Trace,
+from tracegen import Trace, normalize_word
+from tracegen.errors import BudgetExceeded, InsufficientSamples
+from tracegen.oracle import (
+    chi_square_survival,
     chi_square_uniformity,
     congruence_closure,
     enumerate_Mk,
     enumerate_Mk_by_words,
     exact_uniform_expectation,
-    normalize_word,
+    iter_Mk,
     regularized_gamma_q,
 )
-from tracegen.errors import BudgetExceeded, InsufficientSamples
-from tracegen.oracle import chi_square_survival
 
 
 def test_enumerate_counts(fig1, free2):
@@ -42,6 +42,16 @@ def test_enumerate_traces_are_valid_and_sorted(fig1):
 def test_enumerate_budget(fig1):
     with pytest.raises(BudgetExceeded):
         enumerate_Mk(fig1.family, 6, budget=100)
+
+
+def test_iter_Mk_streams_up_to_the_budget(fig1):
+    traces = list(iter_Mk(fig1.family, 6))
+    assert len(traces) == 377 and set(traces) == set(enumerate_Mk(fig1.family, 6))
+    stream = iter_Mk(fig1.family, 6, budget=100)
+    for _ in range(100):
+        next(stream)
+    with pytest.raises(BudgetExceeded):
+        next(stream)
 
 
 def test_enumerate_matches_golden_file(fig1):

@@ -1,13 +1,7 @@
 from hypothesis import given, settings
 
-from tracegen import (
-    MonoidBundle,
-    cylinder_probability,
-    h_vector,
-    iter_admissible_chains,
-    path_probability,
-    validate_independence,
-)
+from tracegen import MonoidBundle, h_vector, validate_independence
+from tracegen.oracle import cylinder_probability, iter_admissible_chains, path_probability
 from tracegen.verify import (
     PARAM_GRID,
     _chain_length_cap,
