@@ -10,33 +10,39 @@ is an absorbing state reached in finite time; at the root it is unreachable
 and the chain restricted to non-empty cliques shares its transition matrix
 with the Parry chain of the weighted clique automaton.
 
-A chain stores its whole law compactly, for the samplers: the cumulative
-sums of each transition row over its admissible columns only, in row-major
-order, followed by a start row ``n`` holding the cumulative sums of ``h``
-over every clique.  ``P_cum`` is one ``complex128`` array whose real part is
-the row index and whose imaginary part is the cumulative value, and ``cols``
-holds each entry's column.  numpy orders complex numbers by real part, then
-imaginary part, so one ``searchsorted`` of ``state + 1j*u`` finds the step
-inside the walker's own row in O(log n), for any number of walkers; a walk
-starts in state ``n``, so its first draw is a step like every other.  A
-row's cumulative sums over its admissible entries equal the dense row's
-cumulative sums there bit for bit (adding the 0.0 of an inadmissible
-entry is exact), so the draws are those of the dense CDF.  The dense
-transitions ``P`` are formed only when read, which ``verify`` does.
+A chain stores its whole law compactly, and only this module reads that
+layout: the cumulative sums of each transition row over its admissible
+columns only, in row-major order, followed by a start row ``n`` holding the
+cumulative sums of ``h`` over every clique.  ``P_cum`` is one ``complex128``
+array whose real part is the row index and whose imaginary part is the
+cumulative value, and ``cols`` holds each entry's column.  numpy orders
+complex numbers by real part, then imaginary part, so one ``searchsorted``
+of ``state + 1j*u`` finds the step inside the walker's own row in O(log n),
+for any number of walkers (``CliqueChain.step``); a walk starts in state
+``n``, so its first draw is a step like every other.  A single walk below
+the root (``CliqueChain.absorbing_walk``) runs the same lookup as a
+``bisect`` inside the walker's row, read through memoryviews, so it makes no
+numpy array or scalar per step; both kernels land on the same state for the
+same uniform.  A row's cumulative sums over its admissible entries equal the
+dense row's cumulative sums there bit for bit (adding the 0.0 of an
+inadmissible entry is exact), so the draws are those of the dense CDF.  The
+dense transitions ``P`` are formed only when read, which ``verify`` does.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
 from .counting import G_FLOOR_RTOL, POWER_MAX_ITER, POWER_TOL, RootPosition, root_position
-from .errors import DegenerateState, ParameterOutOfRange, ReducibleMonoid
+from .errors import DegenerateState, IterationCap, ParameterOutOfRange, ReducibleMonoid
 from .monoid import decompose_components
 
 _H_BLOCK = 1 << 22  # cap rows*cliques per chunk of the superset sum
+FINITE_STEP_CAP = 10 ** 8
 
 
 def h_vector(family, p):
@@ -132,9 +138,9 @@ def _compact_cdf(family, h, g):
 class CliqueChain:
     """Bundle of ``p``, ``h``, ``g`` and the sampling CDF: the compact
     transition CDF ``P_cum``/``cols`` with its start row ``n`` for the law
-    ``h`` and its row offsets ``starts`` (see ``_compact_cdf``), which scalar
-    walks read through ``walk_tables``; the dense transitions ``P``, which no
-    sampler reads, are formed on first read."""
+    ``h`` and its row offsets ``starts`` (see ``_compact_cdf``), which
+    ``step`` and ``absorbing_walk`` read; the dense transitions ``P``, which
+    no sampler reads, are formed on first read."""
 
     family: object
     p: float
@@ -153,8 +159,13 @@ class CliqueChain:
     def P(self):
         return transition_matrix(self.family, self.h, self.g, at_p0=self.at_p0)
 
+    def step(self, states, u):
+        """Next state of each walker in ``states`` (row ``n`` for a first
+        draw) for its uniform in ``u``."""
+        return self.cols[np.searchsorted(self.P_cum, states + 1j * u, side="right")]
+
     @cached_property
-    def walk_tables(self):
+    def _walk_tables(self):
         """The sampling CDF as a scalar walk reads it, one Python float or
         int per lookup and no numpy scalar: the start row's cumulative values
         as a list (a first draw reads no offsets), memoryviews of ``P_cum``'s
@@ -163,6 +174,20 @@ class CliqueChain:
         cums = self.P_cum.imag
         starts = self.starts.tolist()
         return cums[starts[-2]:].tolist(), memoryview(cums), memoryview(self.cols), starts
+
+    def absorbing_walk(self, rng):
+        """Non-empty states of one walk below the root, up to absorption: one
+        uniform per state, looked up with ``bisect`` in the start row and then
+        inside the current state's row."""
+        first, cums, cols, starts = self._walk_tables
+        states = []
+        state = bisect_right(first, rng.random())
+        while state:
+            if len(states) >= FINITE_STEP_CAP:
+                raise IterationCap(f"no absorption within {FINITE_STEP_CAP} steps")
+            states.append(state)
+            state = cols[bisect_right(cums, rng.random(), starts[state], starts[state + 1])]
+        return states
 
 
 def clique_chain(family, p, p0):

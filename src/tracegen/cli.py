@@ -14,6 +14,7 @@ import os
 import sys
 
 from .bundle import MonoidBundle
+from .chain import FINITE_STEP_CAP
 from .counting import RootPosition, expected_size, root_position
 from .errors import IterationCap, ParameterOutOfRange, TracegenError
 from .estimate import Moments, accumulate_moments, builtin_cost, report_from_moments
@@ -21,7 +22,6 @@ from .monoid import DEFAULT_CLIQUE_CAP
 from .sampling import (
     RNG_ALGORITHM,
     DEFAULT_REJECT_BUDGET,
-    FINITE_STEP_CAP,
     RandomSource,
     sample_subuniform_trace,
     sample_uniform_traces,
@@ -302,7 +302,7 @@ def _build_parser():
     p.add_argument("--n", type=int, default=10000)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--jobs", type=positive_int, default=1)
-    p.add_argument("--lambda-limit", type=int, default=10000,
+    p.add_argument("--lambda-limit", type=nonnegative_int, default=10000,
                    help="report the exact count when k is at most this")
     p.set_defaults(func=cmd_estimate)
 

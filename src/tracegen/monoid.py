@@ -336,10 +336,13 @@ def parse_monoid(data):
 
 def load_monoid(path):
     """Read and validate a monoid spec file (UTF-8 JSON)."""
-    with open(path, encoding="utf-8") as fh:
-        text = fh.read()
     try:
-        data = json.loads(text)
+        with open(path, encoding="utf-8") as fh:
+            data = json.loads(fh.read())
+    except UnicodeDecodeError as exc:
+        raise InvalidMonoidFile(f"{path}: not UTF-8: {exc.reason} at byte {exc.start}") from None
     except json.JSONDecodeError as exc:
         raise InvalidMonoidFile(f"{path}: line {exc.lineno} column {exc.colno}: {exc.msg}") from None
+    except RecursionError:
+        raise InvalidMonoidFile(f"{path}: JSON nested too deeply") from None
     return parse_monoid(data)

@@ -18,7 +18,7 @@ import numpy as np
 from .counting import ACCEPTANCE_FLOOR
 from .errors import BudgetExceeded, InsufficientSamples, RejectBudgetExhausted
 from .monoid import iter_bits
-from .sampling import _BATCH_CAP, DEFAULT_REJECT_BUDGET, _layer_union, _step_states
+from .sampling import _BATCH_CAP, DEFAULT_REJECT_BUDGET, _layer_union
 from .traces import Trace, divides, normalize_word, remove_bottom
 
 DEFAULT_ENUM_BUDGET = 10 ** 7
@@ -221,7 +221,7 @@ def _chain_states_batch(chain, k, n, rng):
     u = rng.random((n, k))
     s = np.full(n, chain.n_states)
     for t in range(k):
-        s = _step_states(chain, s, u[:, t])
+        s = chain.step(s, u[:, t])
         states[:, t] = s
     return states
 

@@ -12,17 +12,13 @@ One engine, the clique chain, serves all three regimes:
   outcomes, which are equally likely by construction
   (``sample_uniform_traces``).
 
-Batches run many walkers at once through one vectorized step kernel: one
-``searchsorted`` of ``state + 1j*u`` in the chain's compact row-keyed CDF
-(see ``chain.py``), O(log n) in the number of cliques.  Every walk starts in
-the CDF's start row, so its first draw, from the initial law, is a step like
-the others.  Boundary prefixes and rejection share one batched walk: a row
-chunk at a time, it steps only the walkers that are neither absorbed nor
-over a length bound (rejection's ``k``; boundary walkers weigh every clique
-0, so only absorption drops them).  A single subuniform draw runs one scalar
-walk until absorption: a ``bisect`` inside the walker's row of the same CDF,
-read through memoryviews, so it makes no numpy array or scalar per step or
-per draw; both kernels land on the same state for the same uniform.
+Batches run many walkers at once through the chain's vectorized step, and a
+single subuniform draw runs its scalar absorbing walk (both in ``chain.py``,
+which owns the CDF layout); every walk's first draw, from the initial law, is
+a step like the others.  Boundary prefixes and rejection share one batched
+walk: a row chunk at a time, it steps only the walkers that are neither
+absorbed nor over a length bound (rejection's ``k``; boundary walkers weigh
+every clique 0, so only absorption drops them).
 Reducible monoids run each irreducible component's chain at the same
 parameter and union the layers through the bundle's component-to-global
 gather tables (Python ints for a single draw), which is exactly how the
@@ -35,20 +31,18 @@ independent streams for worker replication.
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
 
 from .counting import ACCEPTANCE_FLOOR, RootPosition, root_position
-from .errors import IterationCap, ParameterOutOfRange, RejectBudgetExhausted
+from .errors import ParameterOutOfRange, RejectBudgetExhausted
 from .traces import Trace
 
 RNG_ALGORITHM = "philox4x64"
 _MASK64 = (1 << 64) - 1
 _BATCH_CAP = 1 << 18
 _CHUNK_ROWS = 1 << 13  # rows of uniforms drawn and stepped at once
-FINITE_STEP_CAP = 10 ** 8
 DEFAULT_REJECT_BUDGET = 10 ** 7
 
 
@@ -73,11 +67,7 @@ def _layer_union(bundle, states):
     return out
 
 
-# -- vectorized kernel ---------------------------------------------------------
-
-def _step_states(chain, states, u):
-    return chain.cols[np.searchsorted(chain.P_cum, states + 1j * u, side="right")]
-
+# -- batched walk --------------------------------------------------------------
 
 def _walk_live(chain, size, bound, u, hist, total):
     """Walk the walkers of one row chunk that are within length ``bound``
@@ -95,7 +85,7 @@ def _walk_live(chain, size, bound, u, hist, total):
     for t in range(u.shape[1]):
         if not len(live):
             break
-        s = _step_states(chain, s, u[live, t])
+        s = chain.step(s, u[live, t])
         hist[t, live] = s
         tot += size[s]
         total[live] = tot
@@ -177,22 +167,7 @@ def sample_uniform_traces(bundle, k, n, rng, max_rejects=DEFAULT_REJECT_BUDGET):
     return traces, 0
 
 
-# -- scalar absorbing walk -----------------------------------------------------
-
-def _absorbing_walk(chain, rng):
-    """Non-empty states of one walk below the root, up to absorption: one
-    uniform per state, looked up with ``bisect`` in the compact CDF's start
-    row and then inside the current state's row."""
-    first, cums, cols, starts = chain.walk_tables
-    states = []
-    state = bisect_right(first, rng.random())
-    while state:
-        if len(states) >= FINITE_STEP_CAP:
-            raise IterationCap(f"no absorption within {FINITE_STEP_CAP} steps")
-        states.append(state)
-        state = cols[bisect_right(cums, rng.random(), starts[state], starts[state + 1])]
-    return states
-
+# -- single draw ---------------------------------------------------------------
 
 def sample_subuniform_trace(bundle, p, rng):
     """One finite trace with law proportional to ``p^{length}`` (p below root)."""
@@ -202,7 +177,7 @@ def sample_subuniform_trace(bundle, p, rng):
         )
     layers = []
     for cb, table in zip(bundle.components, bundle.component_mask_lists):
-        walk = _absorbing_walk(cb.chain(p), rng)
+        walk = cb.chain(p).absorbing_walk(rng)
         layers.extend([0] * (len(walk) - len(layers)))
         for i, state in enumerate(walk):
             layers[i] |= table[state]

@@ -195,6 +195,8 @@ def parse_trace(pair, data):
             data = json.loads(data)
         except json.JSONDecodeError as exc:
             raise InvalidTrace(f"unparseable trace: {exc.msg}") from None
+        except RecursionError:
+            raise InvalidTrace("unparseable trace: nested too deeply") from None
     if not isinstance(data, list):
         raise InvalidTrace("serialized trace must be an array of layers")
     layers = []

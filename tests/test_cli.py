@@ -261,6 +261,30 @@ def test_exit_codes(monoid_files, tmp_path):
     assert res.returncode == 4 and res.stdout == ""
 
 
+def test_deeply_nested_spec_is_bad_data(tmp_path):
+    # json.loads recurses once per nesting level, so this overflows the stack
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 3000, encoding="utf-8")
+    res = run_cli("info", "--monoid", str(deep))
+    assert res.returncode == 3 and res.stdout == ""
+    assert res.stderr.startswith("error:")
+
+
+def test_deeply_nested_prefix_cost_is_bad_data(monoid_files):
+    res = run_cli("estimate", "--monoid", monoid_files["fig1"], "--k", "3", "--n", "10",
+                  "--phi", "prefix:" + "[" * 3000)
+    assert res.returncode == 3 and res.stdout == ""
+    assert res.stderr.startswith("error:")
+
+
+def test_non_utf8_spec_is_bad_data(tmp_path):
+    spec = tmp_path / "latin1.json"
+    spec.write_bytes(b'{"letters": ["a\xff"], "independence": []}')
+    res = run_cli("info", "--monoid", str(spec))
+    assert res.returncode == 3 and res.stdout == ""
+    assert res.stderr.startswith("error:")
+
+
 def cycle_complement_spec(tmp_path, n):
     """C_n^c: n letters on a cycle, each depending only on its two neighbours."""
     letters = [f"x{i:02d}" for i in range(n)]
@@ -334,6 +358,7 @@ def test_k_zero(monoid_files):
 def test_negative_k_is_usage_error(monoid_files):
     for args in (("info", "--k", "-1"), ("count", "--k", "-1"),
                  ("estimate", "--k", "-1"),
+                 ("estimate", "--k", "3", "--n", "10", "--lambda-limit", "-1"),
                  ("sample", "--mode", "exact-k", "--k", "-1"),
                  ("sample", "--mode", "boundary", "--k", "-2"),
                  ("sample", "--mode", "boundary", "--k", "3", "--n", "-2")):

@@ -18,6 +18,7 @@ from tracegen import (
     trace_from_layers,
     validate_independence,
 )
+from tracegen import chain as chain_mod
 from tracegen import oracle, sampling
 from tracegen.chain import CliqueChain
 from tracegen.errors import IterationCap, ParameterOutOfRange, RejectBudgetExhausted
@@ -28,7 +29,6 @@ from tracegen.oracle import (
     dense_cdf,
     dense_steps,
 )
-from tracegen.sampling import _absorbing_walk, _step_states
 
 from conftest import independence_graphs
 
@@ -64,7 +64,7 @@ class ScriptedUniform:
 
 def scalar_step(chain, state, u):
     """The scalar walk's step: ``bisect`` inside the state's row of the CDF."""
-    _, cums, cols, starts = chain.walk_tables
+    _, cums, cols, starts = chain._walk_tables
     return cols[bisect_right(cums, u, starts[state], starts[state + 1])]
 
 
@@ -76,11 +76,11 @@ def test_first_state_at_h_total_is_last_clique(irreducible_five):
     for bundle, total in zip(irreducible_five, totals):
         ch = bundle.boundary_chain()
         n = ch.n_states
-        first = ch.walk_tables[0]
+        first = ch._walk_tables[0]
         assert first == ch.P_cum.imag[ch.starts[n]:].tolist() and first[-1] == math.inf
         for u in (total, np.nextafter(1.0, 0.0)):
             # the first draw is a step from the start row n
-            assert _step_states(ch, np.array([n]), np.array([u])).tolist() == [n - 1]
+            assert ch.step(np.array([n]), np.array([u])).tolist() == [n - 1]
             assert bisect_right(first, float(u)) == n - 1
             assert scalar_step(ch, n, float(u)) == n - 1
 
@@ -97,7 +97,7 @@ def test_step_at_row_total_stays_admissible(cycle5):
     for r in rows:
         last = int(np.flatnonzero(adm[r])[-1])
         for u in (totals[r], np.nextafter(totals[r], 1.0)):
-            assert _step_states(ch, np.array([r]), np.array([u])).tolist() == [last]
+            assert ch.step(np.array([r]), np.array([u])).tolist() == [last]
             assert scalar_step(ch, r, float(u)) == last
 
 
@@ -109,7 +109,7 @@ def compact_steps_match_dense(chain):
     states = np.repeat(np.arange(n), 3)
     u = np.stack([np.zeros(n), totals, np.nextafter(totals, np.inf)], axis=1).ravel()
     want = dense_steps(dense_cdf(chain), states, u)
-    assert _step_states(chain, states, u).tolist() == want.tolist()
+    assert chain.step(states, u).tolist() == want.tolist()
     assert [scalar_step(chain, int(s), float(x)) for s, x in zip(states, u)] == want.tolist()
     # each row ends in +inf, on its last admissible column, in both forms
     adm = chain.family.admissibility
@@ -125,7 +125,7 @@ def compact_steps_match_dense(chain):
     assert (start.imag[:-1] == np.cumsum(chain.h)[:-1]).all() and start.imag[-1] == math.inf
     # the scalar walk's row offsets bracket each row, the start row's too,
     # +inf entry last; its first draw reads the start row as a list
-    first, cums, cols, starts = chain.walk_tables
+    first, cums, cols, starts = chain._walk_tables
     assert starts == chain.starts.tolist()
     assert starts[0] == 0 and starts[1:] == [*(ends + 1).tolist(), len(chain.P_cum)]
     for row in range(n):
@@ -157,12 +157,12 @@ def test_compact_steps_match_dense_on_random_monoids(graph):
 def test_walk_stops_at_step_cap(monkeypatch, fig1):
     # u just below 1 always picks the row's last column, a non-empty clique,
     # so the walk never absorbs and must stop at the cap
-    monkeypatch.setattr(sampling, "FINITE_STEP_CAP", 5)
+    monkeypatch.setattr(chain_mod, "FINITE_STEP_CAP", 5)
     chain = fig1.chain(0.2)
     with pytest.raises(IterationCap):
-        _absorbing_walk(chain, FixedUniform(np.nextafter(1.0, 0.0)))
+        chain.absorbing_walk(FixedUniform(np.nextafter(1.0, 0.0)))
     # five steps and an absorbing sixth draw fit under the cap
-    assert len(_absorbing_walk(chain, ScriptedUniform([0.99] * 5 + [0.0]))) == 5
+    assert len(chain.absorbing_walk(ScriptedUniform([0.99] * 5 + [0.0]))) == 5
 
 
 def test_boundary_prefix_basics(fig1):

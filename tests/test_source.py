@@ -17,3 +17,19 @@ def test_library_has_no_assert():
             if isinstance(node, ast.Assert):
                 found.append(f"{path.name}:{node.lineno}")
     assert found == []
+
+
+def test_only_chain_reads_the_cdf_layout():
+    # the compact CDF's layout (row + 1j*cum keys, columns, row offsets, the
+    # scalar walk's tables) is known to chain.py alone; others call its kernels
+    layout = {"P_cum", "cols", "starts", "walk_tables", "_walk_tables"}
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "chain.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Attribute) and node.attr in layout:
+                found.append(f"{path.name}:{node.lineno} .{node.attr}")
+            elif isinstance(node, ast.Constant) and isinstance(node.value, complex):
+                found.append(f"{path.name}:{node.lineno} {node.value!r}")
+    assert found == []

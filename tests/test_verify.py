@@ -7,6 +7,7 @@ from tracegen.verify import (
     _chain_length_cap,
     _cylinder_deviation,
     _product_factorization_deviation,
+    verification_report,
 )
 
 from conftest import independence_graphs
@@ -72,3 +73,21 @@ def test_deviations_match_scalar_on_random_monoids(graph):
     # same arithmetic in the same order: equal, not approximately equal
     letters, pairs = graph
     assert_matches_scalar(MonoidBundle(validate_independence(letters, pairs, symmetric_closure=True)))
+
+
+COMMON_CHECKS = ["h_sum_max_dev", "row_sum_max_dev", "cylinder_max_dev"]
+IRREDUCIBLE_CHECKS = [*COMMON_CHECKS, "h_min_nonempty_at_root", "parry_spectral_radius",
+                      "parry_Bg_dev", "parry_CP_dev"]
+REDUCIBLE_CHECKS = [*COMMON_CHECKS, "product_factorization_dev_p0.5",
+                    "product_factorization_dev_p1.0"]
+
+
+@settings(max_examples=60, deadline=None)
+@given(independence_graphs())
+def test_verification_report_passes_on_random_monoids(graph):
+    letters, pairs = graph
+    bundle = MonoidBundle(validate_independence(letters, pairs, symmetric_closure=True))
+    checks = verification_report(bundle)
+    want = IRREDUCIBLE_CHECKS if bundle.irreducible else REDUCIBLE_CHECKS
+    assert [c.name for c in checks] == want
+    assert all(c.ok for c in checks), [c for c in checks if not c.ok]
