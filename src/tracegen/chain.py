@@ -11,22 +11,27 @@ and the chain restricted to non-empty cliques shares its transition matrix
 with the Parry chain of the weighted clique automaton.
 
 A chain stores its whole law compactly, and only this module reads that
-layout: the cumulative sums of each transition row over its admissible
-columns only, in row-major order, followed by a start row ``n`` holding the
-cumulative sums of ``h`` over every clique.  ``P_cum`` is one ``complex128``
-array whose real part is the row index and whose imaginary part is the
-cumulative value, and ``cols`` holds each entry's column.  numpy orders
-complex numbers by real part, then imaginary part, so one ``searchsorted``
-of ``state + 1j*u`` finds the step inside the walker's own row in O(log n),
-for any number of walkers (``CliqueChain.step``); a walk starts in state
-``n``, so its first draw is a step like every other.  A single walk below
-the root (``CliqueChain.absorbing_walk``) runs the same lookup as a
-``bisect`` inside the walker's row, read through memoryviews, so it makes no
-numpy array or scalar per step; both kernels land on the same state for the
-same uniform.  A row's cumulative sums over its admissible entries equal the
-dense row's cumulative sums there bit for bit (adding the 0.0 of an
-inadmissible entry is exact), so the draws are those of the dense CDF.  The
-dense transitions ``P`` are formed only when read, which ``verify`` does.
+layout.  Row ``c`` of the transitions is ``h(c')/g(c)`` over the cliques
+``c' ⊆ D(c)``, so it depends on ``c`` only through the key ``(D(c), g(c))``,
+g taken bitwise; the start state ``n`` has the key (every letter, 1.0), so
+its row is ``cumsum(h)``.  Each distinct key's row is stored once, as its
+cumulative sums over its admissible columns, ``row_of`` maps the ``n + 1``
+states to their rows, and each row ends in ``+inf`` on its last column, so a
+uniform at or above the row's float total (which can fall short of 1) stays
+inside the row.  Row 0 is the empty clique's point mass: its D alone is
+empty.  ``P_cum`` is one ``complex128`` array whose real part is the row
+index and whose imaginary part is the cumulative value, and ``cols`` holds
+each entry's column.  numpy orders complex numbers by real part, then
+imaginary part, so one ``searchsorted`` of ``row_of[state] + 1j*u`` finds the
+step inside the walker's row in O(log n), for any number of walkers
+(``CliqueChain.step``); a walk's first draw is a step from ``n``.  A single
+walk below the root (``CliqueChain.absorbing_walk``) runs the same lookup as
+a ``bisect`` between its state's row bounds, read through memoryviews and
+lists, so it makes no numpy array or scalar per step; both kernels land on
+the same state for the same uniform.  A row's cumulative sums equal the dense
+row's there bit for bit (adding the 0.0 of an inadmissible entry is exact),
+so the draws are those of the dense CDF.  Building the rows reads no n x n
+array; the dense ``P`` is formed only when read, which ``verify`` does.
 """
 
 from __future__ import annotations
@@ -102,43 +107,32 @@ def transition_matrix(family, h, g, at_p0=False):
 
 
 def _compact_cdf(family, h, g):
-    """Row-major cumulative transition sums over the admissible entries only,
-    then the start row ``n``: the cumulative sums of ``h`` over every clique.
-
-    Returns ``(P_cum, cols, starts)``: ``P_cum`` holds ``row + 1j*cum``,
-    ``cols`` the column of each entry and ``starts`` the ``n + 2`` row offsets
-    into both.  Row 0 is the empty clique's point mass: its one entry, the
-    empty clique itself.  Each row's last entry is ``+inf``, so a uniform at
-    or above the row's float total (which can fall short of 1) lands on the
-    row's last admissible column, never outside the row; in the start row
-    that is clique ``n - 1``, a maximal one.  The rows are filled one at a
-    time, so no dense n x n array is formed.
-    """
-    adm = family.admissibility
-    n = len(h)
-    starts = np.cumsum([0, *np.count_nonzero(adm, axis=1).tolist(), n])
+    """The keyed CDF of the module docstring: ``(P_cum, cols, starts, row_of)``,
+    ``starts`` being the row offsets into ``P_cum`` and ``cols``.  The empty
+    clique's row skips the division, as at the root ``g[0] = 0``."""
+    pair = family.pair
+    follow = np.array([*map(pair.follow, family.masks), pair.full_mask], dtype=np.uint64)
+    norm = np.append(g, 1.0)
+    keys = np.stack([follow, norm.view(np.uint64)], axis=1)
+    _, first, row_of = np.unique(keys, axis=0, return_index=True, return_inverse=True)
+    idxs = [np.flatnonzero((family.masks_np & ~d) == 0) for d in follow[first]]
+    starts = np.cumsum([0, *map(len, idxs)])
     P_cum = np.empty(int(starts[-1]), dtype=np.complex128)
-    cols = np.empty(len(P_cum), dtype=np.int32)
+    cols = np.concatenate(idxs).astype(np.int32)
     rows, cums = P_cum.real, P_cum.imag
     bounds = starts.tolist()
-    for row, (lo, hi) in enumerate(zip(bounds[:n], bounds[1:])):
-        idx = adm[row].nonzero()[0]
-        cols[lo:hi] = idx
+    for row, (idx, state, lo, hi) in enumerate(zip(idxs, first.tolist(), bounds, bounds[1:])):
         rows[lo:hi] = row
-        if row:
-            (h[idx] / g[row]).cumsum(out=cums[lo:hi])
-    cols[bounds[n]:] = np.arange(n)
-    rows[bounds[n]:] = n
-    h.cumsum(out=cums[bounds[n]:])
+        if state:
+            (h[idx] / norm[state]).cumsum(out=cums[lo:hi])
     cums[starts[1:] - 1] = np.inf
-    return P_cum, cols, starts
+    return P_cum, cols, starts, row_of.ravel()
 
 
 @dataclass
 class CliqueChain:
-    """Bundle of ``p``, ``h``, ``g`` and the sampling CDF: the compact
-    transition CDF ``P_cum``/``cols`` with its start row ``n`` for the law
-    ``h`` and its row offsets ``starts`` (see ``_compact_cdf``), which
+    """Bundle of ``p``, ``h``, ``g`` and the keyed sampling CDF
+    (``P_cum``, ``cols``, ``starts``, ``row_of``; see ``_compact_cdf``), which
     ``step`` and ``absorbing_walk`` read; the dense transitions ``P``, which
     no sampler reads, are formed on first read."""
 
@@ -150,6 +144,7 @@ class CliqueChain:
     P_cum: np.ndarray
     cols: np.ndarray
     starts: np.ndarray
+    row_of: np.ndarray
 
     @property
     def n_states(self):
@@ -160,33 +155,33 @@ class CliqueChain:
         return transition_matrix(self.family, self.h, self.g, at_p0=self.at_p0)
 
     def step(self, states, u):
-        """Next state of each walker in ``states`` (row ``n`` for a first
+        """Next state of each walker in ``states`` (state ``n`` for a first
         draw) for its uniform in ``u``."""
-        return self.cols[np.searchsorted(self.P_cum, states + 1j * u, side="right")]
+        keys = self.row_of[states] + 1j * u
+        return self.cols[np.searchsorted(self.P_cum, keys, side="right")]
 
     @cached_property
     def _walk_tables(self):
         """The sampling CDF as a scalar walk reads it, one Python float or
-        int per lookup and no numpy scalar: the start row's cumulative values
-        as a list (a first draw reads no offsets), memoryviews of ``P_cum``'s
-        cumulative values and of ``cols``, and the ``n + 2`` row offsets.
-        Nothing is copied but the start row and the offsets."""
-        cums = self.P_cum.imag
-        starts = self.starts.tolist()
-        return cums[starts[-2]:].tolist(), memoryview(cums), memoryview(self.cols), starts
+        int per lookup and no numpy scalar: memoryviews of ``P_cum``'s
+        cumulative values and of ``cols``, and the bounds of each state's row
+        as two lists of ``n + 1`` offsets.  Nothing else is copied."""
+        lo = self.starts[self.row_of]
+        hi = self.starts[self.row_of + 1]
+        return memoryview(self.P_cum.imag), memoryview(self.cols), lo.tolist(), hi.tolist()
 
     def absorbing_walk(self, rng):
         """Non-empty states of one walk below the root, up to absorption: one
-        uniform per state, looked up with ``bisect`` in the start row and then
-        inside the current state's row."""
-        first, cums, cols, starts = self._walk_tables
+        uniform per state, looked up with ``bisect`` inside the current
+        state's row, the start state's (the last) first."""
+        cums, cols, lo, hi = self._walk_tables
         states = []
-        state = bisect_right(first, rng.random())
+        state = cols[bisect_right(cums, rng.random(), lo[-1], hi[-1])]
         while state:
             if len(states) >= FINITE_STEP_CAP:
                 raise IterationCap(f"no absorption within {FINITE_STEP_CAP} steps")
             states.append(state)
-            state = cols[bisect_right(cums, rng.random(), starts[state], starts[state + 1])]
+            state = cols[bisect_right(cums, rng.random(), lo[state], hi[state])]
         return states
 
 

@@ -286,7 +286,7 @@ def _build_parser():
     p.add_argument("--k", type=nonnegative_int, required=True)
     p.add_argument("--exact", action="store_true", help="cross-check by enumeration")
     p.add_argument("--mc", action="store_true", help="add a Monte-Carlo estimate")
-    p.add_argument("--n", type=int, default=10000, help="samples for --mc")
+    p.add_argument("--n", type=nonnegative_int, default=10000, help="samples for --mc")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--jobs", type=positive_int, default=1)
     p.set_defaults(func=cmd_count)

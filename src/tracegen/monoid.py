@@ -171,7 +171,8 @@ class CliqueFamily:
     empty clique and orderings (hence matrices, outputs) are deterministic.
     The dense boolean matrix ``admissibility[i, j]`` says whether clique ``i``
     may be followed by clique ``j``, that is ``c_j ⊆ D(c_i)``; it is built
-    lazily, one row per clique, since counting-only callers never need it.
+    lazily, one row per clique, since only verification and the oracle read
+    it (the clique chain finds its columns from ``D(c)`` itself).
     """
 
     __slots__ = ("pair", "masks", "sizes", "by_mask", "masks_np", "_adm")

@@ -1,4 +1,5 @@
 import itertools
+import json
 
 import pytest
 from hypothesis import strategies as st
@@ -17,6 +18,21 @@ def cycle_complement(n):
     pairs = [(letters[i], letters[j]) for i in range(n) for j in range(i + 2, n)
              if (j - i) % n != n - 1]
     return make_bundle(letters, pairs)
+
+
+def block_spec(path, blocks, dependent=()):
+    """Write a spec over the letters a0, a1, ... split into consecutive blocks
+    of the given sizes: letters in one block never commute, and letters in
+    different blocks do, except the listed pairs ``(i, j)``, ``i < j``, of
+    letter indices."""
+    block_of = [b for b, size in enumerate(blocks) for _ in range(size)]
+    letters = [f"a{i}" for i in range(len(block_of))]
+    pairs = [[letters[i], letters[j]]
+             for i, j in itertools.combinations(range(len(letters)), 2)
+             if block_of[i] != block_of[j] and (i, j) not in dependent]
+    spec = {"letters": letters, "independence": pairs, "symmetric_closure": True}
+    path.write_text(json.dumps(spec), encoding="utf-8")
+    return str(path)
 
 
 @st.composite

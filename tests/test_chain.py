@@ -264,43 +264,52 @@ def test_bundle_chain_cache():
 
 def test_chain_keeps_P_and_its_cdf_agrees(fig1):
     adm = fig1.family.admissibility
-    rows, cols = np.nonzero(adm)
     for p in (0.2, fig1.p0):
         ch = clique_chain(fig1.family, p, fig1.p0)
         assert ch.P is ch.P
-        # the compact CDF holds the dense one's admissible entries, row-major
-        m, n = len(rows), ch.n_states
-        assert (ch.P_cum.real[:m] == rows).all() and (ch.cols[:m] == cols).all()
-        cum = ch.P_cum.imag[:m]
-        finite = np.isfinite(cum)
-        assert (cum[finite] == np.cumsum(ch.P, axis=1)[adm][finite]).all()
-        # then the start row n: h's cumulative sums over every clique
-        assert (ch.P_cum.real[m:] == n).all() and (ch.cols[m:] == np.arange(n)).all()
-        start = ch.P_cum.imag[m:]
-        assert (start[:-1] == np.cumsum(ch.h)[:-1]).all() and start[-1] == np.inf
-        assert ch.starts.tolist() == [0, *np.cumsum(adm.sum(axis=1)).tolist(), m + n]
+        # each state's row of the compact CDF holds the dense row's admissible
+        # entries, then the start state n's row holds h's over every clique
+        n = ch.n_states
+        dense = np.vstack([np.cumsum(ch.P, axis=1), np.cumsum(ch.h)])
+        adm_n = np.vstack([adm, np.ones(n, dtype=bool)])
+        for state, row in enumerate(ch.row_of.tolist()):
+            lo, hi = ch.starts[row], ch.starts[row + 1]
+            assert (ch.P_cum.real[lo:hi] == row).all()
+            assert (ch.cols[lo:hi] == np.flatnonzero(adm_n[state])).all()
+            cum = ch.P_cum.imag[lo:hi]
+            assert (cum[:-1] == dense[state][adm_n[state]][:-1]).all() and cum[-1] == np.inf
+        # the rows tile the CDF, and each is some state's
+        assert ch.starts[0] == 0 and ch.starts[-1] == len(ch.P_cum)
+        assert (np.diff(ch.starts) > 0).all()
+        assert sorted(set(ch.row_of.tolist())) == list(range(len(ch.starts) - 1))
 
 
 def test_compact_cdf_memory_on_c14(monkeypatch):
-    # the sampling CDF stores the admissible entries only, and building it
-    # forms no n x n float array; h comes precomputed, because h_vector's
-    # superset product needs one (a smaller block would change h's last bits)
+    # the sampling CDF stores one row of admissible entries per key, and
+    # building it forms no n x n array and reads no admissibility matrix; h
+    # comes precomputed, because h_vector's superset product needs one (a
+    # smaller block would change h's last bits)
     bundle = cycle_complement(14)
     fam = bundle.family
     n = len(fam)
     assert n == 843
-    adm = fam.admissibility
+    chains = []
     for p in (bundle.p0, 0.5 * bundle.p0):
         h = h_vector(fam, p)
         monkeypatch.setattr(chain_mod, "h_vector", lambda family, p: h.copy())
         tracemalloc.start()
         try:
-            ch = clique_chain(fam, p, bundle.p0)
+            chains.append(clique_chain(fam, p, bundle.p0))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert ch.P_cum.size == adm.sum() + n  # the start row holds every clique
         assert peak < n * n * np.dtype(np.float64).itemsize
+    assert fam._adm is None
+    # one row per key, and the start state's row holds every clique
+    per_state = np.append(np.count_nonzero(fam.admissibility, axis=1), n)
+    for ch in chains:
+        first = np.unique(ch.row_of, return_index=True)[1]
+        assert ch.P_cum.size == per_state[first].sum() < per_state.sum()
 
 
 def test_transition_matrix_low_level(fig1):

@@ -2,15 +2,18 @@ import hashlib
 import json
 import os
 import pathlib
+import resource
 import subprocess
 import sys
 
 import pytest
 
-from tracegen import parse_trace, validate_independence
+from tracegen import MonoidBundle, load_monoid, parse_trace, validate_independence
+
+from conftest import block_spec
 
 
-def run_cli(*args, env=None, timeout=300):
+def run_cli(*args, env=None, timeout=300, preexec_fn=None):
     full_env = os.environ.copy()
     if env:
         full_env.update(env)
@@ -20,6 +23,7 @@ def run_cli(*args, env=None, timeout=300):
         text=True,
         env=full_env,
         timeout=timeout,
+        preexec_fn=preexec_fn,
     )
 
 
@@ -336,6 +340,29 @@ def test_verify_c14_ok(tmp_path):
     assert res.stdout.splitlines()[-1] == "result ok"
 
 
+def cap_address_space():
+    """Limit the calling child process to 1 GiB of address space."""
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+
+def test_near3comp_samplers_fit_in_one_gib(tmp_path):
+    # 64 letters in blocks of 20, 20 and 24, joined by two dependent pairs:
+    # 10 980 cliques but only 14 distinct follow sets D(c), so every sampler
+    # command must finish under the cap (verify still needs a dense n x n P)
+    spec = block_spec(tmp_path / "near3comp.json", (20, 20, 24), {(0, 20), (20, 40)})
+    p = 0.5 * MonoidBundle(load_monoid(spec)).p0
+    for args, lines in ((("sample", "--mode", "boundary", "--k", "5", "--n", "3"), 4),
+                        (("sample", "--mode", "exact-k", "--k", "5", "--n", "3"), 4),
+                        (("sample", "--mode", "subuniform", "--p", repr(p), "--n", "3"), 4),
+                        (("estimate", "--k", "5", "--n", "10"), 11),
+                        (("count", "--k", "5", "--mc", "--n", "10"), 4)):
+        res = run_cli(args[0], "--monoid", spec, *args[1:], env={"OPENBLAS_NUM_THREADS": "1"},
+                      preexec_fn=cap_address_space)
+        assert res.returncode == 0, (args, res.stderr)
+        assert len(res.stdout.splitlines()) == lines, args
+        assert "Traceback" not in res.stderr, args
+
+
 def test_k_zero(monoid_files):
     for name in ("fig1", "prod32"):
         res = run_cli("sample", "--monoid", monoid_files[name], "--mode", "boundary",
@@ -357,6 +384,7 @@ def test_k_zero(monoid_files):
 
 def test_negative_k_is_usage_error(monoid_files):
     for args in (("info", "--k", "-1"), ("count", "--k", "-1"),
+                 ("count", "--k", "3", "--n", "-3"),
                  ("estimate", "--k", "-1"),
                  ("estimate", "--k", "3", "--n", "10", "--lambda-limit", "-1"),
                  ("sample", "--mode", "exact-k", "--k", "-1"),

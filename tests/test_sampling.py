@@ -23,6 +23,7 @@ from tracegen import oracle, sampling
 from tracegen.chain import CliqueChain
 from tracegen.errors import IterationCap, ParameterOutOfRange, RejectBudgetExhausted
 from tracegen.estimate import accumulate_moments, builtin_cost
+from tracegen.monoid import CliqueFamily
 from tracegen.oracle import (
     all_walker_prefix_batch,
     all_walker_uniform_traces,
@@ -63,9 +64,9 @@ class ScriptedUniform:
 
 
 def scalar_step(chain, state, u):
-    """The scalar walk's step: ``bisect`` inside the state's row of the CDF."""
-    _, cums, cols, starts = chain._walk_tables
-    return cols[bisect_right(cums, u, starts[state], starts[state + 1])]
+    """The scalar walk's step: ``bisect`` between the state's row bounds."""
+    cums, cols, lo, hi = chain._walk_tables
+    return cols[bisect_right(cums, u, lo[state], hi[state])]
 
 
 def test_first_state_at_h_total_is_last_clique(irreducible_five):
@@ -76,10 +77,12 @@ def test_first_state_at_h_total_is_last_clique(irreducible_five):
     for bundle, total in zip(irreducible_five, totals):
         ch = bundle.boundary_chain()
         n = ch.n_states
-        first = ch._walk_tables[0]
-        assert first == ch.P_cum.imag[ch.starts[n]:].tolist() and first[-1] == math.inf
+        lo, hi = ch.starts[ch.row_of[n]], ch.starts[ch.row_of[n] + 1]
+        first = ch.P_cum.imag[lo:hi].tolist()
+        assert ch.cols[lo:hi].tolist() == list(range(n))
+        assert first[:-1] == np.cumsum(ch.h)[:-1].tolist() and first[-1] == math.inf
         for u in (total, np.nextafter(1.0, 0.0)):
-            # the first draw is a step from the start row n
+            # the first draw is a step from the start state n
             assert ch.step(np.array([n]), np.array([u])).tolist() == [n - 1]
             assert bisect_right(first, float(u)) == n - 1
             assert scalar_step(ch, n, float(u)) == n - 1
@@ -111,28 +114,31 @@ def compact_steps_match_dense(chain):
     want = dense_steps(dense_cdf(chain), states, u)
     assert chain.step(states, u).tolist() == want.tolist()
     assert [scalar_step(chain, int(s), float(x)) for s, x in zip(states, u)] == want.tolist()
-    # each row ends in +inf, on its last admissible column, in both forms
-    adm = chain.family.admissibility
-    ends = np.cumsum(adm.sum(axis=1)) - 1
-    assert np.isinf(chain.P_cum.imag[ends]).all()
-    assert np.isinf(chain.P_cum.imag).sum() == n + 1
-    assert (chain.P_cum.real[ends] == np.arange(n)).all()
-    last = n - 1 - np.argmax(adm[:, ::-1], axis=1)
-    assert (chain.cols[ends] == last).all()
-    # then the start row n: h's cumulative sums over every clique, +inf last
-    start = chain.P_cum[ends[-1] + 1 :]
-    assert (start.real == n).all() and chain.cols[ends[-1] + 1 :].tolist() == list(range(n))
-    assert (start.imag[:-1] == np.cumsum(chain.h)[:-1]).all() and start.imag[-1] == math.inf
-    # the scalar walk's row offsets bracket each row, the start row's too,
-    # +inf entry last; its first draw reads the start row as a list
-    first, cums, cols, starts = chain._walk_tables
-    assert starts == chain.starts.tolist()
-    assert starts[0] == 0 and starts[1:] == [*(ends + 1).tolist(), len(chain.P_cum)]
-    for row in range(n):
-        lo, hi = starts[row], starts[row + 1]
-        assert cols[lo:hi].tolist() == np.flatnonzero(adm[row]).tolist()
-        assert cums[hi - 1] == math.inf and cols[hi - 1] == last[row]
-    assert first == cums[starts[n] :].tolist()
+    # the scalar walk's bounds are those of each state's row, start state n's too
+    cums, cols, lo, hi = chain._walk_tables
+    row_of = chain.row_of
+    assert lo == chain.starts[row_of].tolist() and hi == chain.starts[row_of + 1].tolist()
+    # each state's row: the dense CDF's cumulative sums on its admissible
+    # columns bit for bit, ending in +inf on the last one; the start state's
+    # row is h's cumulative sums over every clique
+    adm = np.vstack([chain.family.admissibility, np.ones(n, dtype=bool)])
+    dense = np.vstack([np.cumsum(chain.P, axis=1), np.cumsum(chain.h)])
+    for state in range(n + 1):
+        a, b = lo[state], hi[state]
+        assert (chain.P_cum.real[a:b] == row_of[state]).all()
+        assert cols[a:b].tolist() == np.flatnonzero(adm[state]).tolist()
+        assert cums[a:b].tolist()[:-1] == dense[state][adm[state]][:-1].tolist()
+        assert cums[b - 1] == math.inf
+    assert np.isinf(chain.P_cum.imag).sum() == len(chain.starts) - 1
+    # states with equal keys (D(c), g(c)) share a row, and only they do; the
+    # start state's key is (every letter, 1.0)
+    pair = chain.family.pair
+    follow = [*map(pair.follow, chain.family.masks), pair.full_mask]
+    keys = list(zip(follow, np.append(chain.g, 1.0).view(np.uint64).tolist()))
+    key_of_row = {}
+    for key, row in zip(keys, row_of.tolist()):
+        assert key_of_row.setdefault(row, key) == key
+    assert len(key_of_row) == len(set(keys)) == len(chain.starts) - 1
 
 
 def test_compact_steps_match_dense_on_fixtures(irreducible_five, prod32):
@@ -401,11 +407,12 @@ def test_topped_prefix_deterministic(prod32):
 
 def test_samplers_never_form_P(monkeypatch, fig1, prod32):
     # the samplers and the estimator draw from the CDFs only; the dense
-    # transitions are formed for verification
-    def refuse(chain):
-        raise AssertionError("CliqueChain.P read outside verification")
+    # transitions and the admissibility matrix are formed for verification
+    def refuse(obj):
+        raise AssertionError(f"{type(obj).__name__} matrix read outside verification")
 
     monkeypatch.setattr(CliqueChain, "P", property(refuse))
+    monkeypatch.setattr(CliqueFamily, "admissibility", property(refuse))
     rng = RandomSource(5).generator()
     for bundle in (fig1, prod32):
         topped_prefix_batch(bundle, 6, 20, rng)
