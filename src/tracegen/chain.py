@@ -15,23 +15,24 @@ layout.  Row ``c`` of the transitions is ``h(c')/g(c)`` over the cliques
 ``c' ⊆ D(c)``, so it depends on ``c`` only through the key ``(D(c), g(c))``,
 g taken bitwise; the start state ``n`` has the key (every letter, 1.0), so
 its row is ``cumsum(h)``.  Each distinct key's row is stored once, as its
-cumulative sums over its admissible columns, ``row_of`` maps the ``n + 1``
-states to their rows, and each row ends in ``+inf`` on its last column, so a
-uniform at or above the row's float total (which can fall short of 1) stays
-inside the row.  Row 0 is the empty clique's point mass: its D alone is
-empty.  ``P_cum`` is one ``complex128`` array whose real part is the row
-index and whose imaginary part is the cumulative value, and ``cols`` holds
-each entry's column.  numpy orders complex numbers by real part, then
-imaginary part, so one ``searchsorted`` of ``row_of[state] + 1j*u`` finds the
-step inside the walker's row in O(log n), for any number of walkers
-(``CliqueChain.step``); a walk's first draw is a step from ``n``.  A single
-walk below the root (``CliqueChain.absorbing_walk``) runs the same lookup as
-a ``bisect`` between its state's row bounds, read through memoryviews and
-lists, so it makes no numpy array or scalar per step; both kernels land on
-the same state for the same uniform.  A row's cumulative sums equal the dense
-row's there bit for bit (adding the 0.0 of an inadmissible entry is exact),
-so the draws are those of the dense CDF.  Building the rows reads no n x n
-array; the dense ``P`` is formed only when read, which ``verify`` does.
+cumulative sums over its admissible columns, and each row ends in ``+inf`` on
+its last column, so a uniform at or above the row's float total (which can
+fall short of 1) stays inside the row.  Row 0 is the empty clique's point
+mass: its D alone is empty.  ``P_cum`` is one ``float64`` array of the rows'
+cumulative values, ``cols`` holds each entry's column, and state ``s``'s row
+is ``[lo[s], hi[s])`` for each of the ``n + 1`` states.  A step lands on the
+first entry of the walker's row above its uniform, as ``searchsorted`` with
+``side="right"`` would: ``CliqueChain.step`` runs one fixed-stride binary
+search for any number of walkers at once, each inside its own row, with
+strides halving from the widest row's; a walk's first draw is a step from
+``n``.  A single walk below the root (``CliqueChain.absorbing_walk``) runs
+the same lookup as a ``bisect`` between its state's row bounds, read through
+memoryviews and lists, so it makes no numpy array or scalar per step; both
+kernels land on the same state for the same uniform.  A row's cumulative
+sums equal the dense row's there bit for bit (adding the 0.0 of an
+inadmissible entry is exact), so the draws are those of the dense CDF.
+Building the rows reads no n x n array; the dense ``P`` is formed only when
+read, which ``verify`` does through the law alone (``chain_law``).
 """
 
 from __future__ import annotations
@@ -107,9 +108,8 @@ def transition_matrix(family, h, g, at_p0=False):
 
 
 def _compact_cdf(family, h, g):
-    """The keyed CDF of the module docstring: ``(P_cum, cols, starts, row_of)``,
-    ``starts`` being the row offsets into ``P_cum`` and ``cols``.  The empty
-    clique's row skips the division, as at the root ``g[0] = 0``."""
+    """The CDF of the module docstring: ``(P_cum, cols, lo, hi)``.  The
+    empty clique's row skips the division, as at the root ``g[0] = 0``."""
     pair = family.pair
     follow = np.array([*map(pair.follow, family.masks), pair.full_mask], dtype=np.uint64)
     norm = np.append(g, 1.0)
@@ -117,34 +117,26 @@ def _compact_cdf(family, h, g):
     _, first, row_of = np.unique(keys, axis=0, return_index=True, return_inverse=True)
     idxs = [np.flatnonzero((family.masks_np & ~d) == 0) for d in follow[first]]
     starts = np.cumsum([0, *map(len, idxs)])
-    P_cum = np.empty(int(starts[-1]), dtype=np.complex128)
-    cols = np.concatenate(idxs).astype(np.int32)
-    rows, cums = P_cum.real, P_cum.imag
+    P_cum = np.empty(int(starts[-1]))
     bounds = starts.tolist()
-    for row, (idx, state, lo, hi) in enumerate(zip(idxs, first.tolist(), bounds, bounds[1:])):
-        rows[lo:hi] = row
+    for idx, state, lo, hi in zip(idxs, first.tolist(), bounds, bounds[1:]):
         if state:
-            (h[idx] / norm[state]).cumsum(out=cums[lo:hi])
-    cums[starts[1:] - 1] = np.inf
-    return P_cum, cols, starts, row_of.ravel()
+            (h[idx] / norm[state]).cumsum(out=P_cum[lo:hi])
+    P_cum[starts[1:] - 1] = np.inf
+    row_of = row_of.ravel()
+    return P_cum, np.concatenate(idxs).astype(np.int32), starts[row_of], starts[row_of + 1]
 
 
 @dataclass
-class CliqueChain:
-    """Bundle of ``p``, ``h``, ``g`` and the keyed sampling CDF
-    (``P_cum``, ``cols``, ``starts``, ``row_of``; see ``_compact_cdf``), which
-    ``step`` and ``absorbing_walk`` read; the dense transitions ``P``, which
-    no sampler reads, are formed on first read."""
+class ChainLaw:
+    """``p``, the initial law ``h`` and its rescaling ``g``; the dense
+    transitions ``P`` are formed on first read."""
 
     family: object
     p: float
     at_p0: bool
     h: np.ndarray
     g: np.ndarray
-    P_cum: np.ndarray
-    cols: np.ndarray
-    starts: np.ndarray
-    row_of: np.ndarray
 
     @property
     def n_states(self):
@@ -154,21 +146,72 @@ class CliqueChain:
     def P(self):
         return transition_matrix(self.family, self.h, self.g, at_p0=self.at_p0)
 
+
+def chain_law(family, p, p0):
+    """The law of the clique chain at parameter ``p`` for the principal root
+    ``p0``, with no sampling CDF.
+
+    Boundary behaviour (empty clique unreachable) engages when ``p`` sits at
+    the root in the sense of ``counting.root_position``; callers wanting that
+    regime should pass the computed root itself.
+    """
+    position = root_position(p, p0)
+    if position is RootPosition.OUT_OF_RANGE:
+        raise ParameterOutOfRange(f"p must lie in (0, {p0}], got {p}")
+    at_p0 = position is RootPosition.AT
+    h = h_vector(family, p)
+    if at_p0:
+        # mu(p0) is a float residue near machine epsilon; the boundary chain
+        # sets it to exact zero so the empty clique is truly unreachable
+        h[0] = 0.0
+    g = g_vector(family, p, h)
+    _check_rows(g, at_p0)
+    return ChainLaw(family, p, at_p0, h, g)
+
+
+@dataclass
+class CliqueChain(ChainLaw):
+    """A chain law with its sampling CDF (``P_cum``, ``cols``, ``lo``, ``hi``;
+    see ``_compact_cdf``), which ``step`` and ``absorbing_walk`` read."""
+
+    P_cum: np.ndarray
+    cols: np.ndarray
+    lo: np.ndarray
+    hi: np.ndarray
+
+    @cached_property
+    def _top_stride(self):
+        """The largest power of two below the widest row's width, or 0 when
+        every row has one entry: the strides down to 1 then sum to at least
+        ``width - 1``, the farthest a step moves from the row's start."""
+        width = int((self.hi - self.lo).max())
+        return (1 << (width - 1).bit_length()) >> 1
+
     def step(self, states, u):
         """Next state of each walker in ``states`` (state ``n`` for a first
-        draw) for its uniform in ``u``."""
-        keys = self.row_of[states] + 1j * u
-        return self.cols[np.searchsorted(self.P_cum, keys, side="right")]
+        draw) for its uniform in ``u``.
+
+        ``pos`` is the last entry known to be at most ``u``, starting just
+        before the row; a stride is taken where the entry it reaches, clamped
+        to the row's last, is at most ``u``.  The last entry is ``+inf``, so a
+        clamped stride is never taken and the step lands on ``pos + 1``."""
+        P_cum = self.P_cum
+        pos = self.lo[states] - 1
+        last = self.hi[states] - 1
+        stride = self._top_stride
+        while stride:
+            cand = np.minimum(pos + stride, last)
+            pos += stride * (P_cum[cand] <= u)
+            stride >>= 1
+        return self.cols[pos + 1]
 
     @cached_property
     def _walk_tables(self):
         """The sampling CDF as a scalar walk reads it, one Python float or
-        int per lookup and no numpy scalar: memoryviews of ``P_cum``'s
-        cumulative values and of ``cols``, and the bounds of each state's row
-        as two lists of ``n + 1`` offsets.  Nothing else is copied."""
-        lo = self.starts[self.row_of]
-        hi = self.starts[self.row_of + 1]
-        return memoryview(self.P_cum.imag), memoryview(self.cols), lo.tolist(), hi.tolist()
+        int per lookup and no numpy scalar: memoryviews of ``P_cum`` and of
+        ``cols``, and the bounds of each state's row as two lists of
+        ``n + 1`` offsets.  Nothing else is copied."""
+        return memoryview(self.P_cum), memoryview(self.cols), self.lo.tolist(), self.hi.tolist()
 
     def absorbing_walk(self, rng):
         """Non-empty states of one walk below the root, up to absorption: one
@@ -186,24 +229,10 @@ class CliqueChain:
 
 
 def clique_chain(family, p, p0):
-    """Build the clique chain at parameter ``p`` for the principal root ``p0``.
-
-    Boundary behaviour (empty clique unreachable) engages when ``p`` sits at
-    the root in the sense of ``counting.root_position``; callers wanting that
-    regime should pass the computed root itself.
-    """
-    position = root_position(p, p0)
-    if position is RootPosition.OUT_OF_RANGE:
-        raise ParameterOutOfRange(f"p must lie in (0, {p0}], got {p}")
-    at_p0 = position is RootPosition.AT
-    h = h_vector(family, p)
-    if at_p0:
-        # mu(p0) is a float residue near machine epsilon; the boundary chain
-        # sets it to exact zero so the empty clique is truly unreachable
-        h[0] = 0.0
-    g = g_vector(family, p, h)
-    _check_rows(g, at_p0)
-    return CliqueChain(family, p, at_p0, h, g, *_compact_cdf(family, h, g))
+    """The clique chain at parameter ``p`` for the principal root ``p0``: its
+    law (``chain_law``) and, built eagerly, its sampling CDF."""
+    law = chain_law(family, p, p0)
+    return CliqueChain(family, p, law.at_p0, law.h, law.g, *_compact_cdf(family, law.h, law.g))
 
 
 # -- Parry comparison ---------------------------------------------------------

@@ -4,7 +4,8 @@ Output is line oriented: one ``#`` metadata header, then one object or one
 ``key value`` pair per line, floats with 17 significant digits.  Runs are
 bit-stable for a fixed command line: randomness is keyed by (seed, stream)
 and workers merge in stream order.  Exit codes: 2 usage, 3 bad data,
-4 budget exceeded, 5 numeric failure, 1 failed verification.
+4 budget exceeded, 5 numeric failure, 1 failed verification, 141 (128 +
+SIGPIPE) when the reader closes stdout early, which prints nothing more.
 """
 
 from __future__ import annotations
@@ -31,6 +32,8 @@ from .traces import layers_line, trace_line
 from .verify import verification_report
 
 ENV_CLIQUE_CAP = "TRACEGEN_CLIQUE_CAP"
+EXIT_CLOSED_STDOUT = 141  # 128 + SIGPIPE, as a tool killed by the signal reports
+_WRITE_BLOCK = 1 << 12    # sample lines joined into one stdout write
 
 
 def _f17(x):
@@ -148,8 +151,8 @@ def cmd_sample(ns):
         results = _fan_out(ns, bundle, _exact_lines, k, ns.max_rejects)
     print(header)
     for lines in results:
-        for line in lines:
-            print(line)
+        for i in range(0, len(lines), _WRITE_BLOCK):
+            sys.stdout.write("\n".join(lines[i:i + _WRITE_BLOCK]) + "\n")
     return 0
 
 
@@ -317,7 +320,13 @@ def main(argv=None):
     parser = _build_parser()
     ns = parser.parse_args(argv)
     try:
-        return ns.func(ns)
+        code = ns.func(ns)
+        sys.stdout.flush()  # a closed stdout shows up here, not at exit
+        return code
+    except BrokenPipeError:
+        # the reader has gone: later flushes, the one at exit too, go nowhere
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_CLOSED_STDOUT
     except UsageError as exc:
         parser.error(str(exc))  # exits 2
     except ValueError as exc:

@@ -41,14 +41,15 @@ def iter_bits(mask):
 
 class _LayerJSON(dict):
     """Compact JSON array of a layer's letters, keyed by the layer's mask;
-    each mask is encoded on its first lookup only."""
+    each mask is encoded on its first lookup only, by joining the letters'
+    JSON strings, which are encoded once per alphabet."""
 
-    def __init__(self, letters_of_mask):
+    def __init__(self, letters):
         super().__init__()
-        self.letters_of_mask = letters_of_mask
+        self.quoted = [json.dumps(a) for a in letters]
 
     def __missing__(self, mask):
-        out = self[mask] = json.dumps(self.letters_of_mask(mask), separators=(",", ":"))
+        out = self[mask] = "[" + ",".join([self.quoted[i] for i in iter_bits(mask)]) + "]"
         return out
 
 
@@ -68,7 +69,7 @@ class IndependencePair:
         self.full_mask = (1 << len(self.letters)) - 1
         self.dep_masks = tuple(self.full_mask & ~m for m in self.indep_masks)
         self._index = {a: i for i, a in enumerate(self.letters)}
-        self.layer_json = _LayerJSON(self.letters_of_mask)
+        self.layer_json = _LayerJSON(self.letters)
 
     @property
     def size(self):

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chain import h_vector, parry_matrices
+from .chain import chain_law, h_vector, parry_matrices
 from .counting import VERIFY_IDENTITY_TOL, VERIFY_PRODUCT_TOL, VERIFY_SPECTRAL_TOL
 
 PARAM_GRID = (0.25, 0.5, 0.75, 1.0)   # fractions of the principal root
@@ -110,17 +110,19 @@ def verification_report(bundle):
             # its initial law still normalizes
             h_sum_dev = max(h_sum_dev, abs(float(h_vector(fam, p).sum()) - 1.0))
             continue
-        ch = bundle.chain(p)
-        h_sum_dev = max(h_sum_dev, abs(float(ch.h.sum()) - 1.0))
-        row_sums = ch.P.sum(axis=1)
+        # the law alone: no check reads the sampling CDF
+        law = chain_law(fam, p, p0)
+        h_sum_dev = max(h_sum_dev, abs(float(law.h.sum()) - 1.0))
+        row_sums = law.P.sum(axis=1)
         row_dev = max(row_dev, float(np.abs(row_sums - 1.0).max()))
-        cyl_dev = max(cyl_dev, _cylinder_deviation(ch, max_len))
+        cyl_dev = max(cyl_dev, _cylinder_deviation(law, max_len))
+        if frac == 1.0:
+            boundary = law
     checks.append(_dev_check("h_sum_max_dev", h_sum_dev, VERIFY_IDENTITY_TOL))
     checks.append(_dev_check("row_sum_max_dev", row_dev, VERIFY_IDENTITY_TOL))
     checks.append(_dev_check("cylinder_max_dev", cyl_dev, VERIFY_IDENTITY_TOL))
 
     if bundle.irreducible:
-        boundary = bundle.boundary_chain()
         h_min = float(boundary.h[1:].min())
         checks.append(Check("h_min_nonempty_at_root", h_min, 0.0, h_min > 0.0))
         pp = parry_matrices(fam, p0, boundary.h, boundary.g)

@@ -262,6 +262,21 @@ def test_bundle_chain_cache():
     assert bundle.chain(0.3) is not second
 
 
+def test_chain_law_is_the_chains_law(fig1, cycle5):
+    # clique_chain builds on chain_law: the same p, at_p0, h, g and P, bit
+    # for bit, at the root and below it, with h[0] = 0 at the root only
+    for bundle in (fig1, cycle5):
+        for p in (bundle.p0, 0.5 * bundle.p0):
+            law = chain_mod.chain_law(bundle.family, p, bundle.p0)
+            ch = clique_chain(bundle.family, p, bundle.p0)
+            assert (law.p, law.at_p0) == (ch.p, ch.at_p0) == (p, p == bundle.p0)
+            assert law.h.tobytes() == ch.h.tobytes() and law.g.tobytes() == ch.g.tobytes()
+            assert law.P.tobytes() == ch.P.tobytes()
+            assert (law.h[0] == 0.0) == law.at_p0
+    with pytest.raises(ParameterOutOfRange):
+        chain_mod.chain_law(fig1.family, 2 * fig1.p0, fig1.p0)
+
+
 def test_chain_keeps_P_and_its_cdf_agrees(fig1):
     adm = fig1.family.admissibility
     for p in (0.2, fig1.p0):
@@ -272,16 +287,18 @@ def test_chain_keeps_P_and_its_cdf_agrees(fig1):
         n = ch.n_states
         dense = np.vstack([np.cumsum(ch.P, axis=1), np.cumsum(ch.h)])
         adm_n = np.vstack([adm, np.ones(n, dtype=bool)])
-        for state, row in enumerate(ch.row_of.tolist()):
-            lo, hi = ch.starts[row], ch.starts[row + 1]
-            assert (ch.P_cum.real[lo:hi] == row).all()
+        assert ch.P_cum.dtype == np.float64 and len(ch.lo) == len(ch.hi) == n + 1
+        for state, (lo, hi) in enumerate(zip(ch.lo.tolist(), ch.hi.tolist())):
             assert (ch.cols[lo:hi] == np.flatnonzero(adm_n[state])).all()
-            cum = ch.P_cum.imag[lo:hi]
+            cum = ch.P_cum[lo:hi]
             assert (cum[:-1] == dense[state][adm_n[state]][:-1]).all() and cum[-1] == np.inf
-        # the rows tile the CDF, and each is some state's
-        assert ch.starts[0] == 0 and ch.starts[-1] == len(ch.P_cum)
-        assert (np.diff(ch.starts) > 0).all()
-        assert sorted(set(ch.row_of.tolist())) == list(range(len(ch.starts) - 1))
+        # the rows tile the CDF, each holds one +inf (its last entry), and
+        # each is some state's
+        rows = sorted(set(zip(ch.lo.tolist(), ch.hi.tolist())))
+        assert rows[0][0] == 0 and rows[-1][1] == len(ch.P_cum)
+        assert all(a[1] == b[0] for a, b in zip(rows, rows[1:]))
+        assert all(lo < hi for lo, hi in rows)
+        assert np.isinf(ch.P_cum).sum() == len(rows)
 
 
 def test_compact_cdf_memory_on_c14(monkeypatch):
@@ -308,7 +325,7 @@ def test_compact_cdf_memory_on_c14(monkeypatch):
     # one row per key, and the start state's row holds every clique
     per_state = np.append(np.count_nonzero(fam.admissibility, axis=1), n)
     for ch in chains:
-        first = np.unique(ch.row_of, return_index=True)[1]
+        first = np.unique(ch.lo, return_index=True)[1]
         assert ch.P_cum.size == per_state[first].sum() < per_state.sum()
 
 

@@ -491,3 +491,23 @@ def test_stdout_golden(argv, tmp_path):
     assert res.returncode == 0, res.stderr
     want = next(c["sha256"] for c in GOLDEN["commands"] if c["argv"] == argv)
     assert hashlib.sha256(res.stdout).hexdigest() == want
+
+
+@pytest.mark.parametrize("args", [
+    ("info",),
+    ("sample", "--mode", "boundary", "--k", "6", "--n", "3000"),
+])
+def test_closed_stdout_exits_141_quietly(monoid_files, args):
+    # a reader that has gone (`tracegen ... | head -0`) is no bad data: the
+    # run writes nothing to stderr and exits 128 + SIGPIPE
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        res = subprocess.run(
+            [sys.executable, "-m", "tracegen", args[0], "--monoid", monoid_files["fig1"],
+             *args[1:]],
+            stdout=write, stderr=subprocess.PIPE, text=True, timeout=300,
+        )
+    finally:
+        os.close(write)
+    assert (res.returncode, res.stderr) == (141, "")

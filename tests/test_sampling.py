@@ -1,3 +1,4 @@
+import itertools
 import math
 from bisect import bisect_right
 
@@ -77,8 +78,8 @@ def test_first_state_at_h_total_is_last_clique(irreducible_five):
     for bundle, total in zip(irreducible_five, totals):
         ch = bundle.boundary_chain()
         n = ch.n_states
-        lo, hi = ch.starts[ch.row_of[n]], ch.starts[ch.row_of[n] + 1]
-        first = ch.P_cum.imag[lo:hi].tolist()
+        lo, hi = ch.lo[n], ch.hi[n]
+        first = ch.P_cum[lo:hi].tolist()
         assert ch.cols[lo:hi].tolist() == list(range(n))
         assert first[:-1] == np.cumsum(ch.h)[:-1].tolist() and first[-1] == math.inf
         for u in (total, np.nextafter(1.0, 0.0)):
@@ -116,8 +117,7 @@ def compact_steps_match_dense(chain):
     assert [scalar_step(chain, int(s), float(x)) for s, x in zip(states, u)] == want.tolist()
     # the scalar walk's bounds are those of each state's row, start state n's too
     cums, cols, lo, hi = chain._walk_tables
-    row_of = chain.row_of
-    assert lo == chain.starts[row_of].tolist() and hi == chain.starts[row_of + 1].tolist()
+    assert lo == chain.lo.tolist() and hi == chain.hi.tolist()
     # each state's row: the dense CDF's cumulative sums on its admissible
     # columns bit for bit, ending in +inf on the last one; the start state's
     # row is h's cumulative sums over every clique
@@ -125,20 +125,22 @@ def compact_steps_match_dense(chain):
     dense = np.vstack([np.cumsum(chain.P, axis=1), np.cumsum(chain.h)])
     for state in range(n + 1):
         a, b = lo[state], hi[state]
-        assert (chain.P_cum.real[a:b] == row_of[state]).all()
+        assert np.isinf(chain.P_cum[a:b]).sum() == 1
         assert cols[a:b].tolist() == np.flatnonzero(adm[state]).tolist()
         assert cums[a:b].tolist()[:-1] == dense[state][adm[state]][:-1].tolist()
         assert cums[b - 1] == math.inf
-    assert np.isinf(chain.P_cum.imag).sum() == len(chain.starts) - 1
+    rows = sorted(set(zip(lo, hi)))
+    assert all(x[1] == y[0] for x, y in zip(rows, rows[1:]))
+    assert np.isinf(chain.P_cum).sum() == len(rows)
     # states with equal keys (D(c), g(c)) share a row, and only they do; the
     # start state's key is (every letter, 1.0)
     pair = chain.family.pair
     follow = [*map(pair.follow, chain.family.masks), pair.full_mask]
     keys = list(zip(follow, np.append(chain.g, 1.0).view(np.uint64).tolist()))
     key_of_row = {}
-    for key, row in zip(keys, row_of.tolist()):
+    for key, row in zip(keys, lo):
         assert key_of_row.setdefault(row, key) == key
-    assert len(key_of_row) == len(set(keys)) == len(chain.starts) - 1
+    assert len(key_of_row) == len(set(keys)) == len(rows)
 
 
 def test_compact_steps_match_dense_on_fixtures(irreducible_five, prod32):
@@ -146,6 +148,99 @@ def test_compact_steps_match_dense_on_fixtures(irreducible_five, prod32):
         for cb in bundle.components:
             for p in (bundle.p0, 0.5 * bundle.p0):
                 compact_steps_match_dense(cb.chain(p))
+
+
+def edge_uniforms(stored, total):
+    """Uniforms at a row's edges: 0, each stored cumulative value and the
+    float just below it, the row's float total and the float just above it,
+    and the largest uniform below 1."""
+    u = np.concatenate([[0.0], stored, np.nextafter(stored, -np.inf),
+                        [total, np.nextafter(total, np.inf), np.nextafter(1.0, 0.0)]])
+    return np.unique(u[u >= 0.0])
+
+
+def test_step_kernel_on_every_row_width():
+    # one row of each width 1..18, 32 and 33, with ties (a zero weight
+    # repeats the cumulative value before it): both kernels land inside each
+    # row where searchsorted with side="right" lands, on the +inf entry for
+    # a uniform at or above the row's total
+    rng = np.random.default_rng(5)
+    widths = [*range(1, 19), 32, 33]
+    rows, totals = [], []
+    for w in widths:
+        weights = rng.random(w) * (rng.random(w) < 0.7)
+        cum = np.cumsum(weights / max(weights.sum(), 1.0))
+        totals.append(cum[-1])
+        cum[-1] = np.inf
+        rows.append(cum)
+    bounds = np.cumsum([0, *widths])
+    P_cum = np.concatenate(rows)
+    cols = np.arange(len(P_cum), dtype=np.int32)
+    ch = CliqueChain(None, 0.0, False, None, None, P_cum, cols, bounds[:-1], bounds[1:])
+    for state, (cum, total) in enumerate(zip(rows, totals)):
+        u = edge_uniforms(cum[:-1], total)
+        want = (bounds[state] + np.searchsorted(cum, u, side="right")).tolist()
+        assert want[-1] == bounds[state + 1] - 1
+        assert ch.step(np.full(len(u), state), u).tolist() == want
+        assert [scalar_step(ch, state, float(x)) for x in u] == want
+
+
+def chain_edge_steps(chain):
+    """Every state, the start state n included, with each edge uniform of its
+    row, and the states a searchsorted over its dense CDF row gives them."""
+    n = chain.n_states
+    dense = np.vstack([dense_cdf(chain), np.append(np.cumsum(chain.h)[:-1], np.inf)])
+    totals = np.append(np.cumsum(chain.P, axis=1)[:, -1], np.cumsum(chain.h)[-1])
+    states, us = [], []
+    for state in range(n + 1):
+        u = edge_uniforms(chain.P_cum[chain.lo[state]:chain.hi[state] - 1], totals[state])
+        states.append(np.full(len(u), state))
+        us.append(u)
+    states, us = np.concatenate(states), np.concatenate(us)
+    want = [int(np.searchsorted(dense[s], x, side="right")) for s, x in zip(states, us)]
+    return states, us, want
+
+
+def test_step_edges_agree_with_dense_searchsorted(irreducible_five, prod32):
+    # u at 0, at each stored cumulative value and just below it, at the row's
+    # float total and just above it, and just below 1: the batched step and
+    # the scalar bisect land where a searchsorted over the dense CDF lands,
+    # on rows of widths 1, 2^j (4, 8) and 2^j + 1 (3, 5, 9)
+    widths = set()
+    for bundle in [*irreducible_five, prod32]:
+        for cb in bundle.components:
+            for p in (bundle.p0, 0.5 * bundle.p0):
+                ch = cb.chain(p)
+                widths.update((ch.hi - ch.lo).tolist())
+                states, us, want = chain_edge_steps(ch)
+                assert ch.step(states, us).tolist() == want
+                assert [scalar_step(ch, int(s), float(x)) for s, x in zip(states, us)] == want
+    assert {1, 3, 4, 5, 8, 9} <= widths
+
+
+def test_absorbing_walk_follows_step(irreducible_five, prod32):
+    # below the root, a walk scripted with an edge uniform of the start row,
+    # then one of the state it reaches, then zeros (a zero from any
+    # non-empty state draws the empty clique) visits the states that the
+    # batched step gives for the same uniforms
+    for bundle in [*irreducible_five, prod32]:
+        for cb in bundle.components:
+            ch = cb.chain(0.5 * bundle.p0)
+            n = ch.n_states
+            states, us, _ = chain_edge_steps(ch)
+            by_state = {s: us[states == s].tolist() for s in range(n + 1)}
+            for u1 in by_state[n]:
+                first = int(ch.step(np.array([n]), np.array([u1]))[0])
+                for u2 in by_state[first] if first else [0.0]:
+                    want, state = [], n
+                    for u in (u1, u2, 0.0, 0.0):
+                        state = int(ch.step(np.array([state]), np.array([u]))[0])
+                        if not state:
+                            break
+                        want.append(state)
+                    assert state == 0
+                    script = itertools.chain((u1, u2), itertools.repeat(0.0))
+                    assert ch.absorbing_walk(ScriptedUniform(script)) == want
 
 
 @settings(max_examples=60, deadline=None)

@@ -20,10 +20,12 @@ def test_library_has_no_assert():
 
 
 def test_only_chain_reads_the_cdf_layout():
-    # the compact CDF's layout (row + 1j*cum keys, columns, row offsets, each
-    # state's row, the scalar walk's tables) is known to chain.py alone;
+    # the compact CDF's layout (cumulative values, columns, each state's row
+    # bounds, the search's top stride, the scalar walk's tables; the row
+    # offsets and row index of earlier layouts) is known to chain.py alone;
     # others call its kernels
-    layout = {"P_cum", "cols", "starts", "row_of", "walk_tables", "_walk_tables"}
+    layout = {"P_cum", "cols", "lo", "hi", "_top_stride", "starts", "row_of",
+              "walk_tables", "_walk_tables"}
     found = []
     for path in sorted(SRC.glob("*.py")):
         if path.name == "chain.py":

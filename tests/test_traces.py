@@ -16,6 +16,7 @@ from tracegen import (
     trace_concat,
     trace_from_layers,
     trace_line,
+    validate_independence,
 )
 from tracegen.errors import InvalidTrace, UnknownLetter
 from tracegen.oracle import congruence_closure, enumerate_Mk
@@ -211,6 +212,20 @@ def test_layers_line(fig1):
     assert trace_line(t) == '[["a"],["c"],["a","b"]]'
     assert layers_line(fig1.pair, np.array(t.layers, dtype=np.uint64).tolist()) == trace_line(t)
     assert layers_line(fig1.pair, []) == "[]"
+
+
+def test_layers_line_escapes_as_json_dumps():
+    # each layer is joined from per-letter JSON strings; letters that need
+    # escaping (a quote, a backslash, a non-ASCII letter, a tab) must come
+    # out as json.dumps writes them, in every layer they can form
+    letters = ['"', "\\", "α", "\t"]
+    pair = validate_independence(letters, list(itertools.combinations(letters, 2)),
+                                 symmetric_closure=True)
+    masks = list(range(1, 1 << len(letters)))
+    layers = [pair.letters_of_mask(m) for m in masks]
+    for mask, letters_in in zip(masks, layers):
+        assert layers_line(pair, [mask]) == "[" + json.dumps(letters_in, separators=(",", ":")) + "]"
+    assert layers_line(pair, masks) == json.dumps(layers, separators=(",", ":"))
 
 
 def test_trace_from_layers_validation(fig1):

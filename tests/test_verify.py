@@ -1,6 +1,7 @@
 from hypothesis import given, settings
 
 from tracegen import MonoidBundle, h_vector, validate_independence
+from tracegen import chain as chain_mod
 from tracegen.oracle import cylinder_probability, iter_admissible_chains, path_probability
 from tracegen.verify import (
     PARAM_GRID,
@@ -91,3 +92,16 @@ def test_verification_report_passes_on_random_monoids(graph):
     want = IRREDUCIBLE_CHECKS if bundle.irreducible else REDUCIBLE_CHECKS
     assert [c.name for c in checks] == want
     assert all(c.ok for c in checks), [c for c in checks if not c.ok]
+
+
+def test_verification_report_builds_no_sampling_cdf(monkeypatch, fig1, path4, prod32):
+    # verify reads the chain law (h, g and the dense P) alone: with the
+    # sampling CDF's builder made to raise, each report is the same
+    want = [verification_report(b) for b in (fig1, path4, prod32)]
+
+    def refuse(*args):
+        raise AssertionError("verify built a sampling CDF")
+
+    monkeypatch.setattr(chain_mod, "_compact_cdf", refuse)
+    for bundle, checks in zip((fig1, path4, prod32), want):
+        assert verification_report(bundle) == checks
