@@ -40,6 +40,7 @@ from .monoid import (
 from .sampling import (
     RandomSource,
     sample_subuniform_trace,
+    sample_subuniform_traces,
     sample_uniform_traces,
     topped_prefix_batch,
 )

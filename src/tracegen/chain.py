@@ -25,12 +25,15 @@ first entry of the walker's row above its uniform, as ``searchsorted`` with
 ``side="right"`` would: ``CliqueChain.step`` runs one fixed-stride binary
 search for any number of walkers at once, each inside its own row, with
 strides halving from the widest row's; a walk's first draw is a step from
-``n``.  A single walk below the root (``CliqueChain.absorbing_walk``) runs
-the same lookup as a ``bisect`` between its state's row bounds, read through
-memoryviews and lists, so it makes no numpy array or scalar per step; both
-kernels land on the same state for the same uniform.  A row's cumulative
-sums equal the dense row's there bit for bit (adding the 0.0 of an
-inadmissible entry is exact), so the draws are those of the dense CDF.
+``n``.  One draw below the root (``absorbing_layers``) walks each
+component's chain in turn to absorption with the same lookup, a ``bisect``
+between its state's row bounds read through memoryviews and lists, and ORs
+each state's global mask into the layer of its depth.  It takes one uniform
+per state from a zero-argument callable (``rng.random`` for a single draw,
+values of block draws for a stream) and makes no numpy array or scalar per
+step; both kernels land on the same state for the same uniform.  A row's
+cumulative sums equal the dense row's there bit for bit (adding the 0.0 of
+an inadmissible entry is exact), so the draws are those of the dense CDF.
 Building the rows reads no n x n array; the dense ``P`` is formed only when
 read, which ``verify`` does through the law alone (``chain_law``).
 """
@@ -172,7 +175,7 @@ def chain_law(family, p, p0):
 @dataclass
 class CliqueChain(ChainLaw):
     """A chain law with its sampling CDF (``P_cum``, ``cols``, ``lo``, ``hi``;
-    see ``_compact_cdf``), which ``step`` and ``absorbing_walk`` read."""
+    see ``_compact_cdf``), which ``step`` and ``absorbing_layers`` read."""
 
     P_cum: np.ndarray
     cols: np.ndarray
@@ -213,19 +216,28 @@ class CliqueChain(ChainLaw):
         ``n + 1`` offsets.  Nothing else is copied."""
         return memoryview(self.P_cum), memoryview(self.cols), self.lo.tolist(), self.hi.tolist()
 
-    def absorbing_walk(self, rng):
-        """Non-empty states of one walk below the root, up to absorption: one
-        uniform per state, looked up with ``bisect`` inside the current
-        state's row, the start state's (the last) first."""
-        cums, cols, lo, hi = self._walk_tables
-        states = []
-        state = cols[bisect_right(cums, rng.random(), lo[-1], hi[-1])]
+
+def absorbing_layers(chains, masks, draw):
+    """Global layer masks of one draw below the root: each component's chain
+    in ``chains`` walks in turn to absorption, one uniform from ``draw()`` per
+    state, looked up with ``bisect`` inside the current state's row, the
+    start state's (the last) first.  Each visited state's global mask, from
+    the component's list in ``masks``, is ORed into the layer of its depth."""
+    layers = []
+    for chain, table in zip(chains, masks):
+        cums, cols, lo, hi = chain._walk_tables
+        depth = 0
+        state = cols[bisect_right(cums, draw(), lo[-1], hi[-1])]
         while state:
-            if len(states) >= FINITE_STEP_CAP:
+            if depth >= FINITE_STEP_CAP:
                 raise IterationCap(f"no absorption within {FINITE_STEP_CAP} steps")
-            states.append(state)
-            state = cols[bisect_right(cums, rng.random(), lo[state], hi[state])]
-        return states
+            if depth < len(layers):
+                layers[depth] |= table[state]
+            else:
+                layers.append(table[state])
+            depth += 1
+            state = cols[bisect_right(cums, draw(), lo[state], hi[state])]
+    return layers
 
 
 def clique_chain(family, p, p0):

@@ -24,7 +24,7 @@ from .sampling import (
     RNG_ALGORITHM,
     DEFAULT_REJECT_BUDGET,
     RandomSource,
-    sample_subuniform_trace,
+    sample_subuniform_traces,
     sample_uniform_traces,
     topped_prefix_batch,
 )
@@ -105,7 +105,7 @@ def _boundary_lines(bundle, count, rng, k):
 
 
 def _subuniform_lines(bundle, count, rng, p):
-    return [trace_line(sample_subuniform_trace(bundle, p, rng)) for _ in range(count)]
+    return [trace_line(t) for t in sample_subuniform_traces(bundle, p, count, rng)]
 
 
 def _exact_lines(bundle, count, rng, k, max_rejects):

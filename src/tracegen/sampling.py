@@ -6,22 +6,27 @@ One engine, the clique chain, serves all three regimes:
   ``k`` states are a random boundary prefix (``topped_prefix_batch``);
 * strictly below the root the empty clique absorbs in finite time and the
   non-empty states spell out a random finite trace whose law weights each
-  trace ``x`` by ``p^{|x|}`` (``sample_subuniform_trace``);
+  trace ``x`` by ``p^{|x|}`` (``sample_subuniform_traces``, or
+  ``sample_subuniform_trace`` for one);
 * exactly-uniform length-``k`` traces come from rejection: draw below the
   root at the parameter whose mean length is ``k`` and keep length-``k``
   outcomes, which are equally likely by construction
   (``sample_uniform_traces``).
 
-Batches run many walkers at once through the chain's vectorized step, and a
-single subuniform draw runs its scalar absorbing walk (both in ``chain.py``,
-which owns the CDF layout); every walk's first draw, from the initial law, is
-a step like the others.  Boundary prefixes and rejection share one batched
+Batches run many walkers at once through the chain's vectorized step, and
+each subuniform draw runs the scalar absorbing walk over every component
+(both in ``chain.py``, which owns the CDF layout); every walk's first draw,
+from the initial law, is a step like the others.  A subuniform stream checks
+the parameter and fetches the chains once, then reads its uniforms from
+block draws of the generator: the values one ``rng.random()`` per state
+would give, in the same order, so a stream of ``n`` draws is ``n`` single
+draws.  Boundary prefixes and rejection share one batched
 walk: a row chunk at a time, it steps only the walkers that are neither
 absorbed nor over a length bound (rejection's ``k``; boundary walkers weigh
 every clique 0, so only absorption drops them).
 Reducible monoids run each irreducible component's chain at the same
 parameter and union the layers through the bundle's component-to-global
-gather tables (Python ints for a single draw), which is exactly how the
+gather tables (Python ints for a subuniform draw), which is exactly how the
 product monoid stacks its heaps.
 
 Randomness is counter-based (Philox, 4x64) keyed by ``(seed, stream_id)``:
@@ -35,6 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .chain import absorbing_layers
 from .counting import ACCEPTANCE_FLOOR, RootPosition, root_position
 from .errors import ParameterOutOfRange, RejectBudgetExhausted
 from .traces import Trace
@@ -43,6 +49,7 @@ RNG_ALGORITHM = "philox4x64"
 _MASK64 = (1 << 64) - 1
 _BATCH_CAP = 1 << 18
 _CHUNK_ROWS = 1 << 13  # rows of uniforms drawn and stepped at once
+_DRAW_BLOCK = 1 << 12  # uniforms per block draw of a subuniform stream
 DEFAULT_REJECT_BUDGET = 10 ** 7
 
 
@@ -167,18 +174,39 @@ def sample_uniform_traces(bundle, k, n, rng, max_rejects=DEFAULT_REJECT_BUDGET):
     return traces, 0
 
 
-# -- single draw ---------------------------------------------------------------
+# -- subuniform draws ---------------------------------------------------------
 
-def sample_subuniform_trace(bundle, p, rng):
-    """One finite trace with law proportional to ``p^{length}`` (p below root)."""
+def _below_root(bundle, p):
+    """Each component's chain at ``p`` and its global mask list, for walks
+    that absorb: ``p`` must lie strictly below the root."""
     if root_position(p, bundle.p0) is not RootPosition.BELOW:
         raise ParameterOutOfRange(
             f"subuniform finite sampling needs p strictly below {bundle.p0}"
         )
-    layers = []
-    for cb, table in zip(bundle.components, bundle.component_mask_lists):
-        walk = cb.chain(p).absorbing_walk(rng)
-        layers.extend([0] * (len(walk) - len(layers)))
-        for i, state in enumerate(walk):
-            layers[i] |= table[state]
-    return Trace(bundle.pair, layers)
+    return [cb.chain(p) for cb in bundle.components], bundle.component_mask_lists
+
+
+def _block_uniforms(rng):
+    """``rng``'s uniforms one at a time, drawn ``_DRAW_BLOCK`` at once: a
+    block draw takes one 64-bit output per double, as ``rng.random()`` does,
+    so these are the values repeated single draws would give."""
+    while True:
+        yield from rng.random(_DRAW_BLOCK).tolist()
+
+
+def sample_subuniform_trace(bundle, p, rng):
+    """One finite trace with law proportional to ``p^{length}`` (p below root).
+    It takes one ``rng.random()`` per step of its walks, absorption included."""
+    chains, masks = _below_root(bundle, p)
+    return Trace(bundle.pair, absorbing_layers(chains, masks, rng.random))
+
+
+def sample_subuniform_traces(bundle, p, n, rng):
+    """``n`` draws of ``sample_subuniform_trace`` from one stream: the same
+    traces as ``n`` single draws on the same generator, read from block draws
+    of its uniforms.  The generator is left up to a block past the last
+    uniform used."""
+    chains, masks = _below_root(bundle, p)
+    draw = _block_uniforms(rng).__next__
+    pair = bundle.pair
+    return [Trace(pair, absorbing_layers(chains, masks, draw)) for _ in range(n)]

@@ -1,6 +1,7 @@
 import itertools
 import math
 from bisect import bisect_right
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from tracegen import (
     normalize_word,
     project,
     sample_subuniform_trace,
+    sample_subuniform_traces,
     sample_uniform_traces,
     topped_prefix_batch,
     trace_from_layers,
@@ -21,7 +23,7 @@ from tracegen import (
 )
 from tracegen import chain as chain_mod
 from tracegen import oracle, sampling
-from tracegen.chain import CliqueChain
+from tracegen.chain import CliqueChain, absorbing_layers
 from tracegen.errors import IterationCap, ParameterOutOfRange, RejectBudgetExhausted
 from tracegen.estimate import accumulate_moments, builtin_cost
 from tracegen.monoid import CliqueFamily
@@ -218,6 +220,12 @@ def test_step_edges_agree_with_dense_searchsorted(irreducible_five, prod32):
     assert {1, 3, 4, 5, 8, 9} <= widths
 
 
+def walk_states(chain, draw):
+    """The states of one absorbing walk of ``chain`` alone, read through the
+    layer kernel with each state standing for its own mask."""
+    return absorbing_layers([chain], [range(chain.n_states)], draw)
+
+
 def test_absorbing_walk_follows_step(irreducible_five, prod32):
     # below the root, a walk scripted with an edge uniform of the start row,
     # then one of the state it reaches, then zeros (a zero from any
@@ -240,7 +248,7 @@ def test_absorbing_walk_follows_step(irreducible_five, prod32):
                         want.append(state)
                     assert state == 0
                     script = itertools.chain((u1, u2), itertools.repeat(0.0))
-                    assert ch.absorbing_walk(ScriptedUniform(script)) == want
+                    assert walk_states(ch, ScriptedUniform(script).random) == want
 
 
 @settings(max_examples=60, deadline=None)
@@ -261,9 +269,11 @@ def test_walk_stops_at_step_cap(monkeypatch, fig1):
     monkeypatch.setattr(chain_mod, "FINITE_STEP_CAP", 5)
     chain = fig1.chain(0.2)
     with pytest.raises(IterationCap):
-        chain.absorbing_walk(FixedUniform(np.nextafter(1.0, 0.0)))
-    # five steps and an absorbing sixth draw fit under the cap
-    assert len(chain.absorbing_walk(ScriptedUniform([0.99] * 5 + [0.0]))) == 5
+        walk_states(chain, FixedUniform(np.nextafter(1.0, 0.0)).random)
+    # five steps and an absorbing sixth draw fit under the cap; six do not
+    assert len(walk_states(chain, ScriptedUniform([0.99] * 5 + [0.0]).random)) == 5
+    with pytest.raises(IterationCap):
+        walk_states(chain, ScriptedUniform([0.99] * 6 + [0.0]).random)
 
 
 def test_boundary_prefix_basics(fig1):
@@ -335,12 +345,10 @@ def test_finite_trace_law(fig1):
     p = 0.2
     mu_p = float(fig1.mu(p))
     n = 200_000
-    rng = RandomSource(17).generator()
     counts = {}
-    lengths = np.empty(n)
-    for i in range(n):
-        t = sample_subuniform_trace(fig1, p, rng)
-        lengths[i] = t.length
+    traces = sample_subuniform_traces(fig1, p, n, RandomSource(17).generator())
+    lengths = np.array([t.length for t in traces], dtype=float)
+    for t in traces:
         if t.length <= 3:
             counts[t] = counts.get(t, 0) + 1
     assert within_se(counts.get(Trace(fig1.pair), 0) / n, mu_p, n)
@@ -357,10 +365,45 @@ def test_finite_trace_law(fig1):
 def test_finite_trace_free2_geometric(free2):
     # at p = 1/4 the length is geometric with ratio 1/2
     n = 100_000
-    rng = RandomSource(23).generator()
-    lens = np.array([sample_subuniform_trace(free2, 0.25, rng).length for i in range(n)])
+    traces = sample_subuniform_traces(free2, 0.25, n, RandomSource(23).generator())
+    lens = np.array([t.length for t in traces])
     for m in range(4):
         assert within_se(float((lens == m).mean()), 0.5 ** (m + 1), n, mult=4.5)
+
+
+@pytest.mark.parametrize("block", [1, 3, 7])
+@pytest.mark.parametrize("name, n", [("fig1", 300), ("prod32", 300), ("c14", 60)])
+def test_subuniform_batch_is_the_single_draw_stream(request, monkeypatch, name, n, block):
+    # blocks of 1, 3 and 7 uniforms: refills land mid-walk and between
+    # components, and the batch still reads the generator's values in the
+    # order n single draws on the same (seed, stream) take them
+    bundle = request.getfixturevalue(name)
+    monkeypatch.setattr(sampling, "_DRAW_BLOCK", block)
+    p = 0.9 * bundle.p0
+    rng = RandomSource(9, 3).generator()
+    want = [sample_subuniform_trace(bundle, p, rng) for _ in range(n)]
+    assert sample_subuniform_traces(bundle, p, n, RandomSource(9, 3).generator()) == want
+    assert max(t.height for t in want) > block  # some walk spans a refill
+
+
+@settings(max_examples=60, deadline=None)
+@given(independence_graphs())
+def test_subuniform_batch_matches_single_draws_on_random_monoids(graph):
+    letters, pairs = graph
+    bundle = MonoidBundle(validate_independence(letters, pairs, symmetric_closure=True))
+    p = bundle.p0 / 2
+    rng = RandomSource(5, 1).generator()
+    want = [sample_subuniform_trace(bundle, p, rng) for _ in range(40)]
+    with mock.patch.object(sampling, "_DRAW_BLOCK", 3):
+        got = sample_subuniform_traces(bundle, p, 40, RandomSource(5, 1).generator())
+    assert got == want
+
+
+def test_subuniform_batch_edges(prod32):
+    rng = RandomSource(14).generator()
+    assert sample_subuniform_traces(prod32, 0.25, 0, rng) == []
+    with pytest.raises(ParameterOutOfRange):
+        sample_subuniform_traces(prod32, prod32.p0, 5, rng)
 
 
 def test_uniform_mk_single(fig1):
@@ -513,6 +556,7 @@ def test_samplers_never_form_P(monkeypatch, fig1, prod32):
         topped_prefix_batch(bundle, 6, 20, rng)
         sample_uniform_traces(bundle, 4, 20, rng)
         sample_subuniform_trace(bundle, bundle.p0 / 2, rng)
+        sample_subuniform_traces(bundle, bundle.p0 / 2, 20, rng)
         accumulate_moments(bundle, 4, builtin_cost("height", bundle.pair), 20, rng)
 
 
