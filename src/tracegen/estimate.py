@@ -6,7 +6,10 @@ measure of the lifted cost: the sum of ``phi`` over all length-``k`` left
 divisors of the first ``k`` layers.  Those divisors are the size-``k`` order
 ideals of the prefix's heap, and one forward pass over its layers counts them
 together with their summed heights and summed first-layer sizes; the count
-is the lift of the constant cost, which estimates ``lambda(k)``.
+is the lift of the constant cost, which estimates ``lambda(k)``.  Once a
+partial ideal is short of ``k`` by exactly the occurrences above its layer,
+it has one completion, which the pass checks at once instead of walking on,
+so a prefix with few letters beyond ``k`` is lifted in its first layers.
 ``prefix:u`` is lifted as the divisor count of ``u^-1 x``.  Only these
 builtin costs lift.
 """
@@ -37,16 +40,31 @@ def _divisor_sums(layers, k, pair):
     fixed by the letters it blocks: those depending on an occurrence left out.
     The pass keeps ``(blocked, size) -> (count, sum of first-layer sizes)``
     and, at each layer, takes every subset ``S`` of its unblocked letters; the
-    letters left out block ``D(layer & ~S)``.  A divisor is complete at the
-    layer where its size reaches ``k``, which sets its height.  States that
-    cannot reach ``k`` with the letters above them are dropped.
+    letters left out, ``layer ^ S``, block ``D(layer ^ S)``.  A divisor is
+    complete at the layer where its size reaches ``k``, which sets its height.
+    States that cannot reach ``k`` with the letters above them are dropped.
+
+    Forced completion: when ``S`` leaves the ideal short of ``k`` by exactly
+    the occurrences above layer ``t``, every one of them must be taken, so no
+    state is kept.  That is one divisor, as high as the prefix, iff no letter
+    above ``t`` is blocked: ``(blocked | D(layer ^ S)) & above[t] == 0``,
+    where ``above[t]`` is the union of the layers above ``t``.  The pass ends
+    early once no state is left.
     """
     if k == 0:
         return 1, 0, 0
+    follow = pair.follow
+    top = len(layers)
+    while top and not layers[top - 1]:
+        top -= 1
+    above = [0] * top
+    for t in range(top - 1, 0, -1):
+        above[t - 1] = above[t] | layers[t]
     left = sum(m.bit_count() for m in layers)
     count = heights = firsts = 0
     states = {(0, 0): (1, 0)}
-    for t, layer in enumerate(layers):
+    for t in range(top):
+        layer = layers[t]
         left -= layer.bit_count()
         need = k - left
         nxt = {}
@@ -54,21 +72,28 @@ def _divisor_sums(layers, k, pair):
             avail = layer & ~blocked
             s = avail
             while True:
-                n = s.bit_count()
-                if need <= size + n <= k:
+                m = size + s.bit_count()
+                if need <= m <= k:
                     if t == 0:
-                        f = c * n
-                    if size + n == k:
+                        f = c * m  # size is 0 at layer 0
+                    if m == k:
                         count += c
                         heights += c * (t + 1)
                         firsts += f
+                    elif m == need:
+                        if not (blocked | follow(layer ^ s)) & above[t]:
+                            count += c
+                            heights += c * top
+                            firsts += f
                     else:
-                        key = (blocked | pair.follow(layer & ~s), size + n)
+                        key = (blocked | follow(layer ^ s), m)
                         o = nxt.get(key)
                         nxt[key] = (c, f) if o is None else (o[0] + c, o[1] + f)
                 if not s:
                     break
                 s = (s - 1) & avail
+        if not nxt:
+            break
         states = nxt
     return count, heights, firsts
 

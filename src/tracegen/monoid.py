@@ -53,15 +53,35 @@ class _LayerJSON(dict):
         return out
 
 
+class _Follow(dict):
+    """D(mask), keyed by the mask; each mask is computed on its first lookup
+    only, as the OR of its letters' dependence masks.  Every caller asks for
+    cliques, so the table holds at most one entry per clique."""
+
+    def __init__(self, dep_masks):
+        super().__init__()
+        self.dep_masks = dep_masks
+
+    def __missing__(self, mask):
+        out = 0
+        for i in iter_bits(mask):
+            out |= self.dep_masks[i]
+        self[mask] = out
+        return out
+
+
 class IndependencePair:
     """Alphabet plus independence relation, with per-letter neighbor masks.
 
     ``indep_masks[i]`` holds the letters commuting with letter ``i``;
     ``dep_masks[i]`` is its complement within the alphabet and always contains
-    ``i`` itself (no letter commutes with itself).
+    ``i`` itself (no letter commutes with itself).  The memo tables
+    ``layer_json`` and ``_follow`` are derived from these and take no part in
+    equality or hashing.
     """
 
-    __slots__ = ("letters", "indep_masks", "dep_masks", "full_mask", "_index", "layer_json")
+    __slots__ = ("letters", "indep_masks", "dep_masks", "full_mask", "_index", "layer_json",
+                 "_follow")
 
     def __init__(self, letters, indep_masks):
         self.letters = tuple(letters)
@@ -70,6 +90,7 @@ class IndependencePair:
         self.dep_masks = tuple(self.full_mask & ~m for m in self.indep_masks)
         self._index = {a: i for i, a in enumerate(self.letters)}
         self.layer_json = _LayerJSON(self.letters)
+        self._follow = _Follow(self.dep_masks)
 
     @property
     def size(self):
@@ -94,11 +115,9 @@ class IndependencePair:
         return mask
 
     def follow(self, mask):
-        """D(mask): the letters depending on some letter of ``mask``."""
-        out = 0
-        for i in iter_bits(mask):
-            out |= self.dep_masks[i]
-        return out
+        """D(mask): the letters depending on some letter of ``mask``,
+        memoised per pair."""
+        return self._follow[mask]
 
     def is_clique(self, mask):
         """True iff all distinct members of ``mask`` commute pairwise."""

@@ -31,6 +31,8 @@ from tracegen.oracle import (
     length_k_divisors,
 )
 
+from conftest import independence_graphs
+
 LIFTED = ("height", "first-layer", "one")
 
 
@@ -124,6 +126,53 @@ def test_lift_matches_peeling_walk(name, k, n, request):
         assert _divisor_sums(layers, k, bundle.pair) == divisor_sums_by_peeling(
             layers, k, bundle.pair
         ), layers
+
+
+def test_forced_completion_edges(fig1):
+    pair = fig1.pair
+    abc, aba, abcc = (normalize_word(w, pair) for w in ("abc", "aba", "abcc"))
+    # ab.c at k = 2: leaving out b (or a) would force c, which depends on it,
+    # so only the clique {a, b} is a divisor
+    assert abc.layers == (0b011, 0b100)
+    assert _divisor_sums(abc.layers, 2, pair) == (1, 1, 2)
+    assert theta_k(abc, 2) == 1 == len(length_k_divisors(fig1.family, abc, 2))
+    # ab.a at k = 2: leaving out b forces the second a, which commutes with b
+    assert _divisor_sums(aba.layers, 2, pair) == (2, 3, 3)
+    # ab.c.c at k = 3: no state is left after layer 1, below the top
+    assert abcc.height == 3
+    assert _divisor_sums(abcc.layers, 3, pair) == (1, 2, 2)
+    assert divisor_sums_by_peeling(abcc.layers, 3, pair) == (1, 2, 2)
+    # empty layers above the prefix add no height
+    assert _divisor_sums(abcc.layers + (0, 0), 3, pair) == (1, 2, 2)
+    assert _divisor_sums(aba.layers + (0,), 2, pair) == (2, 3, 3)
+
+
+@pytest.mark.parametrize("name", ["fig1", "prod32", "c14"])
+def test_lift_of_a_prefix_of_size_k(name, request):
+    # a prefix with exactly k letters is its own one divisor
+    bundle = request.getfixturevalue(name)
+    k = 4
+    rows = topped_prefix_batch(bundle, k, 2_000, RandomSource(31).generator()).tolist()
+    tight = [tuple(row) for row in rows if sum(m.bit_count() for m in row) == k]
+    assert tight
+    for layers in tight:
+        want = (1, len(layers), layers[0].bit_count())
+        assert _divisor_sums(layers, k, bundle.pair) == want
+        assert divisor_sums_by_peeling(layers, k, bundle.pair) == want
+
+
+@settings(max_examples=150, deadline=None)
+@given(independence_graphs(), st.data())
+def test_lift_matches_peeling_on_random_monoids(graph, data):
+    # at k = |x|, |x| - 1 and |x| - 2 forced completion decides most divisors
+    letters, pairs = graph
+    pair = validate_independence(letters, pairs, symmetric_closure=True)
+    word = data.draw(st.lists(st.sampled_from(letters), max_size=12))
+    x = normalize_word(word, pair)
+    for k in range(max(0, x.length - 2), x.length + 1):
+        assert _divisor_sums(x.layers, k, pair) == divisor_sums_by_peeling(
+            x.layers, k, pair
+        ), (x.layers, k)
 
 
 @st.composite

@@ -1,8 +1,10 @@
 import json
+import pickle
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tracegen import (
     cf_admissible,
@@ -128,6 +130,34 @@ def test_follow_examples(fig1):
     assert pair.follow(a) == a | c
     assert pair.follow(a | b) == pair.full_mask
     assert pair.follow(c) == pair.full_mask
+
+
+def or_of_dep_masks(pair, mask):
+    out = 0
+    for i in range(pair.size):
+        if mask >> i & 1:
+            out |= pair.dep_masks[i]
+    return out
+
+
+@settings(max_examples=100, deadline=None)
+@given(independence_graphs(), st.data())
+def test_follow_memo_on_random_monoids(graph, data):
+    # D(m) is the OR of the letters' dependence masks on a first lookup, on a
+    # repeat and after a pickle round trip; the memo is not part of equality
+    letters, pairs = graph
+    pair = validate_independence(letters, pairs, symmetric_closure=True)
+    masks = data.draw(st.lists(st.integers(0, pair.full_mask), min_size=1, max_size=12))
+    want = [or_of_dep_masks(pair, m) for m in masks]
+    assert [pair.follow(m) for m in masks] == want
+    assert [pair.follow(m) for m in masks] == want
+    copy = pickle.loads(pickle.dumps(pair))
+    assert [copy.follow(m) for m in range(pair.full_mask + 1)] == [
+        or_of_dep_masks(pair, m) for m in range(pair.full_mask + 1)
+    ]
+    fresh = validate_independence(letters, pairs, symmetric_closure=True)
+    assert pair == fresh and copy == fresh and pair == copy
+    assert hash(pair) == hash(fresh) == hash(copy)
 
 
 def test_cf_admissible_examples(fig1):
