@@ -38,7 +38,8 @@ prod = MonoidBundle(validate_independence(
     symmetric_closure=True,
 ))
 print()
-print("product monoid components:", [cb.pair.letters for cb in prod.components])
+# each component is a letter mask over the one alphabet
+print("product monoid components:", [prod.pair.letters_of_mask(cb.alphabet) for cb in prod.components])
 print("product polynomial:", prod.mu.coefficients, "= (1-3X)(1-2X)")
 print("component roots:", [cb.p0 for cb in prod.components])
 print("global root = min of component roots:", prod.p0)

@@ -37,16 +37,16 @@ print("\na divides acab:", divides(normalize_word("a", pair), t))
 print("b divides acab:", divides(normalize_word("b", pair), t))
 print("(b is stuck above c, so it cannot reach the floor)")
 
-# product monoids split along components, and projections erase the rest
+# product monoids split along components, and projections erase the rest;
+# a component's letters depend on nothing outside it, so they keep their layers
 prod_pair = validate_independence(
     ["x1", "x2", "y1"],
     [("x1", "y1"), ("x2", "y1")],
     symmetric_closure=True,
 )
 prod = MonoidBundle(prod_pair)
-decomp = prod.decomposition
 w = normalize_word(["x1", "y1", "x2", "y1"], prod_pair)
 print("\nproduct monoid trace:", serialize_trace(w))
-for ci in range(len(decomp)):
-    piece = project(w, ci, decomp)
-    print(f"  projection to {decomp.components[ci].letters}:", serialize_trace(piece))
+for cb in prod.components:
+    piece = project(w, cb.alphabet)
+    print(f"  projection to {prod_pair.letters_of_mask(cb.alphabet)}:", serialize_trace(piece))

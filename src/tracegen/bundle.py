@@ -1,18 +1,17 @@
 """Convenience wrapper tying one monoid's derived data together.
 
 Everything downstream (samplers, estimators, the CLI) needs the same handful
-of objects: clique family, clique polynomial, principal root, component
-decomposition, one clique chain.  The bundle computes each lazily, keeps
-those that are read again, and hands out one sub-bundle per irreducible
-component.
+of objects: clique family, clique polynomial, principal root, irreducible
+components, one clique chain.  The bundle computes each lazily, keeps those
+that are read again, and hands out one sub-bundle per irreducible component:
+the same pair restricted to the component's letter mask, so a component's
+cliques, chain states and layers are global masks with no translation.
 """
 
 from __future__ import annotations
 
 import math
 from functools import cached_property
-
-import numpy as np
 
 from .chain import clique_chain
 from .counting import (
@@ -26,9 +25,13 @@ from .monoid import DEFAULT_CLIQUE_CAP, decompose_components, enumerate_cliques,
 
 
 class MonoidBundle:
-    def __init__(self, pair, clique_cap=DEFAULT_CLIQUE_CAP):
+    """The monoid of ``pair`` restricted to the letter mask ``alphabet``
+    (every letter by default)."""
+
+    def __init__(self, pair, clique_cap=DEFAULT_CLIQUE_CAP, alphabet=None):
         self.pair = pair
         self.clique_cap = clique_cap
+        self.alphabet = pair.full_mask if alphabet is None else alphabet
         self._chain = None
 
     @classmethod
@@ -37,7 +40,7 @@ class MonoidBundle:
 
     @cached_property
     def family(self):
-        return enumerate_cliques(self.pair, cap=self.clique_cap)
+        return enumerate_cliques(self.pair, cap=self.clique_cap, alphabet=self.alphabet)
 
     @cached_property
     def mu(self):
@@ -51,35 +54,17 @@ class MonoidBundle:
         # defeats sign-based scanning, so only component polynomials are scanned
         return min(cb.p0 for cb in self.components)
 
-    @cached_property
-    def decomposition(self):
-        return decompose_components(self.pair)
-
     @property
     def irreducible(self):
-        return self.decomposition.irreducible
+        return len(self.components) == 1
 
     @cached_property
     def components(self):
         """One sub-bundle per irreducible component, in first-letter order."""
-        comps = self.decomposition.components
-        if len(comps) == 1 and comps[0] == self.pair:
+        comps = decompose_components(self.pair, self.alphabet)
+        if len(comps) == 1:
             return [self]
-        return [MonoidBundle(comp, clique_cap=self.clique_cap) for comp in comps]
-
-    @cached_property
-    def component_masks(self):
-        """Per component: the global clique mask of each component clique (uint64)."""
-        decomp = self.decomposition
-        return [
-            np.array([decomp.to_global_mask(ci, m) for m in cb.family.masks], dtype=np.uint64)
-            for ci, cb in enumerate(self.components)
-        ]
-
-    @cached_property
-    def component_mask_lists(self):
-        """``component_masks`` as lists of Python ints, for scalar walks."""
-        return [t.tolist() for t in self.component_masks]
+        return [MonoidBundle(self.pair, self.clique_cap, comp) for comp in comps]
 
     def growth(self, n):
         """Trace counts by length, ``lambda(0..n)``."""

@@ -13,23 +13,25 @@ with the Parry chain of the weighted clique automaton.
 A chain stores its whole law compactly, and only this module reads that
 layout.  Row ``c`` of the transitions is ``h(c')/g(c)`` over the cliques
 ``c' ⊆ D(c)``, so it depends on ``c`` only through the key ``(D(c), g(c))``,
-g taken bitwise; the start state ``n`` has the key (every letter, 1.0), so
-its row is ``cumsum(h)``.  Each distinct key's row is stored once, as its
-cumulative sums over its admissible columns, and each row ends in ``+inf`` on
-its last column, so a uniform at or above the row's float total (which can
-fall short of 1) stays inside the row.  Row 0 is the empty clique's point
-mass: its D alone is empty.  ``P_cum`` is one ``float64`` array of the rows'
-cumulative values, ``cols`` holds each entry's column, and state ``s``'s row
-is ``[lo[s], hi[s])`` for each of the ``n + 1`` states.  A step lands on the
-first entry of the walker's row above its uniform, as ``searchsorted`` with
-``side="right"`` would: ``CliqueChain.step`` runs one fixed-stride binary
-search for any number of walkers at once, each inside its own row, with
-strides halving from the widest row's; a walk's first draw is a step from
-``n``.  One draw below the root (``absorbing_layers``) walks each
-component's chain in turn to absorption with the same lookup, a ``bisect``
-between its state's row bounds read through memoryviews and lists, and ORs
-each state's global mask into the layer of its depth.  It takes one uniform
-per state from a zero-argument callable (``rng.random`` for a single draw,
+g taken bitwise; the start state ``n`` has the key (the family's alphabet,
+1.0), so its row is ``cumsum(h)``.  Each distinct key's row is stored once,
+as its cumulative sums over its admissible columns, and each row ends in
+``+inf`` on its last column, so a uniform at or above the row's float total
+(which can fall short of 1) stays inside the row.  Row 0 is the empty
+clique's point mass: its D alone is empty.  ``P_cum`` is one ``float64``
+array of the rows' cumulative values, ``cols`` holds each entry's column,
+and state ``s``'s row is ``[lo[s], hi[s])`` for each of the ``n + 1``
+states.  A step lands on the first entry of the walker's row above its
+uniform, as ``searchsorted`` with ``side="right"`` would:
+``CliqueChain.step`` runs one fixed-stride binary search for any number of
+walkers at once, each inside its own row, with strides halving from the
+widest row's; a walk's first draw is a step from ``n``.  One draw below the
+root (``absorbing_layers``) walks each component's chain in turn to
+absorption with the same lookup, a ``bisect`` between its state's row bounds
+read through memoryviews and lists, and ORs each state's clique mask into
+the layer of its depth: a component's cliques are masks over the whole
+alphabet, so the OR is the product monoid's layer.  It takes one uniform per
+state from a zero-argument callable (``rng.random`` for a single draw,
 values of block draws for a stream) and makes no numpy array or scalar per
 step; both kernels land on the same state for the same uniform.  A row's
 cumulative sums equal the dense row's there bit for bit (adding the 0.0 of
@@ -113,8 +115,7 @@ def transition_matrix(family, h, g, at_p0=False):
 def _compact_cdf(family, h, g):
     """The CDF of the module docstring: ``(P_cum, cols, lo, hi)``.  The
     empty clique's row skips the division, as at the root ``g[0] = 0``."""
-    pair = family.pair
-    follow = np.array([*map(pair.follow, family.masks), pair.full_mask], dtype=np.uint64)
+    follow = np.array([*map(family.pair.follow, family.masks), family.alphabet], dtype=np.uint64)
     norm = np.append(g, 1.0)
     keys = np.stack([follow, norm.view(np.uint64)], axis=1)
     _, first, row_of = np.unique(keys, axis=0, return_index=True, return_inverse=True)
@@ -217,14 +218,15 @@ class CliqueChain(ChainLaw):
         return memoryview(self.P_cum), memoryview(self.cols), self.lo.tolist(), self.hi.tolist()
 
 
-def absorbing_layers(chains, masks, draw):
-    """Global layer masks of one draw below the root: each component's chain
-    in ``chains`` walks in turn to absorption, one uniform from ``draw()`` per
+def absorbing_layers(chains, draw):
+    """Layer masks of one draw below the root: each component's chain in
+    ``chains`` walks in turn to absorption, one uniform from ``draw()`` per
     state, looked up with ``bisect`` inside the current state's row, the
-    start state's (the last) first.  Each visited state's global mask, from
-    the component's list in ``masks``, is ORed into the layer of its depth."""
+    start state's (the last) first.  Each visited state's clique mask is ORed
+    into the layer of its depth."""
     layers = []
-    for chain, table in zip(chains, masks):
+    for chain in chains:
+        table = chain.family.masks
         cums, cols, lo, hi = chain._walk_tables
         depth = 0
         state = cols[bisect_right(cums, draw(), lo[-1], hi[-1])]
@@ -283,7 +285,7 @@ def parry_matrices(family, p0, h, g):
     Only defined when the clique automaton is strongly connected, i.e. for
     irreducible monoids; reducible input is refused.
     """
-    if not decompose_components(family.pair).irreducible:
+    if len(decompose_components(family.pair, family.alphabet)) > 1:
         raise ReducibleMonoid(
             "the Parry construction needs an irreducible monoid; "
             "this one splits into several independent components"

@@ -88,7 +88,8 @@ def cmd_info(ns):
     comps = bundle.components
     print(f"components {len(comps)}")
     for ci, cb in enumerate(comps):
-        print(f"component {ci} letters=" + ",".join(cb.pair.letters) + f" p0={_f18(cb.p0)}")
+        letters = ",".join(bundle.pair.letters_of_mask(cb.alphabet))
+        print(f"component {ci} letters={letters} p0={_f18(cb.p0)}")
     print(f"cliques {len(bundle.family)}")
     print("mobius " + " ".join(str(c) for c in bundle.mu.coefficients))
     print(f"p0 {_f18(p0)}")

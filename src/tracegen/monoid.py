@@ -8,6 +8,12 @@ independence graph are the sets of pairwise-commuting letters and the states
 of the automaton whose paths are exactly the normal forms of traces: clique
 ``c'`` may follow ``c`` iff ``c' ⊆ D(c)``, where ``D(c) = pair.follow(c)``
 holds the letters that depend on some letter of ``c``.
+
+Every mask, in every module, numbers the letters of the one alphabet.  An
+irreducible component (``decompose_components``) is a letter mask too, and
+its cliques (``enumerate_cliques`` with that mask) are cliques of the whole
+pair: no letter is renumbered, so a component's layers are already layers of
+the product monoid.
 """
 
 from __future__ import annotations
@@ -185,7 +191,8 @@ def validate_independence(raw_letters, raw_pairs, symmetric_closure=False):
 
 
 class CliqueFamily:
-    """All cliques of the independence graph, indexed and wired together.
+    """All cliques of the independence graph inside the letter mask
+    ``alphabet``, indexed and wired together.
 
     Cliques are ordered by size then numerically by mask, so index 0 is the
     empty clique and orderings (hence matrices, outputs) are deterministic.
@@ -195,10 +202,11 @@ class CliqueFamily:
     it (the clique chain finds its columns from ``D(c)`` itself).
     """
 
-    __slots__ = ("pair", "masks", "sizes", "by_mask", "masks_np", "_adm")
+    __slots__ = ("pair", "alphabet", "masks", "sizes", "by_mask", "masks_np", "_adm")
 
-    def __init__(self, pair, masks):
+    def __init__(self, pair, masks, alphabet):
         self.pair = pair
+        self.alphabet = alphabet
         self.masks = tuple(masks)
         self.sizes = np.array([m.bit_count() for m in self.masks], dtype=np.int64)
         self.by_mask = {m: i for i, m in enumerate(self.masks)}
@@ -233,8 +241,12 @@ def cf_admissible(pair, c, c2):
     return not c2 & ~pair.follow(c)
 
 
-def enumerate_cliques(pair, cap=DEFAULT_CLIQUE_CAP):
-    """Enumerate every clique of ``(A, I)``, empty clique included."""
+def enumerate_cliques(pair, cap=DEFAULT_CLIQUE_CAP, alphabet=None):
+    """Enumerate every clique of ``(A, I)`` inside the letter mask
+    ``alphabet`` (every letter by default), empty clique included."""
+    if alphabet is None:
+        alphabet = pair.full_mask
+    letters = list(iter_bits(alphabet))
     masks = []
 
     def grow(mask, start):
@@ -243,92 +255,39 @@ def enumerate_cliques(pair, cap=DEFAULT_CLIQUE_CAP):
             raise CliqueExplosion(
                 f"more than {cap} cliques; raise the cap to proceed"
             )
-        for i in range(start, pair.size):
-            bit = 1 << i
+        for pos in range(start, len(letters)):
+            i = letters[pos]
             # letter i joins iff every current member commutes with it
             if mask & ~pair.indep_masks[i] == 0:
-                grow(mask | bit, i + 1)
+                grow(mask | 1 << i, pos + 1)
 
     grow(0, 0)
     masks.sort(key=lambda m: (m.bit_count(), m))
-    return CliqueFamily(pair, masks)
+    return CliqueFamily(pair, masks, alphabet)
 
 
-class ComponentDecomposition:
-    """Partition of the alphabet into connected pieces of the dependence graph.
+def decompose_components(pair, alphabet=None):
+    """Connected components of the dependence graph on the letter mask
+    ``alphabet`` (every letter by default), as letter masks in first-letter
+    order.
 
     Letters in different components commute, so the monoid is the direct
     product of the component monoids; a single component means the monoid is
     irreducible.
     """
-
-    __slots__ = ("components", "letter_map", "global_indices")
-
-    def __init__(self, components, letter_map, global_indices):
-        self.components = tuple(components)
-        self.letter_map = tuple(letter_map)
-        self.global_indices = tuple(tuple(g) for g in global_indices)
-
-    def __len__(self):
-        return len(self.components)
-
-    @property
-    def irreducible(self):
-        return len(self.components) == 1
-
-    def to_global_mask(self, component_index, local_mask):
-        gidx = self.global_indices[component_index]
-        mask = 0
-        for b in iter_bits(local_mask):
-            mask |= 1 << gidx[b]
-        return mask
-
-    def split_mask(self, mask):
-        """Split a global letter mask into per-component local masks."""
-        locals_ = [0] * len(self.components)
-        for g in iter_bits(mask):
-            ci, li = self.letter_map[g]
-            locals_[ci] |= 1 << li
-        return locals_
-
-
-def decompose_components(pair):
-    """Connected components of the dependence graph, in first-letter order."""
-    n = pair.size
-    comp_of = [-1] * n
-    order = []
-    for start in range(n):
-        if comp_of[start] >= 0:
-            continue
-        ci = len(order)
-        members = []
-        stack = [start]
-        comp_of[start] = ci
-        while stack:
-            i = stack.pop()
-            members.append(i)
-            for j in iter_bits(pair.dep_masks[i] & ~(1 << i)):
-                if comp_of[j] < 0:
-                    comp_of[j] = ci
-                    stack.append(j)
-        order.append(sorted(members))
-
+    rest = pair.full_mask if alphabet is None else alphabet
     components = []
-    letter_map = [None] * n
-    for ci, members in enumerate(order):
-        letters = [pair.letters[g] for g in members]
-        local_of = {g: l for l, g in enumerate(members)}
-        masks = []
-        for g in members:
-            local_mask = 0
-            for g2 in iter_bits(pair.indep_masks[g]):
-                if comp_of[g2] == ci:
-                    local_mask |= 1 << local_of[g2]
-            masks.append(local_mask)
-        components.append(IndependencePair(letters, masks))
-        for g in members:
-            letter_map[g] = (ci, local_of[g])
-    return ComponentDecomposition(components, letter_map, order)
+    while rest:
+        comp = frontier = rest & -rest
+        while frontier:
+            reach = 0
+            for i in iter_bits(frontier):
+                reach |= pair.dep_masks[i]
+            frontier = reach & rest & ~comp
+            comp |= frontier
+        components.append(comp)
+        rest &= ~comp
+    return tuple(components)
 
 
 # -- monoid files ------------------------------------------------------------

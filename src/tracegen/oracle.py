@@ -229,7 +229,7 @@ def _chain_states_batch(chain, k, n, rng):
 def all_walker_prefix_batch(bundle, k, n, rng):
     """``topped_prefix_batch`` stepping every walker k times per component."""
     chains = [cb.chain(bundle.p0) for cb in bundle.components]
-    return _layer_union(bundle, [_chain_states_batch(ch, k, n, rng) for ch in chains])
+    return _layer_union(chains, [_chain_states_batch(ch, k, n, rng) for ch in chains])
 
 
 def all_walker_uniform_traces(bundle, k, n, rng, max_rejects=DEFAULT_REJECT_BUDGET):
@@ -256,7 +256,7 @@ def all_walker_uniform_traces(bundle, k, n, rng, max_rejects=DEFAULT_REJECT_BUDG
         hists = [_chain_states_batch(ch, k + 1, batch, rng) for ch in chains]
         total_len = sum(sz[hist].sum(axis=1) for sz, hist in zip(sizes, hists))
         acc_idx = np.flatnonzero(total_len == k)
-        gm = _layer_union(bundle, [hist[acc_idx] for hist in hists])
+        gm = _layer_union(chains, [hist[acc_idx] for hist in hists])
         for r, i in enumerate(acc_idx.tolist()):
             traces.append(Trace(pair, [int(m) for m in gm[r] if m]))
             if len(traces) == n:

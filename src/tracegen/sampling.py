@@ -25,9 +25,9 @@ walk: a row chunk at a time, it steps only the walkers that are neither
 absorbed nor over a length bound (rejection's ``k``; boundary walkers weigh
 every clique 0, so only absorption drops them).
 Reducible monoids run each irreducible component's chain at the same
-parameter and union the layers through the bundle's component-to-global
-gather tables (Python ints for a subuniform draw), which is exactly how the
-product monoid stacks its heaps.
+parameter and OR the components' layers, depth by depth: a component's
+cliques are masks over the whole alphabet, so a state's clique is its letters
+in the product, which is exactly how the product monoid stacks its heaps.
 
 Randomness is counter-based (Philox, 4x64) keyed by ``(seed, stream_id)``:
 identical sources replay identical streams and distinct stream ids give
@@ -65,12 +65,12 @@ class RandomSource:
         return np.random.Generator(np.random.Philox(key=key))
 
 
-def _layer_union(bundle, states):
-    """Global layer masks from per-component state arrays of one shape, one
-    row per walker and one column per layer."""
+def _layer_union(chains, states):
+    """Layer masks from per-component state arrays of one shape, one row per
+    walker and one column per layer: the OR of each state's clique mask."""
     out = np.zeros(states[0].shape, dtype=np.uint64)
-    for table, s in zip(bundle.component_masks, states):
-        out |= table[s]
+    for chain, s in zip(chains, states):
+        out |= chain.family.masks_np[s]
     return out
 
 
@@ -124,7 +124,7 @@ def _walk_batch(chains, sizes, bound, steps, batch, rng):
 
 
 def topped_prefix_batch(bundle, k, n, rng):
-    """(n, k) global layer masks of the first ``k`` layers under the uniform law.
+    """(n, k) layer masks of the first ``k`` layers under the uniform law.
 
     Each component runs its chain at the global root: the boundary chain where
     that is the component's own root, the absorbing chain elsewhere.  Every
@@ -134,7 +134,7 @@ def topped_prefix_batch(bundle, k, n, rng):
     chains = [cb.chain(bundle.p0) for cb in bundle.components]
     weightless = [np.zeros(chain.n_states, dtype=np.uint8) for chain in chains]
     _, hists = _walk_batch(chains, weightless, 0, k, n, rng)
-    return _layer_union(bundle, [hist.T for hist in hists])
+    return _layer_union(chains, [hist.T for hist in hists])
 
 
 def sample_uniform_traces(bundle, k, n, rng, max_rejects=DEFAULT_REJECT_BUDGET):
@@ -162,7 +162,7 @@ def sample_uniform_traces(bundle, k, n, rng, max_rejects=DEFAULT_REJECT_BUDGET):
         batch = min(batch, n + max_rejects - closed)
         total_len, hists = _walk_batch(chains, sizes, k, k + 1, batch, rng)
         acc_idx = np.flatnonzero(total_len == k)
-        gm = _layer_union(bundle, [hist[:, acc_idx].T for hist in hists])
+        gm = _layer_union(chains, [hist[:, acc_idx].T for hist in hists])
         heights = (gm != 0).sum(axis=1).tolist()
         for r, i in enumerate(acc_idx.tolist()):
             traces.append(Trace(pair, gm[r, : heights[r]].tolist()))
@@ -177,13 +177,13 @@ def sample_uniform_traces(bundle, k, n, rng, max_rejects=DEFAULT_REJECT_BUDGET):
 # -- subuniform draws ---------------------------------------------------------
 
 def _below_root(bundle, p):
-    """Each component's chain at ``p`` and its global mask list, for walks
-    that absorb: ``p`` must lie strictly below the root."""
+    """Each component's chain at ``p``, for walks that absorb: ``p`` must lie
+    strictly below the root."""
     if root_position(p, bundle.p0) is not RootPosition.BELOW:
         raise ParameterOutOfRange(
             f"subuniform finite sampling needs p strictly below {bundle.p0}"
         )
-    return [cb.chain(p) for cb in bundle.components], bundle.component_mask_lists
+    return [cb.chain(p) for cb in bundle.components]
 
 
 def _block_uniforms(rng):
@@ -197,8 +197,7 @@ def _block_uniforms(rng):
 def sample_subuniform_trace(bundle, p, rng):
     """One finite trace with law proportional to ``p^{length}`` (p below root).
     It takes one ``rng.random()`` per step of its walks, absorption included."""
-    chains, masks = _below_root(bundle, p)
-    return Trace(bundle.pair, absorbing_layers(chains, masks, rng.random))
+    return Trace(bundle.pair, absorbing_layers(_below_root(bundle, p), rng.random))
 
 
 def sample_subuniform_traces(bundle, p, n, rng):
@@ -206,7 +205,7 @@ def sample_subuniform_traces(bundle, p, n, rng):
     traces as ``n`` single draws on the same generator, read from block draws
     of its uniforms.  The generator is left up to a block past the last
     uniform used."""
-    chains, masks = _below_root(bundle, p)
+    chains = _below_root(bundle, p)
     draw = _block_uniforms(rng).__next__
     pair = bundle.pair
-    return [Trace(pair, absorbing_layers(chains, masks, draw)) for _ in range(n)]
+    return [Trace(pair, absorbing_layers(chains, draw)) for _ in range(n)]

@@ -158,16 +158,18 @@ def divides(u, v):
     return left_quotient(u.layers, v.layers, u.pair) is not None
 
 
-def project(u, component_index, decomposition):
-    """Erase letters outside one irreducible component and renormalize."""
-    comp = decomposition.components[component_index]
-    indices = []
+def project(u, alphabet):
+    """Erase the letters outside ``alphabet``, a letter mask that is a union
+    of irreducible components.  Its letters depend on no letter outside it,
+    so they keep their layers, which fill a prefix of the heap: the masked
+    layers, cut at the first empty one."""
+    layers = []
     for mask in u.layers:
-        for g in iter_bits(mask):
-            ci, li = decomposition.letter_map[g]
-            if ci == component_index:
-                indices.append(li)
-    return Trace(comp, _normalize_indices(indices, comp))
+        mask &= alphabet
+        if not mask:
+            break
+        layers.append(mask)
+    return Trace(u.pair, layers)
 
 
 # -- serialization -----------------------------------------------------------

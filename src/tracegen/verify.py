@@ -78,16 +78,15 @@ def _product_factorization_deviation(bundle, p):
     """
     fam = bundle.family
     h_global = h_vector(fam, p)
-    split = [bundle.decomposition.split_mask(m) for m in fam.masks]
     powers = np.array([p ** k for k in range(fam.max_clique_size + 1)])
     c1, c2 = np.nonzero(fam.admissibility)
     one = np.ones(len(fam))
     two = np.ones(len(c1))
-    for ci, cb in enumerate(bundle.components):
-        local = np.array([cb.family.index_of(s[ci]) for s in split])
+    for cb in bundle.components:
+        index = np.array([cb.family.index_of(m & cb.alphabet) for m in fam.masks])
         h_c = h_vector(cb.family, p)
-        one = one * h_c[local]
-        two = two * (powers[cb.family.sizes[local[c1]]] * h_c[local[c2]])
+        one = one * h_c[index]
+        two = two * (powers[cb.family.sizes[index[c1]]] * h_c[index[c2]])
     one_dev = np.abs(h_global - one).max()
     two_dev = np.abs(powers[fam.sizes[c1]] * h_global[c2] - two).max()
     return float(max(one_dev, two_dev))

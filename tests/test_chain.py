@@ -215,37 +215,30 @@ def test_parry_refuses_reducible(prod32):
         parry_matrices(prod32.family, prod32.p0, h, g)
 
 
-def component_h(bundle, ci, p):
-    cb = bundle.components[ci]
-    return h_vector(cb.family, p), cb.family
-
-
 def test_product_factorization_exact(prod32):
     # the layer laws of a product monoid factor across components, one- and
-    # two-layer events alike
+    # two-layer events alike; a component's part of a clique is its mask
+    # restricted to the component's letters
     fam = prod32.family
-    decomp = prod32.decomposition
     for p in (prod32.p0, prod32.p0 / 2):
         h_global = h_vector(fam, p)
-        comp_data = [component_h(prod32, ci, p) for ci in range(2)]
+        comp_data = [(cb.alphabet, cb.family, h_vector(cb.family, p))
+                     for cb in prod32.components]
 
         def factored_h(mask):
             out = 1.0
-            for ci, local in enumerate(decomp.split_mask(mask)):
-                h_c, fam_c = comp_data[ci]
-                out *= h_c[fam_c.index_of(local)]
+            for alphabet, fam_c, h_c in comp_data:
+                out *= h_c[fam_c.index_of(mask & alphabet)]
             return out
 
         for idx, mask in enumerate(fam.masks):
             assert abs(h_global[idx] - factored_h(mask)) < 1e-10
         for c1, c2 in iter_admissible_chains(fam, 2):
             joint = p ** int(fam.sizes[c1]) * h_global[c2]
-            split1 = decomp.split_mask(fam.masks[c1])
-            split2 = decomp.split_mask(fam.masks[c2])
             prod = 1.0
-            for ci in range(2):
-                h_c, fam_c = comp_data[ci]
-                prod *= p ** split1[ci].bit_count() * h_c[fam_c.index_of(split2[ci])]
+            for alphabet, fam_c, h_c in comp_data:
+                part1, part2 = fam.masks[c1] & alphabet, fam.masks[c2] & alphabet
+                prod *= p ** part1.bit_count() * h_c[fam_c.index_of(part2)]
             assert abs(joint - prod) < 1e-10
 
 

@@ -345,22 +345,33 @@ def cap_address_space():
     resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
 
 
-def test_near3comp_samplers_fit_in_one_gib(tmp_path):
-    # 64 letters in blocks of 20, 20 and 24, joined by two dependent pairs:
-    # 10 980 cliques but only 14 distinct follow sets D(c), so every sampler
-    # command must finish under the cap (verify still needs a dense n x n P)
-    spec = block_spec(tmp_path / "near3comp.json", (20, 20, 24), {(0, 20), (20, 40)})
+def assert_samplers_fit_in_one_gib(spec, warnings):
+    """Every sampler command on ``spec`` finishes under a 1 GiB cap (verify
+    still needs a dense n x n P); ``estimate`` prints ``warnings`` more lines."""
     p = 0.5 * MonoidBundle(load_monoid(spec)).p0
     for args, lines in ((("sample", "--mode", "boundary", "--k", "5", "--n", "3"), 4),
                         (("sample", "--mode", "exact-k", "--k", "5", "--n", "3"), 4),
                         (("sample", "--mode", "subuniform", "--p", repr(p), "--n", "3"), 4),
-                        (("estimate", "--k", "5", "--n", "10"), 11),
+                        (("estimate", "--k", "5", "--n", "10"), 11 + warnings),
                         (("count", "--k", "5", "--mc", "--n", "10"), 4)):
         res = run_cli(args[0], "--monoid", spec, *args[1:], env={"OPENBLAS_NUM_THREADS": "1"},
                       preexec_fn=cap_address_space)
         assert res.returncode == 0, (args, res.stderr)
         assert len(res.stdout.splitlines()) == lines, args
         assert "Traceback" not in res.stderr, args
+
+
+def test_near3comp_samplers_fit_in_one_gib(tmp_path):
+    # 64 letters in blocks of 20, 20 and 24, joined by two dependent pairs:
+    # 10 980 cliques but only 14 distinct follow sets D(c)
+    assert_samplers_fit_in_one_gib(
+        block_spec(tmp_path / "near3comp.json", (20, 20, 24), {(0, 20), (20, 40)}), 0)
+
+
+def test_free3comp_samplers_fit_in_one_gib(tmp_path):
+    # the same blocks left apart: three components, the last holding bit 63,
+    # and estimate adds its reducible warning
+    assert_samplers_fit_in_one_gib(block_spec(tmp_path / "free3comp.json", (20, 20, 24)), 1)
 
 
 def test_k_zero(monoid_files):

@@ -1,3 +1,4 @@
+import itertools
 import json
 import pickle
 
@@ -24,6 +25,7 @@ from tracegen.errors import (
     UnknownLetter,
     UnknownLetterInPair,
 )
+from tracegen.monoid import iter_bits
 from tracegen.oracle import letter_admissible
 
 from conftest import independence_graphs, make_bundle
@@ -190,28 +192,26 @@ def test_clique_cap():
 
 
 def test_decompose_fig1(fig1):
-    decomp = decompose_components(fig1.pair)
-    assert len(decomp) == 1 and decomp.irreducible
+    assert decompose_components(fig1.pair) == (0b111,)
+    assert fig1.irreducible and fig1.components == [fig1]
 
 
 def test_decompose_free2(free2):
-    assert decompose_components(free2.pair).irreducible
+    assert decompose_components(free2.pair) == (free2.pair.full_mask,)
 
 
 def test_decompose_prod32(prod32):
-    decomp = decompose_components(prod32.pair)
-    assert len(decomp) == 2
-    assert decomp.components[0].letters == ("a1", "a2", "a3")
-    assert decomp.components[1].letters == ("b1", "b2")
-    # letters in one component are mutually dependent here (free factors)
-    assert decomp.components[0].indep_masks == (0, 0, 0)
-    # letter_map returns to the right component and slot
-    for g, letter in enumerate(prod32.pair.letters):
-        ci, li = decomp.letter_map[g]
-        assert decomp.components[ci].letters[li] == letter
-    # mask round trip
-    assert decomp.to_global_mask(1, 0b10) == 1 << 4
-    assert decomp.split_mask(0b10011) == [0b011, 0b10]
+    pair = prod32.pair
+    comps = decompose_components(pair)
+    assert comps == (pair.mask_of_letters(["a1", "a2", "a3"]),
+                     pair.mask_of_letters(["b1", "b2"]))
+    # a component's cliques keep the global bit positions: here each factor
+    # is free, so its cliques are the empty one and its single letters
+    for cb, comp in zip(prod32.components, comps):
+        assert cb.pair is pair and cb.alphabet == cb.family.alphabet == comp
+        assert cb.family.masks == (0, *(1 << i for i in iter_bits(comp)))
+    # a component splits no further
+    assert decompose_components(pair, comps[1]) == (comps[1],)
 
 
 def test_component_independence_restricted():
@@ -221,12 +221,58 @@ def test_component_independence_restricted():
     )
     # d commutes with everything, so {d} is its own component;
     # a,b,c stay connected through c and keep their internal independence
-    decomp = decompose_components(bundle.pair)
-    assert len(decomp) == 2
-    comp0 = decomp.components[0]
-    assert comp0.letters == ("a", "b", "c")
-    assert comp0.independent(0, 1) and not comp0.independent(1, 2)
-    assert decomp.components[1].letters == ("d",)
+    assert decompose_components(bundle.pair) == (0b0111, 0b1000)
+    abc = bundle.components[0].family
+    assert abc.alphabet == 0b0111
+    assert abc.masks == (0, 0b001, 0b010, 0b100, 0b011)
+    assert bundle.components[1].family.masks == (0, 0b1000)
+
+
+def dependence_connected(pair, letters):
+    """Do the letter indices ``letters`` form one connected piece of the
+    dependence graph?  A search over letter pairs, one at a time."""
+    seen, todo = {letters[0]}, [letters[0]]
+    while todo:
+        i = todo.pop()
+        for j in letters:
+            if j not in seen and not pair.independent(i, j):
+                seen.add(j)
+                todo.append(j)
+    return len(seen) == len(letters)
+
+
+@settings(max_examples=100, deadline=None)
+@given(independence_graphs())
+def test_components_partition_the_alphabet(graph):
+    # the component masks are disjoint, cover every letter, come in
+    # first-letter order, are each connected, and commute with each other
+    letters, pairs = graph
+    pair = validate_independence(letters, pairs, symmetric_closure=True)
+    comps = decompose_components(pair)
+    assert sum(comps) == pair.full_mask
+    assert all(a & b == 0 for a, b in itertools.combinations(comps, 2))
+    firsts = [comp & -comp for comp in comps]
+    assert firsts == sorted(firsts)
+    for comp in comps:
+        assert dependence_connected(pair, list(iter_bits(comp)))
+    for a, b in itertools.combinations(comps, 2):
+        assert all(pair.independent(i, j) for i in iter_bits(a) for j in iter_bits(b))
+
+
+@settings(max_examples=100, deadline=None)
+@given(independence_graphs())
+def test_component_families_are_the_cliques_inside_their_masks(graph):
+    # a component's family is the global family's cliques inside its mask,
+    # in the global order, on the global bit positions
+    letters, pairs = graph
+    bundle = make_bundle(letters, pairs)
+    masks = bundle.family.masks
+    for cb in bundle.components:
+        assert cb.pair is bundle.pair
+        fam = cb.family
+        assert fam.alphabet == cb.alphabet
+        assert fam.masks == tuple(m for m in masks if m & ~cb.alphabet == 0)
+        assert fam.masks == enumerate_cliques(bundle.pair, alphabet=cb.alphabet).masks
 
 
 def test_monoid_file_round_trip(tmp_path):

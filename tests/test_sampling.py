@@ -135,9 +135,8 @@ def compact_steps_match_dense(chain):
     assert all(x[1] == y[0] for x, y in zip(rows, rows[1:]))
     assert np.isinf(chain.P_cum).sum() == len(rows)
     # states with equal keys (D(c), g(c)) share a row, and only they do; the
-    # start state's key is (every letter, 1.0)
-    pair = chain.family.pair
-    follow = [*map(pair.follow, chain.family.masks), pair.full_mask]
+    # start state's key is (the family's alphabet, 1.0)
+    follow = [*map(chain.family.pair.follow, chain.family.masks), chain.family.alphabet]
     keys = list(zip(follow, np.append(chain.g, 1.0).view(np.uint64).tolist()))
     key_of_row = {}
     for key, row in zip(keys, lo):
@@ -221,9 +220,9 @@ def test_step_edges_agree_with_dense_searchsorted(irreducible_five, prod32):
 
 
 def walk_states(chain, draw):
-    """The states of one absorbing walk of ``chain`` alone, read through the
-    layer kernel with each state standing for its own mask."""
-    return absorbing_layers([chain], [range(chain.n_states)], draw)
+    """The states of one absorbing walk of ``chain`` alone, read back from
+    the layer kernel's masks: one state per layer."""
+    return [chain.family.index_of(m) for m in absorbing_layers([chain], draw)]
 
 
 def test_absorbing_walk_follows_step(irreducible_five, prod32):
@@ -456,9 +455,9 @@ def test_uniform_mk_reducible(prod32):
 
 
 def component_rows(bundle, rows, ci):
-    """Each global layer mask of ``rows`` restricted to component ``ci``, as local masks."""
-    split = bundle.decomposition.split_mask
-    return [[split(int(m))[ci] for m in row] for row in rows]
+    """Each layer mask of ``rows`` restricted to the letters of component ``ci``."""
+    alphabet = bundle.components[ci].alphabet
+    return [[int(m) & alphabet for m in row] for row in rows]
 
 
 def test_sample_product_structure(prod32, prod22, fig1):
@@ -478,14 +477,13 @@ def test_sample_product_structure(prod32, prod22, fig1):
 def test_merge_product_prefix(prod32):
     k = 4
     rows = topped_prefix_batch(prod32, k, 50, RandomSource(19).generator())
-    a_pair = prod32.components[0].pair
     for row, a_prefix in zip(rows, component_rows(prod32, rows, 0)):
         layers = [int(m) for m in row]
         assert len(layers) == k
         assert all(m != 0 for m in layers)  # the at-root factor fills every layer
         trace_from_layers(prod32.pair, layers)
         # the big-factor part of each merged layer is a component prefix
-        trace_from_layers(a_pair, a_prefix)
+        trace_from_layers(prod32.pair, a_prefix)
 
 
 def test_product_stop_rate(prod32):
@@ -510,13 +508,11 @@ def test_subuniform_trace_merging(prod32):
 
 
 def test_merge_product_trace_is_commuting_product(prod32):
-    decomp = prod32.decomposition
     rng = RandomSource(33).generator()
     for _ in range(20):
         merged = sample_subuniform_trace(prod32, 0.25, rng)
-        # concatenating the component words in either order gives the same trace;
-        # component letters keep their global names
-        word_a, word_b = (project(merged, ci, decomp).word() for ci in (0, 1))
+        # concatenating the component words in either order gives the same trace
+        word_a, word_b = (project(merged, cb.alphabet).word() for cb in prod32.components)
         assert merged == normalize_word(word_a + word_b, prod32.pair)
         assert merged == normalize_word(word_b + word_a, prod32.pair)
 
@@ -598,7 +594,7 @@ def test_boundary_chunks_match_all_walker_reference(request, monkeypatch, name, 
     assert rng.random() == ref_rng.random()
     if name == "prod32" and k:
         # a layer without b letters: the b component has absorbed there
-        b_letters = np.bitwise_or.reduce(bundle.component_masks[1])
+        b_letters = np.uint64(bundle.components[1].alphabet)
         assert ((rows & b_letters) == 0).any()
 
 

@@ -3,6 +3,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tracegen import (
     Trace,
@@ -21,6 +23,8 @@ from tracegen import (
 from tracegen.errors import InvalidTrace, UnknownLetter
 from tracegen.oracle import congruence_closure, enumerate_Mk
 from tracegen.traces import layers_line
+
+from conftest import independence_graphs, make_bundle
 
 
 def is_valid_chain(t):
@@ -134,49 +138,83 @@ def test_topping_law(fig1, tri4):
 
 def test_project_examples(prod32):
     pair = prod32.pair
-    decomp = prod32.decomposition
+    a_side, b_side = (cb.alphabet for cb in prod32.components)
     t = normalize_word(["a1", "b1", "a2"], pair)
-    pa = project(t, 0, decomp)
-    assert pa == normalize_word(["a1", "a2"], decomp.components[0])
-    pb = project(t, 1, decomp)
-    assert pb == normalize_word(["b1"], decomp.components[1])
-    assert project(Trace(pair), 0, decomp) == Trace(decomp.components[0])
+    assert project(t, a_side) == normalize_word(["a1", "a2"], pair)
+    assert project(t, b_side) == normalize_word(["b1"], pair)
+    assert project(t, pair.full_mask) == t
+    assert project(Trace(pair), a_side) == Trace(pair)
+    # the b letters keep their layers: b1 stays on the floor below the a's
+    t = normalize_word(["a1", "a2", "a3", "b1", "b2"], pair)
+    assert project(t, b_side).layers == (t.layers[0] & b_side, t.layers[1] & b_side)
+    assert t.layers[2] & b_side == 0
 
 
 def test_project_is_morphism_and_partitions_length(prod32):
     pair = prod32.pair
-    decomp = prod32.decomposition
+    alphabets = [cb.alphabet for cb in prod32.components]
     words = [(), ("a1",), ("b1", "a1"), ("a1", "b2", "a2", "b1"), ("b1", "b2", "a3")]
     for w1 in words:
         for w2 in words:
             u = normalize_word(w1, pair)
             v = normalize_word(w2, pair)
             uv = trace_concat(u, v)
-            assert uv.length == sum(project(uv, ci, decomp).length for ci in range(2))
-            for ci in range(2):
-                assert project(uv, ci, decomp) == trace_concat(
-                    project(u, ci, decomp), project(v, ci, decomp)
-                )
+            assert uv.length == sum(project(uv, m).length for m in alphabets)
+            for m in alphabets:
+                assert project(uv, m) == trace_concat(project(u, m), project(v, m))
 
 
 def test_product_reconstruction_any_component_order(prod32):
     # a reducible trace is the commuting product of its projections
     pair = prod32.pair
-    decomp = prod32.decomposition
-
-    def inject(comp_trace, ci):
-        letters = [
-            pair.letters[decomp.global_indices[ci][i]]
-            for i in range(len(comp_trace.pair.letters))
-        ]
-        word = [letters[comp_trace.pair.letter_index(a)] for a in comp_trace.word()]
-        return normalize_word(word, pair)
-
     for word in all_words(pair.letters, 3):
         t = normalize_word(word, pair)
-        parts = [inject(project(t, ci, decomp), ci) for ci in range(2)]
+        parts = [project(t, cb.alphabet) for cb in prod32.components]
         assert trace_concat(parts[0], parts[1]) == t
         assert trace_concat(parts[1], parts[0]) == t
+
+
+@st.composite
+def traces_of_random_monoids(draw):
+    """A trace of up to 12 letters over an ``independence_graphs()`` monoid,
+    with its bundle and the word it was normalized from."""
+    letters, pairs = draw(independence_graphs())
+    bundle = make_bundle(letters, pairs)
+    word = draw(st.lists(st.sampled_from(letters), max_size=12))
+    return bundle, word, normalize_word(word, bundle.pair)
+
+
+@settings(max_examples=150, deadline=None)
+@given(traces_of_random_monoids())
+def test_layers_are_the_or_of_projections(case):
+    # heap product: layer i of a trace is the OR of layer i of its
+    # projections to the irreducible components
+    bundle, _, t = case
+    parts = [project(t, cb.alphabet) for cb in bundle.components]
+    merged = [0] * t.height
+    for part in parts:
+        assert part.height <= t.height
+        for i, m in enumerate(part.layers):
+            merged[i] |= m
+    assert tuple(merged) == t.layers
+
+
+@settings(max_examples=150, deadline=None)
+@given(traces_of_random_monoids())
+def test_projection_is_a_masked_prefix(case):
+    # a component's letters keep their layers: its projection is the masked
+    # layers up to the first empty one, every later masked layer is empty,
+    # and it is the normal form of the word's letters in the component
+    bundle, word, t = case
+    pair = bundle.pair
+    for cb in bundle.components:
+        u = project(t, cb.alphabet)
+        masked = [m & cb.alphabet for m in t.layers]
+        assert u.pair is pair
+        assert list(u.layers) == masked[: u.height]
+        assert not any(masked[u.height:])
+        inside = [a for a in word if pair.mask_of_letters([a]) & cb.alphabet]
+        assert u == normalize_word(inside, pair)
 
 
 def test_serialization_round_trip(fig1):

@@ -25,28 +25,27 @@ def scalar_cylinder_deviation(chain, max_len):
 
 
 def scalar_product_deviation(bundle, p):
-    """One clique and one admissible pair at a time, component by component."""
-    decomp = bundle.decomposition
+    """One clique and one admissible pair at a time, component by component;
+    a component's part of a clique is the clique masked by its letters."""
     fam = bundle.family
     h_global = h_vector(fam, p)
     h_comp = [h_vector(cb.family, p) for cb in bundle.components]
 
-    def component_h(ci, local_mask):
-        return h_comp[ci][bundle.components[ci].family.index_of(local_mask)]
+    def component_h(ci, mask):
+        cb = bundle.components[ci]
+        return h_comp[ci][cb.family.index_of(mask & cb.alphabet)]
 
     worst = 0.0
     for idx, mask in enumerate(fam.masks):
         prod = 1.0
-        for ci, local in enumerate(decomp.split_mask(mask)):
-            prod *= component_h(ci, local)
+        for ci in range(len(bundle.components)):
+            prod *= component_h(ci, mask)
         worst = max(worst, abs(h_global[idx] - prod))
     for c1, c2 in iter_admissible_chains(fam, 2):
         left = p ** int(fam.sizes[c1]) * h_global[c2]
         prod = 1.0
-        loc1 = decomp.split_mask(fam.masks[c1])
-        loc2 = decomp.split_mask(fam.masks[c2])
-        for ci in range(len(decomp)):
-            prod *= p ** loc1[ci].bit_count() * component_h(ci, loc2[ci])
+        for ci, cb in enumerate(bundle.components):
+            prod *= p ** (fam.masks[c1] & cb.alphabet).bit_count() * component_h(ci, fam.masks[c2])
         worst = max(worst, abs(left - prod))
     return worst
 
