@@ -5,16 +5,23 @@ random trace drawn from the sub-uniform measure of parameter ``p`` is a
 Markov chain on cliques.  Its initial law ``h`` is an alternating sum of
 ``p^{|c'|}`` over the cliques containing ``c`` (a Mobius transform over the
 clique lattice), ``g`` rescales ``h`` by ``p^{|c|}``, and transitions move
-mass ``h(c')/g(c)`` along admissible edges.  Below the root the empty clique
-is an absorbing state reached in finite time; at the root it is unreachable
-and the chain restricted to non-empty cliques shares its transition matrix
-with the Parry chain of the weighted clique automaton.
+mass ``h(c')/g(c)`` along admissible edges.  A clique containing ``c`` is
+``c`` plus a clique of ``I(c)``, the letters commuting with all of ``c``, so
+``g(c)`` is the clique polynomial of ``I(c)`` at ``p``: it depends on ``c``
+only through its follow set ``D(c)`` (``I(c)`` is the rest of the
+alphabet), and the family's ``follow_classes`` count the cliques inside each
+class's ``I`` by size.  ``h`` and ``g`` are evaluated from those counts in
+integers (a float ``p`` is dyadic) and rounded once, so they are the exact
+values rounded and no BLAS call or thread count enters them.  Below the
+root the empty clique is an absorbing state reached in finite time; at the
+root it is unreachable and the chain restricted to non-empty cliques shares
+its transition matrix with the Parry chain of the weighted clique automaton.
 
 A chain stores its whole law compactly, and only this module reads that
 layout.  Row ``c`` of the transitions is ``h(c')/g(c)`` over the cliques
-``c' ⊆ D(c)``, so it depends on ``c`` only through the key ``(D(c), g(c))``,
-g taken bitwise; the start state ``n`` has the key (the family's alphabet,
-1.0), so its row is ``cumsum(h)``.  Each distinct key's row is stored once,
+``c' ⊆ D(c)``, so it depends on ``c`` only through its follow class; the
+start state ``n`` has the class of the whole alphabet, whose ``g`` is 1, so
+its row is ``cumsum(h)``.  Each class's row is stored once,
 as its cumulative sums over its admissible columns, and each row ends in
 ``+inf`` on its last column, so a uniform at or above the row's float total
 (which can fall short of 1) stays inside the row.  Row 0 is the empty
@@ -45,6 +52,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
+from operator import mul
 
 import numpy as np
 
@@ -52,35 +60,46 @@ from .counting import G_FLOOR_RTOL, POWER_MAX_ITER, POWER_TOL, RootPosition, roo
 from .errors import DegenerateState, IterationCap, ParameterOutOfRange, ReducibleMonoid
 from .monoid import decompose_components
 
-_H_BLOCK = 1 << 22  # cap rows*cliques per chunk of the superset sum
 FINITE_STEP_CAP = 10 ** 8
+
+
+def _class_numerators(family, p):
+    """``p = a / 2^b`` exactly (a float is dyadic) and, for each follow class
+    ``k``, the integer ``M_k = 2^{b d} mu_k(p)``, where ``mu_k`` is the clique
+    polynomial of the letters the class commutes with and ``d`` the family's
+    largest clique size.  Returns ``(a, b, d, M)``."""
+    if p <= 0.0:
+        raise ParameterOutOfRange(f"p must be positive, got {p}")
+    a, den = float(p).as_integer_ratio()
+    b = den.bit_length() - 1
+    counts = family.follow_classes.counts
+    d = counts.shape[1] - 1
+    terms = [(-a) ** j << b * (d - j) for j in range(d + 1)]
+    return a, b, d, [sum(map(mul, row, terms)) for row in counts.tolist()]
 
 
 def h_vector(family, p):
     """Initial clique law: alternating superset sums of ``p``-weights.
 
     ``h(c) = sum over cliques c' containing c of (-1)^{|c'|-|c|} p^{|c'|}``.
+    A superset of ``c`` is ``c`` plus a clique of the letters commuting with
+    all of ``c``, so ``h(c) = p^{|c|} mu_k(p)`` for ``c``'s follow class
+    ``k``; it is evaluated exactly and rounded once per (class, size).
     """
-    if p <= 0.0:
-        raise ParameterOutOfRange(f"p must be positive, got {p}")
-    n = len(family)
-    masks = family.masks_np
-    sizes = family.sizes
-    w = np.where(sizes % 2 == 0, 1.0, -1.0) * p ** sizes
-    sign = np.where(sizes % 2 == 0, 1.0, -1.0)
-    h = np.empty(n, dtype=float)
-    block = max(1, _H_BLOCK // n)
-    for start in range(0, n, block):
-        stop = min(start + block, n)
-        sub = masks[start:stop, None]
-        superset = (masks[None, :] & sub) == sub
-        h[start:stop] = superset @ w
-    return sign * h
+    a, b, d, M = _class_numerators(family, p)
+    key = family.follow_classes.class_of * (d + 1) + family.sizes
+    pairs, inverse = np.unique(key, return_inverse=True)
+    classes, sizes = divmod(pairs, d + 1)
+    values = [a ** s * M[k] / (1 << b * (d + s)) for k, s in zip(classes.tolist(), sizes.tolist())]
+    return np.array(values)[inverse]
 
 
-def g_vector(family, p, h):
-    """Rescaled law ``g(c) = h(c) / p^{|c|}``."""
-    return h / p ** family.sizes
+def g_vector(family, p):
+    """Rescaled law ``g(c) = h(c) / p^{|c|} = mu_k(p)`` for ``c``'s follow
+    class ``k``, evaluated exactly and rounded once per class."""
+    _, b, d, M = _class_numerators(family, p)
+    scale = 1 << b * d
+    return np.array([m / scale for m in M])[family.follow_classes.class_of]
 
 
 def _check_rows(g, at_p0):
@@ -89,12 +108,14 @@ def _check_rows(g, at_p0):
     start = 1 if at_p0 else 0
     gs = g[start:]
     # a mathematical zero of g shows up as a float residue of arbitrary sign,
-    # so the refusal uses a relative threshold, not the raw sign
-    tol = G_FLOOR_RTOL * float(np.max(np.abs(g)))
-    if np.any(gs <= tol):
-        bad = int(np.argmax(gs <= tol)) + start
+    # so the refusal uses a relative threshold, not the raw sign; fmax skips a
+    # NaN, which then fails the test where it sits
+    tol = G_FLOOR_RTOL * float(np.fmax.reduce(np.abs(g)))
+    bad = ~(gs > tol)
+    if np.any(bad):
         raise DegenerateState(
-            f"g vanishes on clique index {bad} where a transition row is required"
+            f"g vanishes on clique index {int(np.argmax(bad)) + start} "
+            "where a transition row is required"
         )
 
 
@@ -113,13 +134,14 @@ def transition_matrix(family, h, g, at_p0=False):
 
 
 def _compact_cdf(family, h, g):
-    """The CDF of the module docstring: ``(P_cum, cols, lo, hi)``.  The
-    empty clique's row skips the division, as at the root ``g[0] = 0``."""
-    follow = np.array([*map(family.pair.follow, family.masks), family.alphabet], dtype=np.uint64)
+    """The CDF of the module docstring: ``(P_cum, cols, lo, hi)``, one row per
+    follow class.  The empty clique's row skips the division, as at the root
+    ``g[0] = 0``."""
+    classes = family.follow_classes
+    row_of = np.append(classes.class_of, classes.start)
     norm = np.append(g, 1.0)
-    keys = np.stack([follow, norm.view(np.uint64)], axis=1)
-    _, first, row_of = np.unique(keys, axis=0, return_index=True, return_inverse=True)
-    idxs = [np.flatnonzero((family.masks_np & ~d) == 0) for d in follow[first]]
+    first = np.unique(row_of, return_index=True)[1]
+    idxs = [np.flatnonzero((family.masks_np & ~d) == 0) for d in classes.follow]
     starts = np.cumsum([0, *map(len, idxs)])
     P_cum = np.empty(int(starts[-1]))
     bounds = starts.tolist()
@@ -127,7 +149,6 @@ def _compact_cdf(family, h, g):
         if state:
             (h[idx] / norm[state]).cumsum(out=P_cum[lo:hi])
     P_cum[starts[1:] - 1] = np.inf
-    row_of = row_of.ravel()
     return P_cum, np.concatenate(idxs).astype(np.int32), starts[row_of], starts[row_of + 1]
 
 
@@ -164,11 +185,11 @@ def chain_law(family, p, p0):
         raise ParameterOutOfRange(f"p must lie in (0, {p0}], got {p}")
     at_p0 = position is RootPosition.AT
     h = h_vector(family, p)
+    g = g_vector(family, p)
     if at_p0:
         # mu(p0) is a float residue near machine epsilon; the boundary chain
         # sets it to exact zero so the empty clique is truly unreachable
-        h[0] = 0.0
-    g = g_vector(family, p, h)
+        h[0] = g[0] = 0.0
     _check_rows(g, at_p0)
     return ChainLaw(family, p, at_p0, h, g)
 

@@ -35,6 +35,7 @@ from .errors import (
 
 MAX_LETTERS = 64          # cliques fit in one machine word
 DEFAULT_CLIQUE_CAP = 1 << 20
+_CLASS_BLOCK = 1 << 20    # cap classes*cliques per block of the follow-class table
 
 
 def iter_bits(mask):
@@ -190,6 +191,37 @@ def validate_independence(raw_letters, raw_pairs, symmetric_closure=False):
     return IndependencePair(letters, masks)
 
 
+class FollowClasses:
+    """The cliques of a family grouped by their follow set D(c); nothing in it
+    depends on a parameter.
+
+    ``follow`` holds the distinct D values in increasing order, with the whole
+    alphabet among them: it is the follow set of the clique chain's start
+    state, which every clique may follow.  ``class_of[i]`` is clique ``i``'s
+    index in ``follow`` and ``start`` the alphabet's.  ``counts[k, j]`` is the
+    number of cliques of size ``j`` inside ``alphabet & ~follow[k]``, the
+    letters that commute with every letter of a clique of class ``k``, so
+    ``sum_j (-1)^j counts[k, j] x^j`` is their clique polynomial.  The counts
+    are taken in blocks of at most ``_CLASS_BLOCK`` class-clique pairs.
+    """
+
+    __slots__ = ("follow", "class_of", "start", "counts")
+
+    def __init__(self, family):
+        d = np.array([*map(family.pair.follow, family.masks), family.alphabet], dtype=np.uint64)
+        self.follow, inverse = np.unique(d, return_inverse=True)
+        self.class_of = inverse[:-1]
+        self.start = int(inverse[-1])
+        # cliques come sorted by size, and every size up to the largest occurs
+        size_starts = np.searchsorted(family.sizes, np.arange(family.max_clique_size + 1))
+        self.counts = np.empty((len(self.follow), len(size_starts)), dtype=np.int64)
+        block = max(1, _CLASS_BLOCK // len(family))
+        for lo in range(0, len(self.follow), block):
+            inside = (family.masks_np & self.follow[lo:lo + block, None]) == 0
+            np.add.reduceat(inside, size_starts, axis=1, dtype=np.int64,
+                            out=self.counts[lo:lo + block])
+
+
 class CliqueFamily:
     """All cliques of the independence graph inside the letter mask
     ``alphabet``, indexed and wired together.
@@ -199,10 +231,12 @@ class CliqueFamily:
     The dense boolean matrix ``admissibility[i, j]`` says whether clique ``i``
     may be followed by clique ``j``, that is ``c_j ⊆ D(c_i)``; it is built
     lazily, one row per clique, since only verification and the oracle read
-    it (the clique chain finds its columns from ``D(c)`` itself).
+    it (the clique chain finds its columns from ``D(c)`` itself).  Its
+    ``follow_classes`` (``FollowClasses``) are built on first read too.
     """
 
-    __slots__ = ("pair", "alphabet", "masks", "sizes", "by_mask", "masks_np", "_adm")
+    __slots__ = ("pair", "alphabet", "masks", "sizes", "by_mask", "masks_np", "_adm",
+                 "_classes")
 
     def __init__(self, pair, masks, alphabet):
         self.pair = pair
@@ -212,6 +246,7 @@ class CliqueFamily:
         self.by_mask = {m: i for i, m in enumerate(self.masks)}
         self.masks_np = np.array(self.masks, dtype=np.uint64)
         self._adm = None
+        self._classes = None
 
     def __len__(self):
         return len(self.masks)
@@ -230,6 +265,12 @@ class CliqueFamily:
                 np.equal(self.masks_np & outside, 0, out=adm[i])
             self._adm = adm
         return self._adm
+
+    @property
+    def follow_classes(self):
+        if self._classes is None:
+            self._classes = FollowClasses(self)
+        return self._classes
 
     def index_of(self, mask):
         return self.by_mask[mask]

@@ -1,10 +1,11 @@
 """Brute-force ground truth for small instances, plus the chi-square harness.
 
-Everything here is deliberately naive: exhaustive walks of the clique
-automaton, word-level closures under adjacent swaps, plain averages, path
-probabilities one transition at a time, the follow rule one letter at a time,
-chain steps by counting a dense CDF row, divisor sums by peeling the heap,
-boundary prefixes and rejection that step every walker to the horizon.
+Everything here is deliberately naive: the chain's initial law as its
+defining superset sums, exhaustive walks of the clique automaton, word-level
+closures under adjacent swaps, plain averages, path probabilities one
+transition at a time, the follow rule one letter at a time, chain steps by
+counting a dense CDF row, divisor sums by peeling the heap, boundary prefixes
+and rejection that step every walker to the horizon.
 Fast code elsewhere is tested against these.
 """
 
@@ -12,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -167,6 +169,19 @@ def exact_uniform_expectation(family, k, phi, budget=DEFAULT_ENUM_BUDGET):
 
 
 # -- clique chain paths ----------------------------------------------------------
+
+def superset_h_g(family, p):
+    """``h`` and ``g`` as their defining sums over the cliques ``c'``
+    containing each clique ``c``, evaluated exactly in fractions and rounded
+    once: ``g(c) = sum (-p)^{|c'|-|c|}`` and ``h(c) = p^{|c|} g(c)``."""
+    x = Fraction(p)
+    h, g = [], []
+    for c in family.masks:
+        total = sum((-x) ** (c2 ^ c).bit_count() for c2 in family.masks if c2 & c == c)
+        g.append(float(total))
+        h.append(float(x ** c.bit_count() * total))
+    return np.array(h), np.array(g)
+
 
 def letter_admissible(pair, c, c2):
     """May clique ``c2`` follow ``c``?  The definition, one letter at a time:

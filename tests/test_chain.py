@@ -1,8 +1,13 @@
+import os
+import pathlib
+import subprocess
+import sys
 import tracemalloc
 import weakref
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from tracegen import (
     RandomSource,
@@ -19,9 +24,14 @@ from tracegen import chain as chain_mod
 from tracegen.cli import main
 from tracegen.counting import AT_P0_RTOL, RootPosition, root_position
 from tracegen.errors import DegenerateState, ParameterOutOfRange, ReducibleMonoid
-from tracegen.oracle import cylinder_probability, iter_admissible_chains, path_probability
+from tracegen.oracle import (
+    cylinder_probability,
+    iter_admissible_chains,
+    path_probability,
+    superset_h_g,
+)
 
-from conftest import cycle_complement, make_bundle
+from conftest import cycle_complement, independence_graphs, make_bundle
 
 PARAM_FRACTIONS = (0.25, 0.5, 0.75, 1.0)
 
@@ -52,6 +62,49 @@ def test_h_maximal_cliques_any_p(fig1, tri4):
         assert abs(h[0] - bundle.mu(p)) < 1e-14
 
 
+@settings(max_examples=60, deadline=None)
+@given(independence_graphs())
+def test_h_and_g_are_the_rounded_superset_sums(graph):
+    # the per-class closed form is exact, so it rounds to the same floats as
+    # the defining sums, at the root, below it, and where p^|c| underflows
+    bundle = make_bundle(*graph)
+    fam = bundle.family
+    for p in (bundle.p0, 0.5 * bundle.p0, 1e-300):
+        h, g = superset_h_g(fam, p)
+        assert h_vector(fam, p).tobytes() == h.tobytes()
+        assert g_vector(fam, p).tobytes() == g.tobytes()
+
+
+THREAD_PROBE = """
+import hashlib
+from conftest import cycle_complement
+from tracegen import clique_chain, h_vector
+bundle = cycle_complement(14)
+digest = hashlib.sha256()
+for p in (bundle.p0, 0.5 * bundle.p0):
+    ch = clique_chain(bundle.family, p, bundle.p0)
+    for array in (h_vector(bundle.family, p), ch.P_cum, ch.cols, ch.lo, ch.hi):
+        digest.update(array.tobytes())
+print(digest.hexdigest())
+"""
+
+
+def test_chain_is_independent_of_blas_threads():
+    # no BLAS call feeds h, g or the sampling CDF, so their bytes do not
+    # depend on how many threads OpenBLAS splits a product over
+    root = pathlib.Path(__file__).resolve().parents[1]
+    path = os.pathsep.join([str(root / "src"), str(root / "tests")])
+    out = []
+    for threads in ("1", "2"):
+        res = subprocess.run(
+            [sys.executable, "-c", THREAD_PROBE], capture_output=True, text=True, timeout=300,
+            env=dict(os.environ, PYTHONPATH=path, OPENBLAS_NUM_THREADS=threads),
+        )
+        assert res.returncode == 0, res.stderr
+        out.append(res.stdout)
+    assert out[0] == out[1]
+
+
 def test_h_out_of_range(fig1):
     with pytest.raises(ParameterOutOfRange):
         h_vector(fig1.family, 0.0)
@@ -63,7 +116,7 @@ def test_g_examples(fig1):
     p0 = fig1.p0
     fam = fig1.family
     h = h_vector(fam, p0)
-    g = g_vector(fam, p0, h)
+    g = g_vector(fam, p0)
     assert abs(g[0] - h[0]) < 1e-15                    # p^0 = 1
     assert abs(g[fam.index_of(0b100)] - 1.0) < 1e-13   # maximal: h/p^{|c|} = 1
     assert abs(g[fam.index_of(0b011)] - 1.0) < 1e-12
@@ -111,9 +164,11 @@ def test_transition_fig1_entry(fig1):
 
 def test_transition_rejects_degenerate_rows(prod32):
     # at the product's root the b-side cliques carry zero h, so their rows
-    # cannot be normalized: the construction must refuse
+    # cannot be normalized: the construction must refuse, as it must a NaN g
     with pytest.raises(DegenerateState):
         clique_chain(prod32.family, prod32.p0, prod32.p0)
+    with pytest.raises(DegenerateState, match="index 1"):
+        chain_mod._check_rows(np.array([1.0, np.nan]), False)
 
 
 def test_chain_out_of_range(fig1):
@@ -210,7 +265,7 @@ def test_parry_identities(irreducible_five):
 
 def test_parry_refuses_reducible(prod32):
     h = h_vector(prod32.family, prod32.p0)
-    g = g_vector(prod32.family, prod32.p0, h)
+    g = g_vector(prod32.family, prod32.p0)
     with pytest.raises(ReducibleMonoid):
         parry_matrices(prod32.family, prod32.p0, h, g)
 
@@ -294,19 +349,16 @@ def test_chain_keeps_P_and_its_cdf_agrees(fig1):
         assert np.isinf(ch.P_cum).sum() == len(rows)
 
 
-def test_compact_cdf_memory_on_c14(monkeypatch):
-    # the sampling CDF stores one row of admissible entries per key, and
-    # building it forms no n x n array and reads no admissibility matrix; h
-    # comes precomputed, because h_vector's superset product needs one (a
-    # smaller block would change h's last bits)
+def test_compact_cdf_memory_on_c14():
+    # the sampling CDF stores one row of admissible entries per follow class,
+    # and building the chain, its follow-class table included, forms no n x n
+    # array and reads no admissibility matrix
     bundle = cycle_complement(14)
     fam = bundle.family
     n = len(fam)
-    assert n == 843
+    assert n == 843 and fam._classes is None
     chains = []
     for p in (bundle.p0, 0.5 * bundle.p0):
-        h = h_vector(fam, p)
-        monkeypatch.setattr(chain_mod, "h_vector", lambda family, p: h.copy())
         tracemalloc.start()
         try:
             chains.append(clique_chain(fam, p, bundle.p0))
@@ -315,10 +367,13 @@ def test_compact_cdf_memory_on_c14(monkeypatch):
             tracemalloc.stop()
         assert peak < n * n * np.dtype(np.float64).itemsize
     assert fam._adm is None
-    # one row per key, and the start state's row holds every clique
+    # one row per class, and the start state's row holds every clique
+    classes = fam.follow_classes
     per_state = np.append(np.count_nonzero(fam.admissibility, axis=1), n)
     for ch in chains:
-        first = np.unique(ch.lo, return_index=True)[1]
+        _, first, row = np.unique(ch.lo, return_index=True, return_inverse=True)
+        assert len(first) == len(classes.follow) == 513
+        assert (row == np.append(classes.class_of, classes.start)).all()
         assert ch.P_cum.size == per_state[first].sum() < per_state.sum()
 
 
@@ -326,7 +381,7 @@ def test_transition_matrix_low_level(fig1):
     fam = fig1.family
     p = 0.2
     h = h_vector(fam, p)
-    g = g_vector(fam, p, h)
+    g = g_vector(fam, p)
     P = transition_matrix(fam, h, g)
     assert float(np.abs(P.sum(axis=1) - 1.0).max()) < 1e-12
     adm = fam.admissibility

@@ -108,6 +108,15 @@ def test_sample_subuniform(monoid_files):
         parse_trace(FIG1_PAIR, line)
 
 
+def test_sample_subuniform_at_tiny_p_is_quiet(monoid_files):
+    # p^|c| underflows to 0 at p = 1e-300, yet h and g need no division by it:
+    # no warning, and every draw absorbs at once into the empty trace
+    res = run_cli("sample", "--monoid", monoid_files["fig1"], "--mode", "subuniform",
+                  "--p", "1e-300", "--n", "3")
+    assert (res.returncode, res.stderr) == (0, "")
+    assert body_lines(res.stdout) == ["[]"] * 3
+
+
 def test_sample_jobs_deterministic(monoid_files):
     args = ("sample", "--monoid", monoid_files["fig1"], "--mode", "exact-k",
             "--k", "4", "--n", "6", "--seed", "9", "--jobs", "2")
@@ -340,6 +349,14 @@ def test_verify_c14_ok(tmp_path):
     assert res.stdout.splitlines()[-1] == "result ok"
 
 
+def test_verify_c16_ok(tmp_path):
+    # 2 207 cliques at a float root: every row sum stays within 1e-12 of 1
+    res = run_cli("verify", "--monoid", cycle_complement_spec(tmp_path, 16))
+    assert res.returncode == 0, res.stdout
+    assert "check row_sum_max_dev" in res.stdout
+    assert res.stdout.splitlines()[-1] == "result ok"
+
+
 def cap_address_space():
     """Limit the calling child process to 1 GiB of address space."""
     resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
@@ -496,7 +513,7 @@ def test_stdout_golden(argv, tmp_path):
     res = subprocess.run(
         [sys.executable, "-m", "tracegen", *argv.split()],
         capture_output=True, cwd=tmp_path, timeout=300,
-        # h_vector's BLAS product rounds differently across thread splits
+        # verify's Parry products are BLAS calls that round by thread split
         env=dict(os.environ, PYTHONPATH=path, OPENBLAS_NUM_THREADS="1"),
     )
     assert res.returncode == 0, res.stderr
