@@ -11,7 +11,8 @@ cliques, chain states and layers are global masks with no translation.
 from __future__ import annotations
 
 import math
-from functools import cached_property
+from functools import cached_property, reduce
+from operator import mul
 
 from .chain import clique_chain
 from .counting import (
@@ -44,7 +45,11 @@ class MonoidBundle:
 
     @cached_property
     def mu(self):
-        return mobius_polynomial(self.family)
+        if self.irreducible:
+            return mobius_polynomial(self.family)
+        # a clique of a product is one clique per component, so mu is the
+        # product of theirs: the product's own cliques are not enumerated
+        return reduce(mul, (cb.mu for cb in self.components))
 
     @cached_property
     def p0(self):

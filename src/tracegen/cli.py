@@ -3,9 +3,11 @@
 Output is line oriented: one ``#`` metadata header, then one object or one
 ``key value`` pair per line, floats with 17 significant digits.  Runs are
 bit-stable for a fixed command line: randomness is keyed by (seed, stream)
-and workers merge in stream order.  Exit codes: 2 usage, 3 bad data,
-4 budget exceeded, 5 numeric failure, 1 failed verification, 141 (128 +
-SIGPIPE) when the reader closes stdout early, which prints nothing more.
+and workers merge in stream order.  Each command returns its exit code and
+all of its lines, and ``main`` alone writes them, so a command that fails
+prints nothing.  Exit codes: 2 usage, 3 bad data, 4 budget exceeded or out of
+memory, 5 numeric failure, 1 failed verification, 141 (128 + SIGPIPE) when
+the reader closes stdout early, which prints nothing more.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ import sys
 from .bundle import MonoidBundle
 from .chain import FINITE_STEP_CAP
 from .counting import RootPosition, expected_size, root_position
-from .errors import IterationCap, ParameterOutOfRange, TracegenError
+from .errors import BudgetError, IterationCap, ParameterOutOfRange, TracegenError
 from .estimate import Moments, accumulate_moments, builtin_cost, report_from_moments
 from .monoid import DEFAULT_CLIQUE_CAP
 from .sampling import (
@@ -33,7 +35,7 @@ from .verify import verification_report
 
 ENV_CLIQUE_CAP = "TRACEGEN_CLIQUE_CAP"
 EXIT_CLOSED_STDOUT = 141  # 128 + SIGPIPE, as a tool killed by the signal reports
-_WRITE_BLOCK = 1 << 12    # sample lines joined into one stdout write
+_WRITE_BLOCK = 1 << 12    # output lines joined into one stdout write
 
 
 def _f17(x):
@@ -81,21 +83,19 @@ def _fan_out(ns, bundle, task, *params):
 
 def cmd_info(ns):
     bundle = _bundle(ns)
-    # every value that can fail (the root above all) is resolved before the first print
-    p0, table = bundle.p0, bundle.growth(ns.k)
-    print(f"# tracegen info monoid={ns.monoid}")
-    print("letters " + " ".join(bundle.pair.letters))
+    lines = [f"# tracegen info monoid={ns.monoid}", "letters " + " ".join(bundle.pair.letters)]
     comps = bundle.components
-    print(f"components {len(comps)}")
+    lines.append(f"components {len(comps)}")
     for ci, cb in enumerate(comps):
         letters = ",".join(bundle.pair.letters_of_mask(cb.alphabet))
-        print(f"component {ci} letters={letters} p0={_f18(cb.p0)}")
-    print(f"cliques {len(bundle.family)}")
-    print("mobius " + " ".join(str(c) for c in bundle.mu.coefficients))
-    print(f"p0 {_f18(p0)}")
-    for k in range(ns.k + 1):
-        print(f"lambda {k} {table[k]}")
-    return 0
+        lines.append(f"component {ci} letters={letters} p0={_f18(cb.p0)}")
+    mu = bundle.mu.coefficients
+    lines.append(f"cliques {sum(map(abs, mu))}")  # |mu_j| counts the cliques of size j
+    lines.append("mobius " + " ".join(map(str, mu)))
+    lines.append(f"p0 {_f18(bundle.p0)}")
+    table = bundle.growth(ns.k)
+    lines += [f"lambda {k} {table[k]}" for k in range(ns.k + 1)]
+    return 0, lines
 
 
 # -- sample ----------------------------------------------------------------------
@@ -150,11 +150,10 @@ def cmd_sample(ns):
         results = _fan_out(ns, bundle, _subuniform_lines, p)
     else:
         results = _fan_out(ns, bundle, _exact_lines, k, ns.max_rejects)
-    print(header)
-    for lines in results:
-        for i in range(0, len(lines), _WRITE_BLOCK):
-            sys.stdout.write("\n".join(lines[i:i + _WRITE_BLOCK]) + "\n")
-    return 0
+    lines = [header]
+    for stream_lines in results:
+        lines += stream_lines
+    return 0, lines
 
 
 # -- count -----------------------------------------------------------------------
@@ -164,20 +163,16 @@ def cmd_count(ns):
     if ns.mc and (k < 1 or ns.n < 2):
         raise UsageError("--mc needs --k at least 1 and --n at least 2")
     bundle = _bundle(ns)
-    lam = bundle.lambda_k(k)
+    lines = [f"# tracegen count monoid={ns.monoid} k={k} seed={ns.seed} n={ns.n} jobs={ns.jobs}",
+             f"lambda {k} {bundle.lambda_k(k)}"]
     if ns.exact:
         from . import oracle  # the brute-force reference, loaded only here
-        lam_oracle = sum(1 for _ in oracle.iter_Mk(bundle.family, k))
+        lines.append(f"lambda_oracle {k} {sum(1 for _ in oracle.iter_Mk(bundle.family, k))}")
     if ns.mc:
         report = report_from_moments(_merged_moments(ns, bundle, "one"), k, bundle.p0)
-    print(f"# tracegen count monoid={ns.monoid} k={k} seed={ns.seed} n={ns.n} jobs={ns.jobs}")
-    print(f"lambda {k} {lam}")
-    if ns.exact:
-        print(f"lambda_oracle {k} {lam_oracle}")
-    if ns.mc:
-        print(f"lambda_mc {k} {_f17(report.lambda_hat)}")
-        print(f"lambda_mc_se {k} {_f17(report.lambda_hat_se)}")
-    return 0
+        lines.append(f"lambda_mc {k} {_f17(report.lambda_hat)}")
+        lines.append(f"lambda_mc_se {k} {_f17(report.lambda_hat_se)}")
+    return 0, lines
 
 
 # -- estimate ---------------------------------------------------------------------
@@ -200,41 +195,37 @@ def cmd_estimate(ns):
     bundle = _bundle(ns)
     builtin_cost(ns.phi, bundle.pair)  # validate the name before spawning work
     report = report_from_moments(_merged_moments(ns, bundle, ns.phi), ns.k, bundle.p0)
-    print(
-        f"# tracegen estimate monoid={ns.monoid} k={ns.k} phi={ns.phi} n={ns.n}"
-        f" seed={ns.seed} jobs={ns.jobs} rng={RNG_ALGORITHM}"
-    )
+    lines = [f"# tracegen estimate monoid={ns.monoid} k={ns.k} phi={ns.phi} n={ns.n}"
+             f" seed={ns.seed} jobs={ns.jobs} rng={RNG_ALGORITHM}"]
     if not bundle.irreducible:
-        print("# warning reducible monoid: divisor counts are unbounded in expectation")
-    print(f"estimate {_f17(report.estimate)}")
-    print(f"se {_f17(report.standard_error)}")
-    print(f"n {report.sample_count}")
-    print(f"phibar_mean {_f17(report.phibar_mean)}")
-    print(f"theta_mean {_f17(report.theta_mean)}")
-    print(f"lambda_hat {_f17(report.lambda_hat)}")
-    print(f"lambda_hat_se {_f17(report.lambda_hat_se)}")
+        lines.append("# warning reducible monoid: divisor counts are unbounded in expectation")
+    lines += [f"estimate {_f17(report.estimate)}",
+              f"se {_f17(report.standard_error)}",
+              f"n {report.sample_count}",
+              f"phibar_mean {_f17(report.phibar_mean)}",
+              f"theta_mean {_f17(report.theta_mean)}",
+              f"lambda_hat {_f17(report.lambda_hat)}",
+              f"lambda_hat_se {_f17(report.lambda_hat_se)}"]
     if ns.k <= ns.lambda_limit:
         lam = bundle.lambda_k(ns.k)
         norm = bundle.p0 ** ns.k * lam
-        print(f"lambda_exact {lam}")
-        print(f"estimate_exact_norm {_f17(report.phibar_mean / norm)}")
         se = report.phibar_sd / (report.sample_count ** 0.5) / norm
-        print(f"se_exact_norm {_f17(se)}")
-    return 0
+        lines += [f"lambda_exact {lam}",
+                  f"estimate_exact_norm {_f17(report.phibar_mean / norm)}",
+                  f"se_exact_norm {_f17(se)}"]
+    return 0, lines
 
 
 # -- verify -----------------------------------------------------------------------
 
 def cmd_verify(ns):
     checks = verification_report(_bundle(ns))
-    print(f"# tracegen verify monoid={ns.monoid}")
-    failed = False
-    for c in checks:
-        status = "ok" if c.ok else "FAIL"
-        print(f"check {c.name} {_f17(c.value)} tol {_f17(c.tolerance)} {status}")
-        failed |= not c.ok
-    print(f"result {'fail' if failed else 'ok'}")
-    return 1 if failed else 0
+    lines = [f"# tracegen verify monoid={ns.monoid}"]
+    lines += [f"check {c.name} {_f17(c.value)} tol {_f17(c.tolerance)} {'ok' if c.ok else 'FAIL'}"
+              for c in checks]
+    ok = all(c.ok for c in checks)
+    lines.append(f"result {'ok' if ok else 'fail'}")
+    return (0 if ok else 1), lines
 
 
 # -- plumbing ----------------------------------------------------------------------
@@ -321,7 +312,11 @@ def main(argv=None):
     parser = _build_parser()
     ns = parser.parse_args(argv)
     try:
-        code = ns.func(ns)
+        code, lines = ns.func(ns)
+        # the one stdout writer: a command returns all of its lines, so one
+        # that fails anywhere has written nothing
+        for i in range(0, len(lines), _WRITE_BLOCK):
+            sys.stdout.write("\n".join(lines[i:i + _WRITE_BLOCK]) + "\n")
         sys.stdout.flush()  # a closed stdout shows up here, not at exit
         return code
     except BrokenPipeError:
@@ -339,6 +334,9 @@ def main(argv=None):
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
+        return BudgetError.exit_code
 
 
 if __name__ == "__main__":

@@ -62,6 +62,14 @@ class MobiusPolynomial:
             acc = acc * x + j * self.coefficients[j]
         return acc
 
+    def __mul__(self, other):
+        """The exact product, the polynomial of the product of two monoids."""
+        out = [0] * (self.degree + other.degree + 1)
+        for i, a in enumerate(self.coefficients):
+            for j, b in enumerate(other.coefficients):
+                out[i + j] += a * b
+        return MobiusPolynomial(tuple(out))
+
 
 def mobius_polynomial(family):
     """Alternating count of cliques by size."""

@@ -9,6 +9,7 @@ import sys
 import pytest
 
 from tracegen import MonoidBundle, load_monoid, parse_trace, validate_independence
+from tracegen.errors import CliqueExplosion
 
 from conftest import block_spec
 
@@ -363,8 +364,9 @@ def cap_address_space():
 
 
 def assert_samplers_fit_in_one_gib(spec, warnings):
-    """Every sampler command on ``spec`` finishes under a 1 GiB cap (verify
-    still needs a dense n x n P); ``estimate`` prints ``warnings`` more lines."""
+    """Every sampler command on ``spec`` finishes under a 1 GiB cap;
+    ``estimate`` prints ``warnings`` more lines.  ``verify`` still needs the
+    dense n x n admissibility and runs out of memory: exit 4, nothing on stdout."""
     p = 0.5 * MonoidBundle(load_monoid(spec)).p0
     for args, lines in ((("sample", "--mode", "boundary", "--k", "5", "--n", "3"), 4),
                         (("sample", "--mode", "exact-k", "--k", "5", "--n", "3"), 4),
@@ -376,6 +378,10 @@ def assert_samplers_fit_in_one_gib(spec, warnings):
         assert res.returncode == 0, (args, res.stderr)
         assert len(res.stdout.splitlines()) == lines, args
         assert "Traceback" not in res.stderr, args
+    res = run_cli("verify", "--monoid", spec, env={"OPENBLAS_NUM_THREADS": "1"},
+                  preexec_fn=cap_address_space)
+    assert (res.returncode, res.stdout) == (4, ""), res.stderr
+    assert res.stderr.startswith("error: out of memory:"), res.stderr
 
 
 def test_near3comp_samplers_fit_in_one_gib(tmp_path):
@@ -491,6 +497,62 @@ def test_count_exact_builds_no_trace_set(monkeypatch, monoid_files, capsys):
     monkeypatch.setattr(oracle, "iter_Mk", lambda family, k: iter_Mk(family, k, budget=100))
     assert cli.main(["count", "--monoid", monoid_files["fig1"], "--k", "6", "--exact"]) == 4
     assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("argv, target", [
+    (["info", "--k", "4"], "tracegen.bundle.MonoidBundle.growth"),
+    (["sample", "--mode", "boundary", "--k", "3", "--n", "5"], "tracegen.cli.layers_line"),
+    (["sample", "--mode", "subuniform", "--p", "0.2", "--n", "5"], "tracegen.cli.trace_line"),
+    (["sample", "--mode", "exact-k", "--k", "3", "--n", "5"], "tracegen.cli.trace_line"),
+    (["count", "--k", "4", "--mc", "--n", "20"], "tracegen.cli.report_from_moments"),
+    (["estimate", "--k", "4", "--n", "20"], "tracegen.bundle.MonoidBundle.lambda_k"),
+    (["verify"], "tracegen.cli.verification_report"),
+], ids=["info", "boundary", "subuniform", "exact-k", "count", "estimate", "verify"])
+def test_a_late_failure_prints_nothing(monkeypatch, monoid_files, capsys, argv, target):
+    # each command fails in one of its last calls: main writes no line of it
+    from tracegen import cli
+
+    def explode(*args, **kwargs):
+        raise CliqueExplosion("late failure")
+
+    monkeypatch.setattr(target, explode)
+    assert cli.main([argv[0], "--monoid", monoid_files["prod32"], *argv[1:]]) == 4
+    assert capsys.readouterr() == ("", "error: late failure\n")
+
+
+def test_out_of_memory_exits_4(monkeypatch, monoid_files, capsys):
+    from tracegen import cli
+
+    def exhaust(*args):
+        raise MemoryError("Unable to allocate 6.37 GiB")
+
+    monkeypatch.setattr("tracegen.cli.verification_report", exhaust)
+    assert cli.main(["verify", "--monoid", monoid_files["fig1"]]) == 4
+    assert capsys.readouterr() == ("", "error: out of memory: Unable to allocate 6.37 GiB\n")
+
+
+def test_reducible_monoid_does_not_enumerate_the_product(monoid_files, tmp_path):
+    # prod32's components have 4 and 3 cliques, the product 12: under a cap
+    # of 10 only the commands that read the product's cliques are refused
+    prod32 = monoid_files["prod32"]
+    capped = {"TRACEGEN_CLIQUE_CAP": "10"}
+    for args in (("info", "--k", "8"), ("count", "--k", "6", "--mc", "--n", "50"),
+                 ("estimate", "--k", "3", "--n", "50"),
+                 ("sample", "--mode", "exact-k", "--k", "6", "--n", "20")):
+        res = run_cli(args[0], "--monoid", prod32, *args[1:], env=capped)
+        assert res.returncode == 0, (args, res.stderr)
+        assert res.stdout == run_cli(args[0], "--monoid", prod32, *args[1:]).stdout, args
+    for args in (("verify",), ("count", "--k", "3", "--exact")):
+        res = run_cli(args[0], "--monoid", prod32, *args[1:], env=capped)
+        assert (res.returncode, res.stdout) == (4, ""), args
+        assert res.stderr.startswith("error:"), args
+    # seven free 8-letter components: 9 cliques each, 9^7 in the product,
+    # above the default cap of 2^20
+    spec = block_spec(tmp_path / "free7x8.json", (8,) * 7)
+    res = run_cli("info", "--monoid", spec, "--k", "2")
+    assert res.returncode == 0, res.stderr
+    assert kv(res.stdout)["cliques"] == str(9 ** 7)
+    assert kv(res.stdout)["lambda 2"] == str(56 * 56 - 21 * 64)
 
 
 def test_clique_cap_env(monoid_files):

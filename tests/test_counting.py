@@ -1,6 +1,7 @@
 import math
 
 import pytest
+from hypothesis import assume, given, settings
 
 from tracegen import (
     MobiusPolynomial,
@@ -8,12 +9,26 @@ from tracegen import (
     optimal_boltzmann_parameter,
     principal_root,
 )
+from tracegen.counting import mobius_polynomial
 from tracegen.errors import NoRootFound, ParameterOutOfRange
 from tracegen.oracle import enumerate_Mk
+
+from conftest import independence_graphs, make_bundle
 
 
 def test_mobius_fig1(fig1):
     assert fig1.mu.coefficients == (1, -3, 1)
+
+
+@settings(max_examples=100, deadline=None)
+@given(independence_graphs())
+def test_reducible_mu_is_the_product_of_its_components(graph):
+    # built from the components alone, mu equals the alternating count of the
+    # product's own cliques, and its absolute coefficients sum to their number
+    bundle = make_bundle(*graph)
+    assume(not bundle.irreducible)
+    assert bundle.mu == mobius_polynomial(bundle.family)
+    assert sum(map(abs, bundle.mu.coefficients)) == len(bundle.family)
 
 
 def test_mobius_free_monoids(free1, free2, free3):

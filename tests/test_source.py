@@ -36,3 +36,31 @@ def test_only_chain_reads_the_cdf_layout():
             elif isinstance(node, ast.Constant) and isinstance(node.value, complex):
                 found.append(f"{path.name}:{node.lineno} {node.value!r}")
     assert found == []
+
+
+def _is_stdout(node):
+    return (isinstance(node, ast.Attribute) and node.attr == "stdout"
+            and isinstance(node.value, ast.Name) and node.value.id == "sys")
+
+
+def test_only_cli_main_writes_stdout():
+    # a command returns its lines and cli.main alone writes them, so a command
+    # that fails anywhere leaves stdout empty; print must name another file
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        allowed = set()
+        if path.name == "cli.py":
+            main = next(n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == "main")
+            allowed = {id(n) for n in ast.walk(main)}
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call) or id(node) in allowed:
+                continue
+            func = node.func
+            if isinstance(func, ast.Name) and func.id == "print":
+                file = next((k.value for k in node.keywords if k.arg == "file"), None)
+                if file is None or _is_stdout(file):
+                    found.append(f"{path.name}:{node.lineno} print")
+            elif isinstance(func, ast.Attribute) and _is_stdout(func.value):
+                found.append(f"{path.name}:{node.lineno} sys.stdout.{func.attr}")
+    assert found == []
