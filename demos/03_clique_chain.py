@@ -44,7 +44,9 @@ print("path a -> c -> ab:", path, " closed form:", closed)
 boundary = bundle.boundary_chain()
 pp = parry_matrices(fam, bundle.p0, boundary.h, boundary.g)
 print("\nspectral radius of the weighted incidence matrix:", pp.spectral_radius)
-print("max |C - P| over non-empty cliques:", float(np.abs(pp.C - boundary.P[1:, 1:]).max()))
-stationary = np.linalg.matrix_power(pp.C, 200)[0]
+# B and C hold one row per follow class; pp.rows gives each clique its row
+C = pp.C[pp.rows]
+print("max |C - P| over non-empty cliques:", float(np.abs(C - boundary.P[1:, 1:]).max()))
+stationary = np.linalg.matrix_power(C, 200)[0]
 print("chain start h:", np.round(boundary.h[1:], 6))
 print("stationary law:", np.round(stationary, 6), "(the two differ: the law is not stationary)")

@@ -44,7 +44,7 @@ step; both kernels land on the same state for the same uniform.  A row's
 cumulative sums equal the dense row's there bit for bit (adding the 0.0 of
 an inadmissible entry is exact), so the draws are those of the dense CDF.
 Building the rows reads no n x n array; the dense ``P`` is formed only when
-read, which ``verify`` does through the law alone (``chain_law``).
+read, and ``verify`` reads instead one row per follow class (``class_rows``).
 """
 
 from __future__ import annotations
@@ -56,7 +56,7 @@ from operator import mul
 
 import numpy as np
 
-from .counting import G_FLOOR_RTOL, POWER_MAX_ITER, POWER_TOL, RootPosition, root_position
+from .counting import G_FLOOR_RTOL, RootPosition, root_position
 from .errors import DegenerateState, IterationCap, ParameterOutOfRange, ReducibleMonoid
 from .monoid import decompose_components
 
@@ -274,34 +274,29 @@ def clique_chain(family, p, p0):
 
 @dataclass
 class ParryPair:
-    """Weighted incidence matrix of non-empty cliques and its stochastic form."""
+    """Weighted incidence matrix ``B`` of the non-empty cliques and its stochastic
+    form ``C``, one row per follow class: clique ``i`` reads row ``rows[i - 1]``."""
 
     B: np.ndarray
     C: np.ndarray
+    rows: np.ndarray
     g: np.ndarray
+    Bg: np.ndarray
     spectral_radius: float
 
 
-def power_iteration(matrix):
-    """Dominant eigenvalue of a non-negative matrix via Rayleigh quotients."""
-    n = matrix.shape[0]
-    x = np.full(n, 1.0 / n)
-    rho = 0.0
-    for _ in range(POWER_MAX_ITER):
-        y = matrix @ x
-        norm = np.linalg.norm(y)
-        if norm == 0.0:
-            return 0.0, x
-        rho_new = float(x @ y) / float(x @ x)
-        x = y / norm
-        if abs(rho_new - rho) < POWER_TOL:
-            return rho_new, x
-        rho = rho_new
-    return rho, x
+def class_rows(family):
+    """Each follow class's first non-empty clique, and each non-empty clique's row."""
+    _, first, rows = np.unique(family.follow_classes.class_of[1:], return_index=True,
+                               return_inverse=True)
+    return first + 1, rows
 
 
 def parry_matrices(family, p0, h, g):
-    """Weighted incidence matrix ``B`` and stochastic matrix ``C`` at the root.
+    """Weighted incidence matrix ``B`` and stochastic matrix ``C`` at the root,
+    one row per follow class.  ``B g`` is summed row by row, with no BLAS call,
+    and ``spectral_radius`` is whichever Collatz-Wielandt bound
+    ``min (Bg)/g <= rho(B) <= max (Bg)/g`` (``g`` is positive) lies farther from 1.
 
     Only defined when the clique automaton is strongly connected, i.e. for
     irreducible monoids; reducible input is refused.
@@ -311,11 +306,12 @@ def parry_matrices(family, p0, h, g):
             "the Parry construction needs an irreducible monoid; "
             "this one splits into several independent components"
         )
-    adm = family.admissibility[1:, 1:]
-    sizes = family.sizes[1:]
+    first, rows = class_rows(family)
     gs = g[1:]
-    B = np.where(adm, p0 ** sizes[None, :], 0.0)
+    B = np.where(family.admissibility[first, 1:], p0 ** family.sizes[None, 1:], 0.0)
     C = B * gs[None, :]
-    C /= gs[:, None]
-    rho, _ = power_iteration(B)
-    return ParryPair(B=B, C=C, g=gs, spectral_radius=rho)
+    C /= g[first, None]
+    Bg = (B * gs).sum(axis=1)
+    ratio = Bg / g[first]
+    rho = max(ratio.min(), ratio.max(), key=lambda r: abs(r - 1.0))
+    return ParryPair(B=B, C=C, rows=rows, g=gs, Bg=Bg[rows], spectral_radius=float(rho))

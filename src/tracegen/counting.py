@@ -29,8 +29,6 @@ BOLTZMANN_MAX_ITER = 200
 BOLTZMANN_LO = 1e-12              # the size equation is bracketed in
 BOLTZMANN_HI_GAP = 1e-9           #   (p0 * LO, p0 * (1 - HI_GAP))
 ACCEPTANCE_FLOOR = 1e-9           # least acceptance rate used to size a batch
-POWER_TOL = 1e-12                 # power iteration stops when rho moves less
-POWER_MAX_ITER = 10_000
 VERIFY_IDENTITY_TOL = 1e-12       # h sums, row sums, cylinders, Parry B g and C
 VERIFY_SPECTRAL_TOL = 1e-9        # |Parry spectral radius - 1|
 VERIFY_PRODUCT_TOL = 1e-10        # product factorization of layer laws

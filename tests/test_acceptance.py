@@ -97,8 +97,9 @@ def test_c04_parry_comparison(irreducible_five, prod32, prod22):
         ch = bundle.boundary_chain()
         pp = parry_matrices(bundle.family, bundle.p0, ch.h, ch.g)
         worst_rho = max(worst_rho, abs(pp.spectral_radius - 1.0))
-        worst_bg = max(worst_bg, float(np.abs(pp.B @ pp.g - pp.g).max()))
-        worst_cp = max(worst_cp, float(np.abs(pp.C - ch.P[1:, 1:]).max()))
+        # B and C hold one row per follow class; rows maps each clique to its own
+        worst_bg = max(worst_bg, float(np.abs(pp.B[pp.rows] @ pp.g - pp.g).max()))
+        worst_cp = max(worst_cp, float(np.abs(pp.C[pp.rows] - ch.P[1:, 1:]).max()))
     assert worst_rho <= 1e-9 and worst_bg <= 1e-12 and worst_cp <= 1e-12
     for reducible in (prod32, prod22):
         h = h_vector(reducible.family, reducible.p0)

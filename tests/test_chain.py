@@ -7,7 +7,7 @@ import weakref
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 
 from tracegen import (
     RandomSource,
@@ -258,9 +258,34 @@ def test_parry_identities(irreducible_five):
         ch = bundle.boundary_chain()
         pp = parry_matrices(bundle.family, bundle.p0, ch.h, ch.g)
         assert abs(pp.spectral_radius - 1.0) < 1e-9
-        assert float(np.abs(pp.B @ pp.g - pp.g).max()) < 1e-12
-        assert float(np.abs(pp.C - ch.P[1:, 1:]).max()) < 1e-12
+        assert float(np.abs(pp.B[pp.rows] @ pp.g - pp.g).max()) < 1e-12
+        assert float(np.abs(pp.C[pp.rows] - ch.P[1:, 1:]).max()) < 1e-12
         assert float(np.abs(pp.C.sum(axis=1) - 1.0).max()) < 1e-12
+
+
+@settings(max_examples=60, deadline=None)
+@given(independence_graphs())
+def test_parry_class_rows_expand_to_the_dense_matrices(graph):
+    # one row per follow class of the non-empty cliques, which expands bit for
+    # bit to the dense B and C, and the Collatz-Wielandt interval of B g / g
+    # holds the spectral radius of the dense B
+    bundle = make_bundle(*graph)
+    assume(bundle.irreducible)
+    fam = bundle.family
+    ch = bundle.boundary_chain()
+    pp = parry_matrices(fam, bundle.p0, ch.h, ch.g)
+    assert len(pp.B) == len(pp.C) == len(np.unique(fam.follow_classes.class_of[1:]))
+    gs = ch.g[1:]
+    B = np.where(fam.admissibility[1:, 1:], bundle.p0 ** fam.sizes[None, 1:], 0.0)
+    C = B * gs[None, :]
+    C /= gs[:, None]
+    assert pp.B[pp.rows].tobytes() == B.tobytes()
+    assert pp.C[pp.rows].tobytes() == C.tobytes()
+    ratio = pp.Bg / pp.g
+    lo, hi = float(ratio.min()), float(ratio.max())
+    assert pp.spectral_radius in (lo, hi)
+    rho = float(np.abs(np.linalg.eigvals(B)).max())
+    assert lo - 1e-12 <= rho <= hi + 1e-12
 
 
 def test_parry_refuses_reducible(prod32):

@@ -566,21 +566,33 @@ ROOT = pathlib.Path(__file__).resolve().parents[1]
 GOLDEN = json.loads((ROOT / "tests" / "golden" / "cli_stdout.json").read_text(encoding="utf-8"))
 
 
-@pytest.mark.parametrize("argv", [c["argv"] for c in GOLDEN["commands"]])
-def test_stdout_golden(argv, tmp_path):
-    # stdout digests recorded by an earlier version: byte identity across versions
+def assert_golden_stdout(argv, cwd, **env):
+    """``python -m tracegen <argv>`` in ``cwd`` prints the recorded digest."""
     for name, text in GOLDEN["specs"].items():
-        (tmp_path / name).write_text(text, encoding="utf-8")
+        (cwd / name).write_text(text, encoding="utf-8")
     path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
     res = subprocess.run(
         [sys.executable, "-m", "tracegen", *argv.split()],
-        capture_output=True, cwd=tmp_path, timeout=300,
-        # verify's Parry products are BLAS calls that round by thread split
-        env=dict(os.environ, PYTHONPATH=path, OPENBLAS_NUM_THREADS="1"),
+        capture_output=True, cwd=cwd, timeout=300,
+        env=dict(os.environ, PYTHONPATH=path, **env),
     )
     assert res.returncode == 0, res.stderr
     want = next(c["sha256"] for c in GOLDEN["commands"] if c["argv"] == argv)
     assert hashlib.sha256(res.stdout).hexdigest() == want
+
+
+@pytest.mark.parametrize("argv", [c["argv"] for c in GOLDEN["commands"]])
+def test_stdout_golden(argv, tmp_path):
+    # stdout digests recorded by an earlier version: byte identity across versions
+    assert_golden_stdout(argv, tmp_path)
+
+
+@pytest.mark.parametrize("spec", ["fig1.json", "c14.json"])
+def test_verify_stdout_is_independent_of_blas_threads(spec, tmp_path):
+    # verify makes no BLAS call, so no digit it prints depends on how many
+    # threads OpenBLAS would split a product over
+    for threads in ("1", "2"):
+        assert_golden_stdout(f"verify --monoid {spec}", tmp_path, OPENBLAS_NUM_THREADS=threads)
 
 
 @pytest.mark.parametrize("args", [

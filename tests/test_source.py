@@ -38,6 +38,28 @@ def test_only_chain_reads_the_cdf_layout():
     assert found == []
 
 
+BLAS_NAMES = {"dot", "matmul", "einsum", "inner", "vdot", "tensordot", "linalg"}
+
+
+def test_library_makes_no_blas_call():
+    # a BLAS product rounds by how OpenBLAS splits it over threads, so no
+    # printed digit may rest on one: no @, no dot-like call, nothing of np.linalg
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult):
+                found.append(f"{path.name}:{node.lineno} @")
+            elif isinstance(node, ast.Attribute) and node.attr in BLAS_NAMES:
+                found.append(f"{path.name}:{node.lineno} .{node.attr}")
+            elif isinstance(node, ast.Name) and node.id in BLAS_NAMES:
+                found.append(f"{path.name}:{node.lineno} {node.id}")
+            elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                names = [getattr(node, "module", None) or "", *(a.name for a in node.names)]
+                if BLAS_NAMES & {part for name in names for part in name.split(".")}:
+                    found.append(f"{path.name}:{node.lineno} import")
+    assert found == []
+
+
 def _is_stdout(node):
     return (isinstance(node, ast.Attribute) and node.attr == "stdout"
             and isinstance(node.value, ast.Name) and node.value.id == "sys")

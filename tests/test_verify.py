@@ -94,13 +94,15 @@ def test_verification_report_passes_on_random_monoids(graph):
 
 
 def test_verification_report_builds_no_sampling_cdf(monkeypatch, fig1, path4, prod32):
-    # verify reads the chain law (h, g and the dense P) alone: with the
-    # sampling CDF's builder made to raise, each report is the same
+    # verify reads the chain law (h and g) alone, one transition row per
+    # follow class: with the sampling CDF's builder and the dense P's made to
+    # raise, each report is the same
     want = [verification_report(b) for b in (fig1, path4, prod32)]
 
-    def refuse(*args):
-        raise AssertionError("verify built a sampling CDF")
+    def refuse(*args, **kwargs):
+        raise AssertionError("verify built a sampling CDF or the dense P")
 
     monkeypatch.setattr(chain_mod, "_compact_cdf", refuse)
+    monkeypatch.setattr(chain_mod, "transition_matrix", refuse)
     for bundle, checks in zip((fig1, path4, prod32), want):
         assert verification_report(bundle) == checks
