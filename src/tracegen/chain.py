@@ -22,7 +22,8 @@ layout.  Row ``c`` of the transitions is ``h(c')/g(c)`` over the cliques
 ``c' ⊆ D(c)``, so it depends on ``c`` only through its follow class; the
 start state ``n`` has the class of the whole alphabet, whose ``g`` is 1, so
 its row is ``cumsum(h)``.  Each class's row is stored once,
-as its cumulative sums over its admissible columns, and each row ends in
+as its cumulative sums over its admissible columns (the cliques
+``family.class_columns`` lists for the class), and each row ends in
 ``+inf`` on its last column, so a uniform at or above the row's float total
 (which can fall short of 1) stays inside the row.  Row 0 is the empty
 clique's point mass: its D alone is empty.  ``P_cum`` is one ``float64``
@@ -43,8 +44,11 @@ values of block draws for a stream) and makes no numpy array or scalar per
 step; both kernels land on the same state for the same uniform.  A row's
 cumulative sums equal the dense row's there bit for bit (adding the 0.0 of
 an inadmissible entry is exact), so the draws are those of the dense CDF.
-Building the rows reads no n x n array; the dense ``P`` is formed only when
-read, and ``verify`` reads instead one row per follow class (``class_rows``).
+Building the rows reads no n x n array, and neither do ``verify``'s rows
+(``class_rows``) or the Parry matrices, one row per follow class from the
+same ``class_columns``.  The dense ``P`` (``transition_matrix``), and with it
+the family's dense admissibility, is formed only when read, which no CLI
+command does.
 """
 
 from __future__ import annotations
@@ -141,7 +145,7 @@ def _compact_cdf(family, h, g):
     row_of = np.append(classes.class_of, classes.start)
     norm = np.append(g, 1.0)
     first = np.unique(row_of, return_index=True)[1]
-    idxs = [np.flatnonzero((family.masks_np & ~d) == 0) for d in classes.follow]
+    idxs = [family.class_columns(k) for k in range(len(classes.follow))]
     starts = np.cumsum([0, *map(len, idxs)])
     P_cum = np.empty(int(starts[-1]))
     bounds = starts.tolist()
@@ -286,10 +290,12 @@ class ParryPair:
 
 
 def class_rows(family):
-    """Each follow class's first non-empty clique, and each non-empty clique's row."""
-    _, first, rows = np.unique(family.follow_classes.class_of[1:], return_index=True,
-                               return_inverse=True)
-    return first + 1, rows
+    """One transition row per follow class of the non-empty cliques: each
+    class's first clique, its admissibility row (``len(family)`` booleans),
+    and each non-empty clique's row."""
+    classes, first, rows = np.unique(family.follow_classes.class_of[1:], return_index=True,
+                                     return_inverse=True)
+    return first + 1, family.class_admissibility(classes.tolist()), rows
 
 
 def parry_matrices(family, p0, h, g):
@@ -306,12 +312,12 @@ def parry_matrices(family, p0, h, g):
             "the Parry construction needs an irreducible monoid; "
             "this one splits into several independent components"
         )
-    first, rows = class_rows(family)
+    first, adm, rows = class_rows(family)
     gs = g[1:]
-    B = np.where(family.admissibility[first, 1:], p0 ** family.sizes[None, 1:], 0.0)
-    C = B * gs[None, :]
+    B = np.where(adm[:, 1:], p0 ** family.sizes[None, 1:], 0.0)
+    C = B * gs
+    Bg = C.sum(axis=1)   # the row sums of B g, taken before C is normalized
     C /= g[first, None]
-    Bg = (B * gs).sum(axis=1)
     ratio = Bg / g[first]
     rho = max(ratio.min(), ratio.max(), key=lambda r: abs(r - 1.0))
     return ParryPair(B=B, C=C, rows=rows, g=gs, Bg=Bg[rows], spectral_radius=float(rho))

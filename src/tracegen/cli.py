@@ -48,7 +48,11 @@ def _f18(x):
 
 def _bundle(ns):
     raw = os.environ.get(ENV_CLIQUE_CAP)
-    return MonoidBundle.from_file(ns.monoid, clique_cap=int(raw) if raw else DEFAULT_CLIQUE_CAP)
+    try:
+        cap = positive_int(raw) if raw else DEFAULT_CLIQUE_CAP
+    except (ValueError, argparse.ArgumentTypeError):
+        raise UsageError(f"{ENV_CLIQUE_CAP} must be an integer of at least 1, got {raw!r}") from None
+    return MonoidBundle.from_file(ns.monoid, clique_cap=cap)
 
 
 def _run_workers(worker, arg_list, jobs):

@@ -228,11 +228,13 @@ class CliqueFamily:
 
     Cliques are ordered by size then numerically by mask, so index 0 is the
     empty clique and orderings (hence matrices, outputs) are deterministic.
-    The dense boolean matrix ``admissibility[i, j]`` says whether clique ``i``
-    may be followed by clique ``j``, that is ``c_j ⊆ D(c_i)``; it is built
-    lazily, one row per clique, since only verification and the oracle read
-    it (the clique chain finds its columns from ``D(c)`` itself).  Its
-    ``follow_classes`` (``FollowClasses``) are built on first read too.
+    Clique ``j`` may follow clique ``i`` iff ``c_j ⊆ D(c_i)``, which depends
+    on ``i`` only through its follow class ``k`` in ``follow_classes``
+    (``FollowClasses``, built on first read): ``class_columns(k)`` lists
+    those ``j``, and every reader of the relation asks it.  The dense boolean
+    matrix ``admissibility[i, j]`` repeats the row of clique ``i``'s class
+    for each clique; it is built lazily, and only the dense transition
+    matrix and the oracle read it.
     """
 
     __slots__ = ("pair", "alphabet", "masks", "sizes", "by_mask", "masks_np", "_adm",
@@ -258,13 +260,22 @@ class CliqueFamily:
     @property
     def admissibility(self):
         if self._adm is None:
-            n = len(self.masks)
-            adm = np.empty((n, n), dtype=bool)
-            for i, mask in enumerate(self.masks):
-                outside = np.uint64(self.pair.full_mask & ~self.pair.follow(mask))
-                np.equal(self.masks_np & outside, 0, out=adm[i])
-            self._adm = adm
+            classes = self.follow_classes
+            self._adm = self.class_admissibility(range(len(classes.follow)))[classes.class_of]
         return self._adm
+
+    def class_columns(self, k):
+        """Indices of the cliques that may follow a clique of follow class
+        ``k``: those inside its follow set ``follow_classes.follow[k]``."""
+        return np.flatnonzero((self.masks_np & ~self.follow_classes.follow[k]) == 0)
+
+    def class_admissibility(self, classes):
+        """One boolean row of ``len(self)`` per follow class in ``classes``,
+        true on the class's columns."""
+        rows = np.zeros((len(classes), len(self.masks)), dtype=bool)
+        for row, k in zip(rows, classes):
+            row[self.class_columns(k)] = True
+        return rows
 
     @property
     def follow_classes(self):

@@ -363,10 +363,19 @@ def cap_address_space():
     resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
 
 
+def assert_verify_fits_in_one_gib(spec):
+    """``verify`` on ``spec`` reports under a 1 GiB cap: it reads one row per
+    follow class and walks one clique per path node, no n x n array."""
+    res = run_cli("verify", "--monoid", spec, env={"OPENBLAS_NUM_THREADS": "1"},
+                  preexec_fn=cap_address_space)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.splitlines()[-1] == "result ok", res.stdout
+    assert "Traceback" not in res.stderr
+
+
 def assert_samplers_fit_in_one_gib(spec, warnings):
-    """Every sampler command on ``spec`` finishes under a 1 GiB cap;
-    ``estimate`` prints ``warnings`` more lines.  ``verify`` still needs the
-    dense n x n admissibility and runs out of memory: exit 4, nothing on stdout."""
+    """Every sampler command on ``spec``, and ``verify``, finishes under a
+    1 GiB cap; ``estimate`` prints ``warnings`` more lines."""
     p = 0.5 * MonoidBundle(load_monoid(spec)).p0
     for args, lines in ((("sample", "--mode", "boundary", "--k", "5", "--n", "3"), 4),
                         (("sample", "--mode", "exact-k", "--k", "5", "--n", "3"), 4),
@@ -378,10 +387,7 @@ def assert_samplers_fit_in_one_gib(spec, warnings):
         assert res.returncode == 0, (args, res.stderr)
         assert len(res.stdout.splitlines()) == lines, args
         assert "Traceback" not in res.stderr, args
-    res = run_cli("verify", "--monoid", spec, env={"OPENBLAS_NUM_THREADS": "1"},
-                  preexec_fn=cap_address_space)
-    assert (res.returncode, res.stdout) == (4, ""), res.stderr
-    assert res.stderr.startswith("error: out of memory:"), res.stderr
+    assert_verify_fits_in_one_gib(spec)
 
 
 def test_near3comp_samplers_fit_in_one_gib(tmp_path):
@@ -395,6 +401,13 @@ def test_free3comp_samplers_fit_in_one_gib(tmp_path):
     # the same blocks left apart: three components, the last holding bit 63,
     # and estimate adds its reducible warning
     assert_samplers_fit_in_one_gib(block_spec(tmp_path / "free3comp.json", (20, 20, 24)), 1)
+
+
+def test_near4comp_verify_fits_in_one_gib(tmp_path):
+    # four blocks of 16 joined by three dependent pairs: 82 687 cliques, whose
+    # dense admissibility alone would take 6.37 GiB
+    assert_verify_fits_in_one_gib(
+        block_spec(tmp_path / "near4comp.json", (16, 16, 16, 16), {(0, 16), (16, 32), (32, 48)}))
 
 
 def test_k_zero(monoid_files):
@@ -560,6 +573,12 @@ def test_clique_cap_env(monoid_files):
                   env={"TRACEGEN_CLIQUE_CAP": "3"})
     assert res.returncode == 4
     assert "cap" in res.stderr
+    # a cap that is not an integer of at least 1 is a usage error naming the variable
+    for raw in ("0", "-5", "abc", "2.5"):
+        for cmd in ("info", "verify"):
+            res = run_cli(cmd, "--monoid", monoid_files["fig1"], env={"TRACEGEN_CLIQUE_CAP": raw})
+            assert (res.returncode, res.stdout) == (2, ""), (raw, cmd, res.stderr)
+            assert "TRACEGEN_CLIQUE_CAP" in res.stderr, (raw, res.stderr)
 
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]

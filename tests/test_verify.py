@@ -2,12 +2,15 @@ from hypothesis import given, settings
 
 from tracegen import MonoidBundle, h_vector, validate_independence
 from tracegen import chain as chain_mod
+from tracegen.monoid import CliqueFamily
 from tracegen.oracle import cylinder_probability, iter_admissible_chains, path_probability
 from tracegen.verify import (
     PARAM_GRID,
     _chain_length_cap,
     _cylinder_deviation,
+    _cylinder_nodes,
     _product_factorization_deviation,
+    _product_nodes,
     verification_report,
 )
 
@@ -51,15 +54,18 @@ def scalar_product_deviation(bundle, p):
 
 
 def assert_matches_scalar(bundle):
+    # the node walks against every clique path, one at a time
     max_len = _chain_length_cap(len(bundle.family))
+    nodes = _cylinder_nodes(bundle.family)
     for frac in PARAM_GRID:
         p = bundle.p0 if frac == 1.0 else bundle.p0 * frac
         if not bundle.irreducible:
-            assert _product_factorization_deviation(bundle, p) == scalar_product_deviation(bundle, p)
+            assert (_product_factorization_deviation(bundle, p, _product_nodes(bundle))
+                    == scalar_product_deviation(bundle, p))
             if frac == 1.0:
                 continue  # a reducible monoid has no root chain
         ch = bundle.chain(p)
-        assert _cylinder_deviation(ch, max_len) == scalar_cylinder_deviation(ch, max_len)
+        assert _cylinder_deviation(ch, max_len, nodes) == scalar_cylinder_deviation(ch, max_len)
 
 
 def test_deviations_match_scalar_on_fixtures(irreducible_five, prod32, prod22):
@@ -93,16 +99,20 @@ def test_verification_report_passes_on_random_monoids(graph):
     assert all(c.ok for c in checks), [c for c in checks if not c.ok]
 
 
-def test_verification_report_builds_no_sampling_cdf(monkeypatch, fig1, path4, prod32):
+def test_verification_report_builds_no_sampling_cdf(monkeypatch, fig1, path4, prod32, c14):
     # verify reads the chain law (h and g) alone, one transition row per
-    # follow class: with the sampling CDF's builder and the dense P's made to
-    # raise, each report is the same
-    want = [verification_report(b) for b in (fig1, path4, prod32)]
+    # follow class: with _compact_cdf, transition_matrix and the dense
+    # admissibility made to raise, each report is the same
+    bundles = (fig1, path4, prod32, c14)
+    want = [verification_report(b) for b in bundles]
 
     def refuse(*args, **kwargs):
-        raise AssertionError("verify built a sampling CDF or the dense P")
+        raise AssertionError("verify built a sampling CDF or a dense n x n matrix")
 
     monkeypatch.setattr(chain_mod, "_compact_cdf", refuse)
     monkeypatch.setattr(chain_mod, "transition_matrix", refuse)
-    for bundle, checks in zip((fig1, path4, prod32), want):
+    monkeypatch.setattr(CliqueFamily, "admissibility", property(refuse))
+    for bundle, checks in zip(bundles, want):
         assert verification_report(bundle) == checks
+    # C_14^c's paths grow over 585 (class, size) nodes, not its 843 cliques
+    assert len(_cylinder_nodes(c14.family).rep) == 585
