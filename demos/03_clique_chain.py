@@ -16,6 +16,7 @@ from tracegen import (
     parry_matrices,
     validate_independence,
 )
+from tracegen.verify import class_rows
 
 pair = validate_independence(["a", "b", "c"], [("a", "b")], symmetric_closure=True)
 bundle = MonoidBundle(pair)
@@ -42,7 +43,7 @@ print("path a -> c -> ab:", path, " closed form:", closed)
 # at the root, the chain restricted to non-empty cliques is the classical
 # weighted-automaton chain: same transitions, different start
 boundary = bundle.boundary_chain()
-pp = parry_matrices(fam, bundle.p0, boundary.h, boundary.g)
+pp = parry_matrices(fam, bundle.p0, boundary.g, class_rows(fam))
 print("\nspectral radius of the weighted incidence matrix:", pp.spectral_radius)
 # B and C hold one row per follow class; pp.rows gives each clique its row
 C = pp.C[pp.rows]

@@ -14,7 +14,6 @@ from .chain import (
     clique_chain,
     g_vector,
     h_vector,
-    parry_matrices,
     transition_matrix,
 )
 from .counting import (
@@ -56,5 +55,6 @@ from .traces import (
     trace_from_layers,
     trace_line,
 )
+from .verify import parry_matrices
 
 __version__ = "0.1.0"

@@ -44,11 +44,10 @@ values of block draws for a stream) and makes no numpy array or scalar per
 step; both kernels land on the same state for the same uniform.  A row's
 cumulative sums equal the dense row's there bit for bit (adding the 0.0 of
 an inadmissible entry is exact), so the draws are those of the dense CDF.
-Building the rows reads no n x n array, and neither do ``verify``'s rows
-(``class_rows``) or the Parry matrices, one row per follow class from the
-same ``class_columns``.  The dense ``P`` (``transition_matrix``), and with it
-the family's dense admissibility, is formed only when read, which no CLI
-command does.
+Building the rows reads no n x n array.  The dense ``P``
+(``transition_matrix``), and with it the family's dense admissibility, is
+formed only when read, which no CLI command does; ``verify`` builds its own
+rows and the Parry matrices, one row per follow class.
 """
 
 from __future__ import annotations
@@ -61,8 +60,7 @@ from operator import mul
 import numpy as np
 
 from .counting import G_FLOOR_RTOL, RootPosition, root_position
-from .errors import DegenerateState, IterationCap, ParameterOutOfRange, ReducibleMonoid
-from .monoid import decompose_components
+from .errors import DegenerateState, IterationCap, ParameterOutOfRange
 
 FINITE_STEP_CAP = 10 ** 8
 
@@ -88,14 +86,15 @@ def h_vector(family, p):
     ``h(c) = sum over cliques c' containing c of (-1)^{|c'|-|c|} p^{|c'|}``.
     A superset of ``c`` is ``c`` plus a clique of the letters commuting with
     all of ``c``, so ``h(c) = p^{|c|} mu_k(p)`` for ``c``'s follow class
-    ``k``; it is evaluated exactly and rounded once per (class, size).
+    ``k``; it is evaluated exactly and rounded once per (class, size) node of
+    ``follow_classes``.
     """
     a, b, d, M = _class_numerators(family, p)
-    key = family.follow_classes.class_of * (d + 1) + family.sizes
-    pairs, inverse = np.unique(key, return_inverse=True)
-    classes, sizes = divmod(pairs, d + 1)
-    values = [a ** s * M[k] / (1 << b * (d + s)) for k, s in zip(classes.tolist(), sizes.tolist())]
-    return np.array(values)[inverse]
+    nodes = family.follow_classes
+    classes = nodes.class_of[nodes.node_rep].tolist()
+    sizes = family.sizes[nodes.node_rep].tolist()
+    values = [a ** s * M[k] / (1 << b * (d + s)) for k, s in zip(classes, sizes)]
+    return np.array(values)[nodes.node_of]
 
 
 def g_vector(family, p):
@@ -273,51 +272,3 @@ def clique_chain(family, p, p0):
     law = chain_law(family, p, p0)
     return CliqueChain(family, p, law.at_p0, law.h, law.g, *_compact_cdf(family, law.h, law.g))
 
-
-# -- Parry comparison ---------------------------------------------------------
-
-@dataclass
-class ParryPair:
-    """Weighted incidence matrix ``B`` of the non-empty cliques and its stochastic
-    form ``C``, one row per follow class: clique ``i`` reads row ``rows[i - 1]``."""
-
-    B: np.ndarray
-    C: np.ndarray
-    rows: np.ndarray
-    g: np.ndarray
-    Bg: np.ndarray
-    spectral_radius: float
-
-
-def class_rows(family):
-    """One transition row per follow class of the non-empty cliques: each
-    class's first clique, its admissibility row (``len(family)`` booleans),
-    and each non-empty clique's row."""
-    classes, first, rows = np.unique(family.follow_classes.class_of[1:], return_index=True,
-                                     return_inverse=True)
-    return first + 1, family.class_admissibility(classes.tolist()), rows
-
-
-def parry_matrices(family, p0, h, g):
-    """Weighted incidence matrix ``B`` and stochastic matrix ``C`` at the root,
-    one row per follow class.  ``B g`` is summed row by row, with no BLAS call,
-    and ``spectral_radius`` is whichever Collatz-Wielandt bound
-    ``min (Bg)/g <= rho(B) <= max (Bg)/g`` (``g`` is positive) lies farther from 1.
-
-    Only defined when the clique automaton is strongly connected, i.e. for
-    irreducible monoids; reducible input is refused.
-    """
-    if len(decompose_components(family.pair, family.alphabet)) > 1:
-        raise ReducibleMonoid(
-            "the Parry construction needs an irreducible monoid; "
-            "this one splits into several independent components"
-        )
-    first, adm, rows = class_rows(family)
-    gs = g[1:]
-    B = np.where(adm[:, 1:], p0 ** family.sizes[None, 1:], 0.0)
-    C = B * gs
-    Bg = C.sum(axis=1)   # the row sums of B g, taken before C is normalized
-    C /= g[first, None]
-    ratio = Bg / g[first]
-    rho = max(ratio.min(), ratio.max(), key=lambda r: abs(r - 1.0))
-    return ParryPair(B=B, C=C, rows=rows, g=gs, Bg=Bg[rows], spectral_radius=float(rho))

@@ -203,15 +203,19 @@ class FollowClasses:
     letters that commute with every letter of a clique of class ``k``, so
     ``sum_j (-1)^j counts[k, j] x^j`` is their clique polynomial.  The counts
     are taken in blocks of at most ``_CLASS_BLOCK`` class-clique pairs.
+    ``node_of[i]`` is clique ``i``'s (class, size) node, in increasing order
+    of class then size, and ``node_rep`` holds each node's first clique.
     """
 
-    __slots__ = ("follow", "class_of", "start", "counts")
+    __slots__ = ("follow", "class_of", "start", "counts", "node_of", "node_rep")
 
     def __init__(self, family):
         d = np.array([*map(family.pair.follow, family.masks), family.alphabet], dtype=np.uint64)
         self.follow, inverse = np.unique(d, return_inverse=True)
         self.class_of = inverse[:-1]
         self.start = int(inverse[-1])
+        key = self.class_of * (family.max_clique_size + 1) + family.sizes
+        _, self.node_rep, self.node_of = np.unique(key, return_index=True, return_inverse=True)
         # cliques come sorted by size, and every size up to the largest occurs
         size_starts = np.searchsorted(family.sizes, np.arange(family.max_clique_size + 1))
         self.counts = np.empty((len(self.follow), len(size_starts)), dtype=np.int64)

@@ -51,7 +51,8 @@ def iter_Mk(family, k, budget=DEFAULT_ENUM_BUDGET):
     """Every trace of length exactly ``k``, by walking the clique automaton;
     raises ``BudgetExceeded`` on the trace past ``budget``."""
     pair = family.pair
-    adm = family.admissibility
+    class_of = family.follow_classes.class_of.tolist()
+    cols = [family.class_columns(c).tolist() for c in range(len(family.follow_classes.follow))]
     sizes = family.sizes
     masks = family.masks
     found = 0
@@ -64,9 +65,8 @@ def iter_Mk(family, k, budget=DEFAULT_ENUM_BUDGET):
                 raise BudgetExceeded(f"more than {budget} traces of length {k}")
             yield Trace(pair, layers)
             return
-        allowed = range(1, len(masks)) if prev is None else np.flatnonzero(adm[prev])
+        allowed = range(1, len(masks)) if prev is None else cols[class_of[prev]]
         for idx in allowed:
-            idx = int(idx)
             if idx == 0 or sizes[idx] > remaining:
                 continue
             layers.append(masks[idx])

@@ -5,11 +5,12 @@ sums to 1, transition rows sum to 1, path products telescope to the closed
 cylinder form, the weighted incidence matrix has unit spectral radius
 (certified by min/max ``(Bg)/g``) and fixes ``g``, its stochastic form
 matches the chain transitions, and product monoids factorize layer laws
-across components.  Cliques of one follow class share their rows, so each
-matrix is read one row per class.  A path's values depend on each clique
-only through a key (its class and size, or each component's class and size
-for the factorization), so paths are walked over one representative clique
-per key (``PathNodes``), built once per family.  No n x n array is formed.
+across components.  Cliques of one follow class share their rows, so the
+transition rows (``class_rows``, filled once per report) and the Parry
+matrices hold one row per class.  A path's values depend on a clique only
+through its ``follow_classes`` (class, size) node, or the tuple of its parts'
+nodes for the factorization, so paths walk one representative clique per
+node (``PathNodes``, built once per family).  No n x n array is formed.
 """
 
 from __future__ import annotations
@@ -18,8 +19,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chain import chain_law, class_rows, h_vector, parry_matrices
+from .chain import chain_law, h_vector
 from .counting import VERIFY_IDENTITY_TOL, VERIFY_PRODUCT_TOL, VERIFY_SPECTRAL_TOL
+from .errors import ReducibleMonoid
+from .monoid import decompose_components
 
 PARAM_GRID = (0.25, 0.5, 0.75, 1.0)   # fractions of the principal root
 
@@ -61,10 +64,10 @@ class PathNodes:
         return np.nonzero(self.succ[self.cls[nodes]])
 
 
-def _path_nodes(family, key):
-    """Nodes of ``family``'s cliques keyed on ``key``, which must determine a
-    clique's follow class; nothing in them depends on a parameter."""
-    _, rep, node_of = np.unique(key, return_index=True, return_inverse=True)
+def _path_nodes(family, node_of, rep):
+    """Path nodes of ``family``'s cliques: clique ``i`` is in node
+    ``node_of[i]``, which must determine its follow class, and ``rep`` holds
+    each node's first clique; nothing in them depends on a parameter."""
     classes = family.follow_classes
     succ = np.zeros((len(classes.follow), len(rep)), dtype=bool)
     for k, row in enumerate(succ):
@@ -72,33 +75,27 @@ def _path_nodes(family, key):
     return PathNodes(rep, classes.class_of[rep], succ)
 
 
-def _cylinder_nodes(family):
-    """Nodes keyed on (follow class, size), on which ``h``, ``g`` and a
-    state's letter count depend."""
-    key = family.follow_classes.class_of * (family.max_clique_size + 1) + family.sizes
-    return _path_nodes(family, key)
-
-
 def _product_nodes(bundle):
-    """Nodes keyed on the tuple of each component's (follow class, size) of a
-    clique's part in it.  The parts' follow sets OR to the clique's, so the
-    tuple determines its follow class and its size."""
+    """Nodes keyed on the tuple of each component's (follow class, size) node
+    of a clique's part in it.  The parts' follow sets OR to the clique's, so
+    the tuple determines its follow class and its size."""
     fam = bundle.family
     key = np.zeros(len(fam), dtype=np.int64)
     for cb in bundle.components:
         cf = cb.family
         part = np.array([cf.index_of(m & cb.alphabet) for m in fam.masks])
-        node = cf.follow_classes.class_of * (cf.max_clique_size + 1) + cf.sizes
-        key = np.unique(key * (int(node.max()) + 1) + node[part], return_inverse=True)[1]
-    return _path_nodes(fam, key)
+        nodes = cf.follow_classes
+        _, rep, key = np.unique(key * len(nodes.node_rep) + nodes.node_of[part],
+                                return_index=True, return_inverse=True)
+    return _path_nodes(fam, key, rep)
 
 
 def _cylinder_deviation(chain, max_len, nodes):
     """Worst gap between path products and the closed cylinder form.
 
     A path's product and its closed form depend on each state only through
-    ``h``, ``g`` and ``|c|``, so paths grow over ``nodes``
-    (``_cylinder_nodes``), one clique per (class, size): every admissible
+    ``h``, ``g`` and ``|c|``, so paths grow over ``nodes``, one clique per
+    (class, size) node of ``follow_classes``: every admissible
     path of length 1 to ``max_len`` gives the values of one node path.  A
     path carries its last node, its product ``h(s0) P(s0, s1) ...`` and its
     letter count below the last layer.  Both sides are formed in the order
@@ -156,6 +153,53 @@ def _product_factorization_deviation(bundle, p, nodes):
     return float(max(one_dev, two_dev))
 
 
+@dataclass
+class ParryPair:
+    """Weighted incidence matrix ``B`` of the non-empty cliques and its stochastic
+    form ``C``, one row per follow class: clique ``i`` reads row ``rows[i - 1]``."""
+
+    B: np.ndarray
+    C: np.ndarray
+    rows: np.ndarray
+    g: np.ndarray
+    Bg: np.ndarray
+    spectral_radius: float
+
+
+def class_rows(family):
+    """One transition row per follow class of the non-empty cliques: each
+    class's first clique, its admissibility row (``len(family)`` booleans),
+    and each non-empty clique's row."""
+    classes, first, rows = np.unique(family.follow_classes.class_of[1:], return_index=True,
+                                     return_inverse=True)
+    return first + 1, family.class_admissibility(classes.tolist()), rows
+
+
+def parry_matrices(family, p0, g, rows):
+    """``B`` and its stochastic form ``C`` at the root, one row per follow class
+    of ``rows`` (``class_rows``), for the root's positive ``g``.  ``B g`` is summed
+    row by row, with no BLAS call, and ``spectral_radius`` is whichever
+    Collatz-Wielandt bound ``min (Bg)/g <= rho(B) <= max (Bg)/g`` lies farther from 1.
+
+    Only defined when the clique automaton is strongly connected, i.e. for
+    irreducible monoids; reducible input is refused.
+    """
+    if len(decompose_components(family.pair, family.alphabet)) > 1:
+        raise ReducibleMonoid(
+            "the Parry construction needs an irreducible monoid; "
+            "this one splits into several independent components"
+        )
+    first, adm, row_of = rows
+    gs = g[1:]
+    B = np.where(adm[:, 1:], p0 ** family.sizes[None, 1:], 0.0)
+    C = B * gs
+    Bg = C.sum(axis=1)   # the row sums of B g, taken before C is normalized
+    C /= g[first, None]
+    ratio = Bg / g[first]
+    rho = max(ratio.min(), ratio.max(), key=lambda r: abs(r - 1.0))
+    return ParryPair(B=B, C=C, rows=row_of, g=gs, Bg=Bg[row_of], spectral_radius=float(rho))
+
+
 def verification_report(bundle):
     """Run every applicable identity check on one monoid."""
     checks = []
@@ -163,8 +207,8 @@ def verification_report(bundle):
     fam = bundle.family
     max_len = _chain_length_cap(len(fam))
 
-    first, adm, _ = class_rows(fam)   # one transition row per follow class
-    nodes = _cylinder_nodes(fam)
+    first, adm, _ = rows = class_rows(fam)   # one transition row per follow class
+    nodes = _path_nodes(fam, fam.follow_classes.node_of, fam.follow_classes.node_rep)
     h_sum_dev = 0.0
     row_dev = 0.0
     cyl_dev = 0.0
@@ -190,7 +234,7 @@ def verification_report(bundle):
     if bundle.irreducible:
         h_min = float(boundary.h[1:].min())
         checks.append(Check("h_min_nonempty_at_root", h_min, 0.0, h_min > 0.0))
-        pp = parry_matrices(fam, p0, boundary.h, boundary.g)
+        pp = parry_matrices(fam, p0, boundary.g, rows)
         checks.append(Check(
             "parry_spectral_radius", pp.spectral_radius, VERIFY_SPECTRAL_TOL,
             abs(pp.spectral_radius - 1.0) <= VERIFY_SPECTRAL_TOL,

@@ -35,6 +35,7 @@ from tracegen.oracle import (
     exact_uniform_expectation,
     iter_admissible_chains,
 )
+from tracegen.verify import class_rows
 
 SE = 4.0  # statistical window, in standard errors
 
@@ -95,7 +96,7 @@ def test_c04_parry_comparison(irreducible_five, prod32, prod22):
     worst_rho = worst_bg = worst_cp = 0.0
     for bundle in irreducible_five:
         ch = bundle.boundary_chain()
-        pp = parry_matrices(bundle.family, bundle.p0, ch.h, ch.g)
+        pp = parry_matrices(bundle.family, bundle.p0, ch.g, class_rows(bundle.family))
         worst_rho = max(worst_rho, abs(pp.spectral_radius - 1.0))
         # B and C hold one row per follow class; rows maps each clique to its own
         worst_bg = max(worst_bg, float(np.abs(pp.B[pp.rows] @ pp.g - pp.g).max()))
@@ -104,7 +105,7 @@ def test_c04_parry_comparison(irreducible_five, prod32, prod22):
     for reducible in (prod32, prod22):
         h = h_vector(reducible.family, reducible.p0)
         with pytest.raises(ReducibleMonoid):
-            parry_matrices(reducible.family, reducible.p0, h, h)
+            parry_matrices(reducible.family, reducible.p0, h, class_rows(reducible.family))
     report("criterion-04 parry comparison",
            f"radius dev {worst_rho:.2e}, Bg dev {worst_bg:.2e}, C-P dev {worst_cp:.2e}; "
            "reducible input refused")

@@ -30,6 +30,7 @@ from tracegen.oracle import (
     path_probability,
     superset_h_g,
 )
+from tracegen.verify import class_rows
 
 from conftest import cycle_complement, independence_graphs, make_bundle
 
@@ -247,7 +248,7 @@ def test_rota_inversion(fig1, tri4, cycle5):
 
 def test_parry_free2(free2):
     ch = free2.boundary_chain()
-    pp = parry_matrices(free2.family, free2.p0, ch.h, ch.g)
+    pp = parry_matrices(free2.family, free2.p0, ch.g, class_rows(free2.family))
     assert np.allclose(pp.B, 0.5)
     assert np.allclose(pp.C, 0.5)
     assert abs(pp.spectral_radius - 1.0) < 1e-9
@@ -256,7 +257,7 @@ def test_parry_free2(free2):
 def test_parry_identities(irreducible_five):
     for bundle in irreducible_five:
         ch = bundle.boundary_chain()
-        pp = parry_matrices(bundle.family, bundle.p0, ch.h, ch.g)
+        pp = parry_matrices(bundle.family, bundle.p0, ch.g, class_rows(bundle.family))
         assert abs(pp.spectral_radius - 1.0) < 1e-9
         assert float(np.abs(pp.B[pp.rows] @ pp.g - pp.g).max()) < 1e-12
         assert float(np.abs(pp.C[pp.rows] - ch.P[1:, 1:]).max()) < 1e-12
@@ -273,7 +274,7 @@ def test_parry_class_rows_expand_to_the_dense_matrices(graph):
     assume(bundle.irreducible)
     fam = bundle.family
     ch = bundle.boundary_chain()
-    pp = parry_matrices(fam, bundle.p0, ch.h, ch.g)
+    pp = parry_matrices(fam, bundle.p0, ch.g, class_rows(fam))
     assert len(pp.B) == len(pp.C) == len(np.unique(fam.follow_classes.class_of[1:]))
     gs = ch.g[1:]
     B = np.where(fam.admissibility[1:, 1:], bundle.p0 ** fam.sizes[None, 1:], 0.0)
@@ -289,10 +290,9 @@ def test_parry_class_rows_expand_to_the_dense_matrices(graph):
 
 
 def test_parry_refuses_reducible(prod32):
-    h = h_vector(prod32.family, prod32.p0)
     g = g_vector(prod32.family, prod32.p0)
     with pytest.raises(ReducibleMonoid):
-        parry_matrices(prod32.family, prod32.p0, h, g)
+        parry_matrices(prod32.family, prod32.p0, g, class_rows(prod32.family))
 
 
 def test_product_factorization_exact(prod32):

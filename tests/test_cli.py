@@ -410,6 +410,17 @@ def test_near4comp_verify_fits_in_one_gib(tmp_path):
         block_spec(tmp_path / "near4comp.json", (16, 16, 16, 16), {(0, 16), (16, 32), (32, 48)}))
 
 
+def test_near4comp_count_exact_fits_in_one_gib(tmp_path):
+    # the enumeration steps over each follow class's columns, not the rows
+    # of the 6.37 GiB dense admissibility
+    spec = block_spec(tmp_path / "near4comp.json", (16, 16, 16, 16),
+                      {(0, 16), (16, 32), (32, 48)})
+    res = run_cli("count", "--monoid", spec, "--k", "2", "--exact",
+                  env={"OPENBLAS_NUM_THREADS": "1"}, preexec_fn=cap_address_space)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.splitlines()[-1] == "lambda_oracle 2 2563"
+
+
 def test_k_zero(monoid_files):
     for name in ("fig1", "prod32"):
         res = run_cli("sample", "--monoid", monoid_files[name], "--mode", "boundary",

@@ -125,6 +125,22 @@ def test_follow_rule_on_random_monoids(graph):
     assert_follow_rule(enumerate_cliques(pair))
 
 
+@settings(max_examples=100, deadline=None)
+@given(independence_graphs())
+def test_follow_class_nodes_on_random_monoids(graph):
+    # two cliques share a (class, size) node exactly when they share both
+    # their follow class and their size; each node's rep is its first clique
+    letters, pairs = graph
+    fam = enumerate_cliques(validate_independence(letters, pairs, symmetric_closure=True))
+    classes = fam.follow_classes
+    node_of, rep = classes.node_of.tolist(), classes.node_rep.tolist()
+    keys = list(zip(classes.class_of.tolist(), fam.sizes.tolist()))
+    node_by_key = dict(zip(keys, node_of))
+    assert [node_by_key[key] for key in keys] == node_of
+    assert sorted(node_by_key.values()) == list(range(len(rep)))
+    assert rep == [node_of.index(v) for v in range(len(rep))]
+
+
 def test_follow_examples(fig1):
     pair = fig1.pair
     a, b, c = (pair.mask_of_letters([x]) for x in "abc")

@@ -38,6 +38,29 @@ def test_only_chain_reads_the_cdf_layout():
     assert found == []
 
 
+# the functions that may read the dense n x n CliqueFamily.admissibility: the
+# dense transition matrix and two brute-force references of oracle.py
+DENSE_READERS = {("chain.py", "transition_matrix"), ("oracle.py", "dense_cdf"),
+                 ("oracle.py", "iter_admissible_chains")}
+
+
+def test_only_dense_references_read_admissibility():
+    # every other reader asks CliqueFamily.class_columns, one follow class at
+    # a time, so no CLI path forms the n x n matrix
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        allowed = set()
+        for func in ast.walk(tree):
+            if isinstance(func, ast.FunctionDef) and (path.name, func.name) in DENSE_READERS:
+                allowed |= {id(n) for n in ast.walk(func)}
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Attribute) and node.attr == "admissibility"
+                    and isinstance(node.ctx, ast.Load) and id(node) not in allowed):
+                found.append(f"{path.name}:{node.lineno} .admissibility")
+    assert found == []
+
+
 BLAS_NAMES = {"dot", "matmul", "einsum", "inner", "vdot", "tensordot", "linalg"}
 
 

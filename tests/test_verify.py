@@ -8,7 +8,7 @@ from tracegen.verify import (
     PARAM_GRID,
     _chain_length_cap,
     _cylinder_deviation,
-    _cylinder_nodes,
+    _path_nodes,
     _product_factorization_deviation,
     _product_nodes,
     verification_report,
@@ -56,7 +56,8 @@ def scalar_product_deviation(bundle, p):
 def assert_matches_scalar(bundle):
     # the node walks against every clique path, one at a time
     max_len = _chain_length_cap(len(bundle.family))
-    nodes = _cylinder_nodes(bundle.family)
+    classes = bundle.family.follow_classes
+    nodes = _path_nodes(bundle.family, classes.node_of, classes.node_rep)
     for frac in PARAM_GRID:
         p = bundle.p0 if frac == 1.0 else bundle.p0 * frac
         if not bundle.irreducible:
@@ -115,4 +116,20 @@ def test_verification_report_builds_no_sampling_cdf(monkeypatch, fig1, path4, pr
     for bundle, checks in zip(bundles, want):
         assert verification_report(bundle) == checks
     # C_14^c's paths grow over 585 (class, size) nodes, not its 843 cliques
-    assert len(_cylinder_nodes(c14.family).rep) == 585
+    assert len(c14.family.follow_classes.node_rep) == 585
+
+
+def test_verification_report_fills_each_class_row_once(monkeypatch, c14):
+    # on C_14^c: 512 rows, one per follow class of the non-empty cliques, for
+    # the transition rows and the Parry matrices together, and 513 for the
+    # path nodes' successors, one per follow class
+    calls = []
+    columns = CliqueFamily.class_columns
+
+    def counted(family, k):
+        calls.append(k)
+        return columns(family, k)
+
+    monkeypatch.setattr(CliqueFamily, "class_columns", counted)
+    verification_report(c14)
+    assert len(calls) == 1025
