@@ -43,10 +43,14 @@ print("path a -> c -> ab:", path, " closed form:", closed)
 # at the root, the chain restricted to non-empty cliques is the classical
 # weighted-automaton chain: same transitions, different start
 boundary = bundle.boundary_chain()
-pp = parry_matrices(fam, bundle.p0, boundary.g, class_rows(fam))
+_, offsets, columns, _ = rows = class_rows(fam)
+pp = parry_matrices(fam, bundle.p0, boundary.g, rows)
 print("\nspectral radius of the weighted incidence matrix:", pp.spectral_radius)
-# B and C hold one row per follow class; pp.rows gives each clique its row
-C = pp.C[pp.rows]
+# C holds one row per follow class, as entries on the class's follow columns
+# (the empty clique's first); expanded, pp.rows gives each clique its row
+C = np.zeros((len(offsets) - 1, len(fam)))
+C[np.repeat(np.arange(len(C)), np.diff(offsets)), columns] = pp.C
+C = C[pp.rows, 1:]
 print("max |C - P| over non-empty cliques:", float(np.abs(C - boundary.P[1:, 1:]).max()))
 stationary = np.linalg.matrix_power(C, 200)[0]
 print("chain start h:", np.round(boundary.h[1:], 6))

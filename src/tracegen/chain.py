@@ -21,16 +21,16 @@ A chain stores its whole law compactly, and only this module reads that
 layout.  Row ``c`` of the transitions is ``h(c')/g(c)`` over the cliques
 ``c' ⊆ D(c)``, so it depends on ``c`` only through its follow class; the
 start state ``n`` has the class of the whole alphabet, whose ``g`` is 1, so
-its row is ``cumsum(h)``.  Each class's row is stored once,
-as its cumulative sums over its admissible columns (the cliques
-``family.class_columns`` lists for the class), and each row ends in
-``+inf`` on its last column, so a uniform at or above the row's float total
-(which can fall short of 1) stays inside the row.  Row 0 is the empty
-clique's point mass: its D alone is empty.  ``P_cum`` is one ``float64``
-array of the rows' cumulative values, ``cols`` holds each entry's column,
-and state ``s``'s row is ``[lo[s], hi[s])`` for each of the ``n + 1``
-states.  A step lands on the first entry of the walker's row above its
-uniform, as ``searchsorted`` with ``side="right"`` would:
+its row is ``cumsum(h)``.  Each class's row is stored once, as cumulative
+sums over its row of the family's compressed follow relation, and ends in
+``+inf`` on its last column, so a uniform at or above the row's float
+total (which can fall short of 1) stays inside the row.  Row 0 is the
+empty clique's point mass: its D alone is empty.  ``P_cum`` is one
+``float64`` array of the rows' cumulative values, ``cols`` is the family's
+``follow_classes.columns`` itself, and state ``s``'s row is ``[lo[s],
+hi[s])`` for each of the ``n + 1`` states.  A step lands on the first entry
+of the walker's row above its uniform, as ``searchsorted`` with
+``side="right"`` would:
 ``CliqueChain.step`` runs one fixed-stride binary search for any number of
 walkers at once, each inside its own row, with strides halving from the
 widest row's; a walk's first draw is a step from ``n``.  One draw below the
@@ -44,10 +44,9 @@ values of block draws for a stream) and makes no numpy array or scalar per
 step; both kernels land on the same state for the same uniform.  A row's
 cumulative sums equal the dense row's there bit for bit (adding the 0.0 of
 an inadmissible entry is exact), so the draws are those of the dense CDF.
-Building the rows reads no n x n array.  The dense ``P``
-(``transition_matrix``), and with it the family's dense admissibility, is
-formed only when read, which no CLI command does; ``verify`` builds its own
-rows and the Parry matrices, one row per follow class.
+The dense ``P`` (``transition_matrix``), and with it the family's dense
+admissibility, is formed only when read, which no CLI command does;
+``verify`` reads the same follow rows.
 """
 
 from __future__ import annotations
@@ -138,21 +137,20 @@ def transition_matrix(family, h, g, at_p0=False):
 
 def _compact_cdf(family, h, g):
     """The CDF of the module docstring: ``(P_cum, cols, lo, hi)``, one row per
-    follow class.  The empty clique's row skips the division, as at the root
-    ``g[0] = 0``."""
+    follow class on the family's compressed follow rows; ``cols`` is their
+    ``columns`` array itself, shared by every chain of the family.  The empty
+    clique's row skips the division, as at the root ``g[0] = 0``."""
     classes = family.follow_classes
     row_of = np.append(classes.class_of, classes.start)
     norm = np.append(g, 1.0)
     first = np.unique(row_of, return_index=True)[1]
-    idxs = [family.class_columns(k) for k in range(len(classes.follow))]
-    starts = np.cumsum([0, *map(len, idxs)])
-    P_cum = np.empty(int(starts[-1]))
-    bounds = starts.tolist()
-    for idx, state, lo, hi in zip(idxs, first.tolist(), bounds, bounds[1:]):
+    P_cum = np.empty(len(classes.columns))
+    bounds = classes.offsets.tolist()
+    for state, lo, hi in zip(first.tolist(), bounds, bounds[1:]):
         if state:
-            (h[idx] / norm[state]).cumsum(out=P_cum[lo:hi])
-    P_cum[starts[1:] - 1] = np.inf
-    return P_cum, np.concatenate(idxs).astype(np.int32), starts[row_of], starts[row_of + 1]
+            (h[classes.columns[lo:hi]] / norm[state]).cumsum(out=P_cum[lo:hi])
+    P_cum[classes.offsets[1:] - 1] = np.inf
+    return P_cum, classes.columns, classes.offsets[row_of], classes.offsets[row_of + 1]
 
 
 @dataclass

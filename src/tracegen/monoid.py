@@ -201,13 +201,15 @@ class FollowClasses:
     index in ``follow`` and ``start`` the alphabet's.  ``counts[k, j]`` is the
     number of cliques of size ``j`` inside ``alphabet & ~follow[k]``, the
     letters that commute with every letter of a clique of class ``k``, so
-    ``sum_j (-1)^j counts[k, j] x^j`` is their clique polynomial.  The counts
-    are taken in blocks of at most ``_CLASS_BLOCK`` class-clique pairs.
-    ``node_of[i]`` is clique ``i``'s (class, size) node, in increasing order
-    of class then size, and ``node_rep`` holds each node's first clique.
+    ``sum_j (-1)^j counts[k, j] x^j`` is their clique polynomial.  The cliques inside
+    ``follow[k]``, which may follow class ``k``, are the compressed row ``columns[offsets[k]:
+    offsets[k + 1]]``, in increasing order.  Both are taken in blocks of at most
+    ``_CLASS_BLOCK`` class-clique pairs.  ``node_of[i]`` is clique ``i``'s (class, size)
+    node, in increasing order of class then size, and ``node_rep`` its first clique.
     """
 
-    __slots__ = ("follow", "class_of", "start", "counts", "node_of", "node_rep")
+    __slots__ = ("follow", "class_of", "start", "offsets", "columns", "counts", "node_of",
+                 "node_rep")
 
     def __init__(self, family):
         d = np.array([*map(family.pair.follow, family.masks), family.alphabet], dtype=np.uint64)
@@ -219,11 +221,17 @@ class FollowClasses:
         # cliques come sorted by size, and every size up to the largest occurs
         size_starts = np.searchsorted(family.sizes, np.arange(family.max_clique_size + 1))
         self.counts = np.empty((len(self.follow), len(size_starts)), dtype=np.int64)
+        flat = []   # the relation's entries, as flat positions k * len(family) + j
         block = max(1, _CLASS_BLOCK // len(family))
         for lo in range(0, len(self.follow), block):
-            inside = (family.masks_np & self.follow[lo:lo + block, None]) == 0
+            follow = self.follow[lo:lo + block, None]
+            inside = (family.masks_np & follow) == 0
             np.add.reduceat(inside, size_starts, axis=1, dtype=np.int64,
                             out=self.counts[lo:lo + block])
+            flat.append(np.flatnonzero((family.masks_np & ~follow) == 0) + lo * len(family))
+        flat = np.concatenate(flat)
+        self.offsets = np.searchsorted(flat, np.arange(len(self.follow) + 1) * len(family))
+        self.columns = np.remainder(flat, len(family), out=flat).astype(np.int32)
 
 
 class CliqueFamily:
@@ -234,11 +242,11 @@ class CliqueFamily:
     empty clique and orderings (hence matrices, outputs) are deterministic.
     Clique ``j`` may follow clique ``i`` iff ``c_j ⊆ D(c_i)``, which depends
     on ``i`` only through its follow class ``k`` in ``follow_classes``
-    (``FollowClasses``, built on first read): ``class_columns(k)`` lists
-    those ``j``, and every reader of the relation asks it.  The dense boolean
-    matrix ``admissibility[i, j]`` repeats the row of clique ``i``'s class
-    for each clique; it is built lazily, and only the dense transition
-    matrix and the oracle read it.
+    (``FollowClasses``, built on first read), which holds the relation once,
+    as compressed rows over the classes; ``class_columns(k)`` is class
+    ``k``'s row.  The dense boolean matrix ``admissibility[i, j]`` repeats
+    the row of clique ``i``'s class for each clique; it is built lazily from
+    the rows, and only the dense transition matrix and the oracle read it.
     """
 
     __slots__ = ("pair", "alphabet", "masks", "sizes", "by_mask", "masks_np", "_adm",
@@ -265,21 +273,15 @@ class CliqueFamily:
     def admissibility(self):
         if self._adm is None:
             classes = self.follow_classes
-            self._adm = self.class_admissibility(range(len(classes.follow)))[classes.class_of]
+            rows = np.zeros((len(classes.follow), len(self.masks)), dtype=bool)
+            rows[np.repeat(np.arange(len(rows)), np.diff(classes.offsets)), classes.columns] = True
+            self._adm = rows[classes.class_of]
         return self._adm
 
     def class_columns(self, k):
         """Indices of the cliques that may follow a clique of follow class
         ``k``: those inside its follow set ``follow_classes.follow[k]``."""
-        return np.flatnonzero((self.masks_np & ~self.follow_classes.follow[k]) == 0)
-
-    def class_admissibility(self, classes):
-        """One boolean row of ``len(self)`` per follow class in ``classes``,
-        true on the class's columns."""
-        rows = np.zeros((len(classes), len(self.masks)), dtype=bool)
-        for row, k in zip(rows, classes):
-            row[self.class_columns(k)] = True
-        return rows
+        return self.follow_classes.columns[slice(*self.follow_classes.offsets[k:k + 2])]
 
     @property
     def follow_classes(self):

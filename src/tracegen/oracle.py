@@ -57,7 +57,7 @@ def iter_Mk(family, k, budget=DEFAULT_ENUM_BUDGET):
     masks = family.masks
     found = 0
 
-    def extend(prev, layers, remaining):
+    def extend(row, layers, remaining):
         nonlocal found
         if remaining == 0:
             found += 1
@@ -65,15 +65,14 @@ def iter_Mk(family, k, budget=DEFAULT_ENUM_BUDGET):
                 raise BudgetExceeded(f"more than {budget} traces of length {k}")
             yield Trace(pair, layers)
             return
-        allowed = range(1, len(masks)) if prev is None else cols[class_of[prev]]
-        for idx in allowed:
+        for idx in cols[row]:
             if idx == 0 or sizes[idx] > remaining:
                 continue
             layers.append(masks[idx])
-            yield from extend(idx, layers, remaining - int(sizes[idx]))
+            yield from extend(class_of[idx], layers, remaining - int(sizes[idx]))
             layers.pop()
 
-    yield from extend(None, [], k)
+    yield from extend(family.follow_classes.start, [], k)   # the start's row: every clique
 
 
 def enumerate_Mk(family, k, budget=DEFAULT_ENUM_BUDGET):
@@ -216,10 +215,9 @@ def dense_cdf(chain):
     """The chain's transition CDF as a dense n x n array: the row cumsums of
     ``P``, reading ``+inf`` from each row's last admissible column on."""
     cum = np.cumsum(chain.P, axis=1)
-    adm = chain.family.admissibility
-    n = chain.n_states
-    last = n - 1 - np.argmax(adm[:, ::-1], axis=1)
-    cum[np.arange(n)[None, :] >= last[:, None]] = np.inf
+    classes = chain.family.follow_classes
+    last = classes.columns[classes.offsets[classes.class_of + 1] - 1]
+    cum[np.arange(chain.n_states)[None, :] >= last[:, None]] = np.inf
     return cum
 
 
@@ -285,19 +283,17 @@ def all_walker_uniform_traces(bundle, k, n, rng, max_rejects=DEFAULT_REJECT_BUDG
 
 def iter_admissible_chains(family, length, include_empty=True):
     """All admissible state chains of the given length, as index tuples."""
-    adm = family.admissibility
+    class_of = family.follow_classes.class_of
     first = range(len(family)) if include_empty else range(1, len(family))
 
     def extend(prefix, remaining):
         if remaining == 0:
             yield tuple(prefix)
             return
-        last = prefix[-1]
-        succ = np.flatnonzero(adm[last])
-        for nxt in succ:
+        for nxt in family.class_columns(class_of[prefix[-1]]).tolist():
             if not include_empty and nxt == 0:
                 continue
-            prefix.append(int(nxt))
+            prefix.append(nxt)
             yield from extend(prefix, remaining - 1)
             prefix.pop()
 

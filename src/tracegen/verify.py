@@ -6,11 +6,12 @@ cylinder form, the weighted incidence matrix has unit spectral radius
 (certified by min/max ``(Bg)/g``) and fixes ``g``, its stochastic form
 matches the chain transitions, and product monoids factorize layer laws
 across components.  Cliques of one follow class share their rows, so the
-transition rows (``class_rows``, filled once per report) and the Parry
-matrices hold one row per class.  A path's values depend on a clique only
-through its ``follow_classes`` (class, size) node, or the tuple of its parts'
-nodes for the factorization, so paths walk one representative clique per
-node (``PathNodes``, built once per family).  No n x n array is formed.
+transition rows and the Parry matrices hold one row per class, as entries
+on the family's compressed follow rows (``class_rows``).  A path's values
+depend on a clique only through its ``follow_classes`` (class, size) node,
+or the tuple of its parts' nodes for the factorization, so paths walk one
+representative clique per node (``PathNodes``, whose successor rows are
+compressed too).  No n x n or classes x n array is formed.
 """
 
 from __future__ import annotations
@@ -50,18 +51,20 @@ def _chain_length_cap(n_states):
 @dataclass(frozen=True)
 class PathNodes:
     """The cliques grouped by a key on which every checked value depends: one
-    representative clique per key (``rep``), its follow class (``cls``), and
-    ``succ[k, j]``, whether some clique of node ``j`` may follow a clique of
-    follow class ``k``.  Each admissible path of cliques maps to a node path
-    along ``succ``, and each such node path is the image of one."""
+    representative clique per key (``rep``), its follow class (``cls``), and the nodes
+    that may follow class ``k``, ``successors[offsets[k]:offsets[k + 1]]``.  Each admissible
+    path of cliques maps to a node path along these rows, and each is the image of one."""
 
     rep: np.ndarray
     cls: np.ndarray
-    succ: np.ndarray
+    offsets: np.ndarray
+    successors: np.ndarray
 
     def edges(self, nodes):
         """``(i, j)``: each edge from node ``nodes[i]`` to node ``j``."""
-        return np.nonzero(self.succ[self.cls[nodes]])
+        begin, counts = self.offsets[self.cls[nodes]], np.diff(self.offsets)[self.cls[nodes]]
+        src = np.repeat(np.arange(len(nodes)), counts)   # row i's edges follow those of rows < i
+        return src, self.successors[np.arange(len(src)) + (begin + counts - counts.cumsum())[src]]
 
 
 def _path_nodes(family, node_of, rep):
@@ -69,10 +72,11 @@ def _path_nodes(family, node_of, rep):
     ``node_of[i]``, which must determine its follow class, and ``rep`` holds
     each node's first clique; nothing in them depends on a parameter."""
     classes = family.follow_classes
-    succ = np.zeros((len(classes.follow), len(rep)), dtype=bool)
-    for k, row in enumerate(succ):
-        row[node_of[family.class_columns(k)]] = True
-    return PathNodes(rep, classes.class_of[rep], succ)
+    width = np.arange(len(classes.follow) + 1) * len(rep)   # class k's keys start at width[k]
+    key = np.repeat(width[:-1], np.diff(classes.offsets)) + node_of[classes.columns]
+    key.sort()   # the follow columns' (class, node) keys, deduplicated as sorted neighbours
+    key = key[np.append(True, key[1:] != key[:-1])]
+    return PathNodes(rep, classes.class_of[rep], np.searchsorted(key, width), key % len(rep))
 
 
 def _product_nodes(bundle):
@@ -155,8 +159,8 @@ def _product_factorization_deviation(bundle, p, nodes):
 
 @dataclass
 class ParryPair:
-    """Weighted incidence matrix ``B`` of the non-empty cliques and its stochastic
-    form ``C``, one row per follow class: clique ``i`` reads row ``rows[i - 1]``."""
+    """Weighted incidence matrix ``B`` of the non-empty cliques and its stochastic form ``C``, as
+    entries on ``class_rows`` (0 on the empty clique): clique ``i`` reads row ``rows[i - 1]``."""
 
     B: np.ndarray
     C: np.ndarray
@@ -167,18 +171,18 @@ class ParryPair:
 
 
 def class_rows(family):
-    """One transition row per follow class of the non-empty cliques: each
-    class's first clique, its admissibility row (``len(family)`` booleans),
-    and each non-empty clique's row."""
-    classes, first, rows = np.unique(family.follow_classes.class_of[1:], return_index=True,
-                                     return_inverse=True)
-    return first + 1, family.class_admissibility(classes.tolist()), rows
+    """The follow rows of the non-empty cliques' classes 1 to ``K'``: each one's first clique,
+    offsets (a list), columns (a view of ``follow_classes.columns``), each clique's row."""
+    classes = family.follow_classes
+    first = np.unique(classes.class_of[1:], return_index=True)[1] + 1
+    at = classes.offsets[1:len(first) + 2]
+    return first, (at - at[0]).tolist(), classes.columns[at[0]:at[-1]], classes.class_of[1:] - 1
 
 
 def parry_matrices(family, p0, g, rows):
     """``B`` and its stochastic form ``C`` at the root, one row per follow class
     of ``rows`` (``class_rows``), for the root's positive ``g``.  ``B g`` is summed
-    row by row, with no BLAS call, and ``spectral_radius`` is whichever
+    row by row past the empty clique, with no BLAS call, and ``spectral_radius`` is whichever
     Collatz-Wielandt bound ``min (Bg)/g <= rho(B) <= max (Bg)/g`` lies farther from 1.
 
     Only defined when the clique automaton is strongly connected, i.e. for
@@ -189,15 +193,14 @@ def parry_matrices(family, p0, g, rows):
             "the Parry construction needs an irreducible monoid; "
             "this one splits into several independent components"
         )
-    first, adm, row_of = rows
-    gs = g[1:]
-    B = np.where(adm[:, 1:], p0 ** family.sizes[None, 1:], 0.0)
-    C = B * gs
-    Bg = C.sum(axis=1)   # the row sums of B g, taken before C is normalized
-    C /= g[first, None]
+    first, offsets, columns, row_of = rows
+    B = np.append(0.0, p0 ** family.sizes[1:])[columns]
+    C = B * g[columns]
+    Bg = np.array([C[lo + 1:hi].sum() for lo, hi in zip(offsets, offsets[1:])])   # C is B g here
+    C /= np.repeat(g[first], np.diff(offsets))
     ratio = Bg / g[first]
     rho = max(ratio.min(), ratio.max(), key=lambda r: abs(r - 1.0))
-    return ParryPair(B=B, C=C, rows=row_of, g=gs, Bg=Bg[row_of], spectral_radius=float(rho))
+    return ParryPair(B=B, C=C, rows=row_of, g=g[1:], Bg=Bg[row_of], spectral_radius=float(rho))
 
 
 def verification_report(bundle):
@@ -207,7 +210,7 @@ def verification_report(bundle):
     fam = bundle.family
     max_len = _chain_length_cap(len(fam))
 
-    first, adm, _ = rows = class_rows(fam)   # one transition row per follow class
+    first, offsets, columns, _ = rows = class_rows(fam)   # one transition row per follow class
     nodes = _path_nodes(fam, fam.follow_classes.node_of, fam.follow_classes.node_rep)
     h_sum_dev = 0.0
     row_dev = 0.0
@@ -221,9 +224,10 @@ def verification_report(bundle):
             continue
         # the law alone: no check reads the sampling CDF
         law = chain_law(fam, p, p0)
-        P = np.where(adm, law.h, 0.0) / law.g[first, None]
+        P = law.h[columns] / np.repeat(law.g[first], np.diff(offsets))
         h_sum_dev = max(h_sum_dev, abs(float(law.h.sum()) - 1.0))
-        row_dev = max(row_dev, float(np.abs(P.sum(axis=1) - 1.0).max()))
+        sums = [P[lo:hi].sum() for lo, hi in zip(offsets, offsets[1:])]   # pairwise, row by row
+        row_dev = max(row_dev, float(np.abs(np.array(sums) - 1.0).max()))
         cyl_dev = max(cyl_dev, _cylinder_deviation(law, max_len, nodes))
         if frac == 1.0:
             boundary, boundary_P = law, P
@@ -241,7 +245,7 @@ def verification_report(bundle):
         ))
         bg_dev = float(np.abs(pp.Bg - pp.g).max())
         checks.append(_dev_check("parry_Bg_dev", bg_dev, VERIFY_IDENTITY_TOL))
-        cp = pp.C - boundary_P[:, 1:]
+        cp = pp.C - boundary_P   # 0 on the empty column, where h is 0 at the root
         cp_dev = float(np.abs(cp, out=cp).max())
         checks.append(_dev_check("parry_CP_dev", cp_dev, VERIFY_IDENTITY_TOL))
     else:

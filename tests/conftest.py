@@ -1,6 +1,7 @@
 import itertools
 import json
 
+import numpy as np
 import pytest
 from hypothesis import strategies as st
 
@@ -10,6 +11,16 @@ from tracegen import MonoidBundle, validate_independence
 def make_bundle(letters, pairs):
     """Bundle from one-directional pairs (closure applied)."""
     return MonoidBundle(validate_independence(letters, pairs, symmetric_closure=True))
+
+
+def dense_parry(rows, entries):
+    """A ``ParryPair`` entry array (``B`` or ``C``) on the follow rows ``rows``
+    (``verify.class_rows``) as the dense matrix it stands for: one row per
+    follow class, one column per non-empty clique."""
+    _, offsets, columns, row_of = rows
+    out = np.zeros((len(offsets) - 1, len(row_of) + 1))
+    out[np.repeat(np.arange(len(out)), np.diff(offsets)), columns] = entries
+    return out[:, 1:]
 
 
 def cycle_complement(n):

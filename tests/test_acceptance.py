@@ -37,6 +37,8 @@ from tracegen.oracle import (
 )
 from tracegen.verify import class_rows
 
+from conftest import dense_parry
+
 SE = 4.0  # statistical window, in standard errors
 
 
@@ -96,11 +98,14 @@ def test_c04_parry_comparison(irreducible_five, prod32, prod22):
     worst_rho = worst_bg = worst_cp = 0.0
     for bundle in irreducible_five:
         ch = bundle.boundary_chain()
-        pp = parry_matrices(bundle.family, bundle.p0, ch.g, class_rows(bundle.family))
+        rows = class_rows(bundle.family)
+        pp = parry_matrices(bundle.family, bundle.p0, ch.g, rows)
         worst_rho = max(worst_rho, abs(pp.spectral_radius - 1.0))
-        # B and C hold one row per follow class; rows maps each clique to its own
-        worst_bg = max(worst_bg, float(np.abs(pp.B[pp.rows] @ pp.g - pp.g).max()))
-        worst_cp = max(worst_cp, float(np.abs(pp.C[pp.rows] - ch.P[1:, 1:]).max()))
+        # B and C hold one row per follow class, as entries on its follow
+        # columns; pp.rows maps each clique to its own
+        B, C = dense_parry(rows, pp.B), dense_parry(rows, pp.C)
+        worst_bg = max(worst_bg, float(np.abs(B[pp.rows] @ pp.g - pp.g).max()))
+        worst_cp = max(worst_cp, float(np.abs(C[pp.rows] - ch.P[1:, 1:]).max()))
     assert worst_rho <= 1e-9 and worst_bg <= 1e-12 and worst_cp <= 1e-12
     for reducible in (prod32, prod22):
         h = h_vector(reducible.family, reducible.p0)

@@ -32,7 +32,7 @@ from tracegen.oracle import (
 )
 from tracegen.verify import class_rows
 
-from conftest import cycle_complement, independence_graphs, make_bundle
+from conftest import cycle_complement, dense_parry, independence_graphs, make_bundle
 
 PARAM_FRACTIONS = (0.25, 0.5, 0.75, 1.0)
 
@@ -248,40 +248,45 @@ def test_rota_inversion(fig1, tri4, cycle5):
 
 def test_parry_free2(free2):
     ch = free2.boundary_chain()
-    pp = parry_matrices(free2.family, free2.p0, ch.g, class_rows(free2.family))
-    assert np.allclose(pp.B, 0.5)
-    assert np.allclose(pp.C, 0.5)
+    rows = class_rows(free2.family)
+    pp = parry_matrices(free2.family, free2.p0, ch.g, rows)
+    assert np.allclose(dense_parry(rows, pp.B), 0.5)
+    assert np.allclose(dense_parry(rows, pp.C), 0.5)
     assert abs(pp.spectral_radius - 1.0) < 1e-9
 
 
 def test_parry_identities(irreducible_five):
     for bundle in irreducible_five:
         ch = bundle.boundary_chain()
-        pp = parry_matrices(bundle.family, bundle.p0, ch.g, class_rows(bundle.family))
+        rows = class_rows(bundle.family)
+        pp = parry_matrices(bundle.family, bundle.p0, ch.g, rows)
         assert abs(pp.spectral_radius - 1.0) < 1e-9
-        assert float(np.abs(pp.B[pp.rows] @ pp.g - pp.g).max()) < 1e-12
-        assert float(np.abs(pp.C[pp.rows] - ch.P[1:, 1:]).max()) < 1e-12
-        assert float(np.abs(pp.C.sum(axis=1) - 1.0).max()) < 1e-12
+        B, C = dense_parry(rows, pp.B), dense_parry(rows, pp.C)
+        assert float(np.abs(B[pp.rows] @ pp.g - pp.g).max()) < 1e-12
+        assert float(np.abs(C[pp.rows] - ch.P[1:, 1:]).max()) < 1e-12
+        assert float(np.abs(C.sum(axis=1) - 1.0).max()) < 1e-12
 
 
 @settings(max_examples=60, deadline=None)
 @given(independence_graphs())
 def test_parry_class_rows_expand_to_the_dense_matrices(graph):
-    # one row per follow class of the non-empty cliques, which expands bit for
-    # bit to the dense B and C, and the Collatz-Wielandt interval of B g / g
-    # holds the spectral radius of the dense B
+    # one row per follow class of the non-empty cliques, whose entries expand
+    # bit for bit to the dense B and C, and the Collatz-Wielandt interval of
+    # B g / g holds the spectral radius of the dense B
     bundle = make_bundle(*graph)
     assume(bundle.irreducible)
     fam = bundle.family
     ch = bundle.boundary_chain()
-    pp = parry_matrices(fam, bundle.p0, ch.g, class_rows(fam))
-    assert len(pp.B) == len(pp.C) == len(np.unique(fam.follow_classes.class_of[1:]))
+    rows = class_rows(fam)
+    pp = parry_matrices(fam, bundle.p0, ch.g, rows)
+    dense_B, dense_C = dense_parry(rows, pp.B), dense_parry(rows, pp.C)
+    assert len(dense_B) == len(dense_C) == len(np.unique(fam.follow_classes.class_of[1:]))
     gs = ch.g[1:]
     B = np.where(fam.admissibility[1:, 1:], bundle.p0 ** fam.sizes[None, 1:], 0.0)
     C = B * gs[None, :]
     C /= gs[:, None]
-    assert pp.B[pp.rows].tobytes() == B.tobytes()
-    assert pp.C[pp.rows].tobytes() == C.tobytes()
+    assert dense_B[pp.rows].tobytes() == B.tobytes()
+    assert dense_C[pp.rows].tobytes() == C.tobytes()
     ratio = pp.Bg / pp.g
     lo, hi = float(ratio.min()), float(ratio.max())
     assert pp.spectral_radius in (lo, hi)
@@ -376,8 +381,8 @@ def test_chain_keeps_P_and_its_cdf_agrees(fig1):
 
 def test_compact_cdf_memory_on_c14():
     # the sampling CDF stores one row of admissible entries per follow class,
-    # and building the chain, its follow-class table included, forms no n x n
-    # array and reads no admissibility matrix
+    # and building the chain, its follow-class table and follow rows included,
+    # forms no n x n array and reads no admissibility matrix
     bundle = cycle_complement(14)
     fam = bundle.family
     n = len(fam)
@@ -400,6 +405,8 @@ def test_compact_cdf_memory_on_c14():
         assert len(first) == len(classes.follow) == 513
         assert (row == np.append(classes.class_of, classes.start)).all()
         assert ch.P_cum.size == per_state[first].sum() < per_state.sum()
+        # the columns are the family's compressed follow rows, shared, not copied
+        assert ch.cols is classes.columns
 
 
 def test_transition_matrix_low_level(fig1):

@@ -103,13 +103,19 @@ def test_family_closed_under_subsets(fig1, path4, cycle5, tri4, prod32):
 
 
 def assert_follow_rule(family):
-    """Matrix, ``cf_admissible`` and the oracle's letter rule agree on every pair."""
+    """Matrix, compressed class rows, ``cf_admissible`` and the oracle's letter
+    rule agree on every pair."""
     adm = family.admissibility
+    class_of = family.follow_classes.class_of
     for i, ci in enumerate(family.masks):
+        row = []
         for j, cj in enumerate(family.masks):
             want = letter_admissible(family.pair, ci, cj)
             assert adm[i, j] == want
             assert cf_admissible(family.pair, ci, cj) == want
+            if want:
+                row.append(j)
+        assert family.class_columns(class_of[i]).tolist() == row
 
 
 def test_admissibility_matches_scalar_rule(irreducible_five, prod32):

@@ -1,11 +1,15 @@
 """Rules on the library source itself."""
 
 import ast
+import importlib
 import pathlib
 
 import tracegen
+from tracegen.chain import CliqueChain
+from tracegen.monoid import CliqueFamily
 
 SRC = pathlib.Path(tracegen.__file__).resolve().parent
+REPLAY = pathlib.Path(__file__).resolve().parents[1] / "bench" / "replay.py"
 
 
 def test_library_has_no_assert():
@@ -38,15 +42,14 @@ def test_only_chain_reads_the_cdf_layout():
     assert found == []
 
 
-# the functions that may read the dense n x n CliqueFamily.admissibility: the
-# dense transition matrix and two brute-force references of oracle.py
-DENSE_READERS = {("chain.py", "transition_matrix"), ("oracle.py", "dense_cdf"),
-                 ("oracle.py", "iter_admissible_chains")}
+# the one function that may read the dense n x n CliqueFamily.admissibility:
+# the dense transition matrix
+DENSE_READERS = {("chain.py", "transition_matrix")}
 
 
 def test_only_dense_references_read_admissibility():
-    # every other reader asks CliqueFamily.class_columns, one follow class at
-    # a time, so no CLI path forms the n x n matrix
+    # every other reader reads the family's compressed follow rows
+    # (FollowClasses.columns), so no CLI path forms the n x n matrix
     found = []
     for path in sorted(SRC.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
@@ -109,3 +112,25 @@ def test_only_cli_main_writes_stdout():
             elif isinstance(func, ast.Attribute) and _is_stdout(func.value):
                 found.append(f"{path.name}:{node.lineno} sys.stdout.{func.attr}")
     assert found == []
+
+
+def test_replay_entry_points_resolve():
+    # bench/replay.py swaps these names for traced wrappers, so a rename in
+    # src/tracegen must not leave one behind; the file is parsed, not imported
+    tree = ast.parse(REPLAY.read_text(encoding="utf-8"))
+    modules = {alias.asname or alias.name: f"{node.module}.{alias.name}"
+               for node in tree.body if isinstance(node, ast.ImportFrom)
+               and node.module == "tracegen" for alias in node.names}
+    entries = next(node.value for node in tree.body if isinstance(node, ast.Assign)
+                   and getattr(node.targets[0], "id", None) == "ENTRY_POINTS")
+    missing = []
+    for entry in entries.elts:
+        mod, attr = entry.elts[0].id, entry.elts[1].value
+        if not hasattr(importlib.import_module(modules[mod]), attr):
+            missing.append(f"{modules[mod]}.{attr}")
+    assert len(entries.elts) > 0 and missing == []
+    # the admissibility property it wraps, the slot that property fills, and
+    # the dense transitions it prices
+    assert isinstance(CliqueFamily.admissibility, property)
+    assert "_adm" in CliqueFamily.__slots__
+    assert hasattr(CliqueChain, "P")

@@ -2,6 +2,7 @@ from hypothesis import given, settings
 
 from tracegen import MonoidBundle, h_vector, validate_independence
 from tracegen import chain as chain_mod
+from tracegen import monoid as monoid_mod
 from tracegen.monoid import CliqueFamily
 from tracegen.oracle import cylinder_probability, iter_admissible_chains, path_probability
 from tracegen.verify import (
@@ -119,17 +120,21 @@ def test_verification_report_builds_no_sampling_cdf(monkeypatch, fig1, path4, pr
     assert len(c14.family.follow_classes.node_rep) == 585
 
 
-def test_verification_report_fills_each_class_row_once(monkeypatch, c14):
-    # on C_14^c: 512 rows, one per follow class of the non-empty cliques, for
-    # the transition rows and the Parry matrices together, and 513 for the
-    # path nodes' successors, one per follow class
-    calls = []
-    columns = CliqueFamily.class_columns
+def test_verification_report_scans_the_follow_relation_once(monkeypatch, c14):
+    # the follow relation is scanned once per family, when its follow classes
+    # are built, and a report reads those compressed rows: on a fresh C_14^c
+    # bundle one scan for the whole report and no class_columns call
+    built = []
+    columns = []
 
-    def counted(family, k):
-        calls.append(k)
-        return columns(family, k)
+    class Counted(monoid_mod.FollowClasses):
+        def __init__(self, family):
+            built.append(family)
+            super().__init__(family)
 
-    monkeypatch.setattr(CliqueFamily, "class_columns", counted)
-    verification_report(c14)
-    assert len(calls) == 1025
+    monkeypatch.setattr(monoid_mod, "FollowClasses", Counted)
+    monkeypatch.setattr(CliqueFamily, "class_columns", lambda family, k: columns.append(k))
+    bundle = MonoidBundle(c14.pair)
+    verification_report(bundle)
+    assert built == [bundle.family]
+    assert columns == []
