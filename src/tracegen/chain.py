@@ -58,7 +58,7 @@ from operator import mul
 
 import numpy as np
 
-from .counting import G_FLOOR_RTOL, RootPosition, root_position
+from .counting import G_FLOOR_RTOL, RootPosition, dyadic_powers, root_position
 from .errors import DegenerateState, IterationCap, ParameterOutOfRange
 
 FINITE_STEP_CAP = 10 ** 8
@@ -75,7 +75,7 @@ def _class_numerators(family, p):
     b = den.bit_length() - 1
     counts = family.follow_classes.counts
     d = counts.shape[1] - 1
-    terms = [(-a) ** j << b * (d - j) for j in range(d + 1)]
+    terms = dyadic_powers(-a, b, d)
     return a, b, d, [sum(map(mul, row, terms)) for row in counts.tolist()]
 
 

@@ -2,32 +2,29 @@
 
 The alternating clique-size polynomial inverts the growth series of the
 monoid, so trace counts by length satisfy a short linear recurrence with the
-polynomial's coefficients.  Everything exact is integer arithmetic; the only
-floating point lives in root finding and in the Boltzmann tuning equation.
+polynomial's coefficients.  Everything exact is integer arithmetic, and so
+are the signs that locate the principal root and the Boltzmann parameter.
 This module also owns every numeric tolerance of the package and the one test
 of where a parameter sits against the principal root.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
+from operator import mul
 
 import numpy as np
 
-from .errors import ConvergenceFailure, NoRootFound, ParameterOutOfRange
+from .errors import NoRootFound, ParameterOutOfRange
 
 # -- numeric tolerances: every one the package uses lives in this block ----------
 
-ROOT_TOL = 1e-14                  # bisection width of the principal root
-ROOT_RESIDUAL = 10.0 * ROOT_TOL   # largest |mu(p0)| / |mu'(p0)| accepted
+ROOT_BITS = 80                    # exact roots are bracketed to one step of 2^-ROOT_BITS
 ROOT_SCAN_STEP = 1.0 / 1024.0     # grid step of the first sign-change scan
 AT_P0_RTOL = 1e-12                # relative band around p0 that counts as the root
 G_FLOOR_RTOL = 1e-12              # g(c) at most this times max|g| is a zero of g
-BOLTZMANN_RTOL = 1e-9             # size equation solved to this times k
-BOLTZMANN_MAX_ITER = 200
-BOLTZMANN_LO = 1e-12              # the size equation is bracketed in
-BOLTZMANN_HI_GAP = 1e-9           #   (p0 * LO, p0 * (1 - HI_GAP))
 ACCEPTANCE_FLOOR = 1e-9           # least acceptance rate used to size a batch
 VERIFY_IDENTITY_TOL = 1e-12       # h sums, row sums, cylinders, Parry B g and C
 VERIFY_SPECTRAL_TOL = 1e-9        # |Parry spectral radius - 1|
@@ -43,10 +40,6 @@ class MobiusPolynomial:
     @property
     def degree(self):
         return len(self.coefficients) - 1
-
-    @property
-    def alphabet_size(self):
-        return -self.coefficients[1]
 
     def __call__(self, x):
         acc = 0.0
@@ -95,42 +88,42 @@ def growth_coefficients(mu, n):
     return tuple(lam)
 
 
-def principal_root(mu):
-    """Smallest positive root of the clique polynomial, in (0, 1].
+def dyadic_powers(a, b, d):
+    """``a^j 2^{b (d - j)}`` for ``j = 0..d``: weighted by integer coefficients
+    ``c_j``, they sum to the integer ``2^{b d} sum_j c_j (a / 2^b)^j``."""
+    return [a ** j << b * (d - j) for j in range(d + 1)]
 
-    Grid scan for the first sign change (the polynomial starts at 1), then
-    bisection to ``ROOT_TOL``, then one guarded Newton step.  A one-letter
-    alphabet returns exactly 1.
-    """
-    if mu.alphabet_size == 1:
-        return 1.0
-    lo = 0.0
-    hi = None
-    x = 0.0
-    while x < 1.0:
-        nxt = min(x + ROOT_SCAN_STEP, 1.0)
-        if mu(nxt) <= 0.0:
-            lo, hi = x, nxt
-            break
-        x = nxt
-    if hi is None:
+
+def _first_zero(coeffs, hi):
+    """Least ``x`` in ``(0, hi]`` where ``sum_j coeffs[j] x^j`` (``coeffs[0] >
+    0``) reaches ``<= 0``, rounded to the nearest double, or ``None``: the first
+    such point of the ``ROOT_SCAN_STEP`` grid, bisected in integers down to one
+    step of ``2^-ROOT_BITS``, whose upper end is rounded once, as an int ratio."""
+    one = 1 << ROOT_BITS
+    top, step = int(hi * one), int(ROOT_SCAN_STEP * one)
+
+    def positive(m):
+        return sum(map(mul, coeffs, dyadic_powers(m, ROOT_BITS, len(coeffs) - 1))) > 0
+
+    lo, up = 0, min(step, top)
+    while positive(up):
+        if up == top:
+            return None
+        lo, up = up, min(up + step, top)
+    while up - lo > 1:
+        mid = (lo + up) >> 1
+        lo, up = (mid, up) if positive(mid) else (lo, mid)
+    return up / one
+
+
+def principal_root(mu):
+    """Smallest positive root of the clique polynomial, in (0, 1]: exactly 1
+    for one letter, simple for an irreducible monoid (a product's can be
+    multiple, which no dyadic sign sees, so ``MonoidBundle.p0`` asks its
+    components)."""
+    root = _first_zero(mu.coefficients, 1.0)
+    if root is None:
         raise NoRootFound("no sign change of the clique polynomial in (0, 1]")
-    while hi - lo > ROOT_TOL:
-        mid = 0.5 * (lo + hi)
-        if mu(mid) > 0.0:
-            lo = mid
-        else:
-            hi = mid
-    root = 0.5 * (lo + hi)
-    slope = mu.derivative(root)
-    if not slope < 0.0:
-        raise ConvergenceFailure("tangent principal root; simple-root assumption violated")
-    # one guarded polish step
-    cand = root - mu(root) / slope
-    if lo - ROOT_TOL <= cand <= hi + ROOT_TOL:
-        root = cand
-    if not abs(mu(root)) <= ROOT_RESIDUAL * abs(mu.derivative(root)):
-        raise ConvergenceFailure(f"principal root near {root!r}: residual above ROOT_RESIDUAL")
     return root
 
 
@@ -150,48 +143,23 @@ def root_position(p, p0):
     return RootPosition.AT
 
 
-def _expected(mu, p):
-    value = mu(p)
-    if value == 0.0:  # a multiple root of mu flattens it to float zero below p0
-        raise ConvergenceFailure(f"clique polynomial evaluates to 0 at p={p}")
-    return -p * mu.derivative(p) / value
-
-
 def expected_size(mu, p, p0):
     """Mean trace length under the length-biased law of parameter ``p``."""
     if not 0.0 < p < p0:
         raise ParameterOutOfRange(f"p must lie strictly inside (0, {p0}), got {p}")
-    return _expected(mu, p)
+    return -p * mu.derivative(p) / mu(p)
 
 
 def optimal_boltzmann_parameter(mu, k, p0):
-    """Parameter at which the expected sampled length equals ``k``.
-
-    Solves k*mu(p) + p*mu'(p) = 0 by bisection on the residual
-    expected_size(p) - k.  The residual is strictly increasing in p: its
-    derivative in log p is the variance of the length.
-    """
+    """Parameter at which the expected sampled length equals ``k``: the root of
+    k*mu(p) + p*mu'(p), of coefficients (k + j) mu_j, in (0, p0).  It is the
+    only one, as the mean length rises there from 0 without bound (its
+    derivative in log p is the variance of the length).  The scan ends one
+    double below p0, below the exact root even where a product's is multiple."""
     if k < 1:
         raise ParameterOutOfRange("k must be at least 1")
-
-    def residual(q):
-        return _expected(mu, q) - k
-
-    lo = p0 * BOLTZMANN_LO
-    hi = p0 * (1.0 - BOLTZMANN_HI_GAP)
-    if residual(lo) > 0.0 or residual(hi) < 0.0:
-        raise ConvergenceFailure("size equation not bracketed in (0, p0)")
-
-    for _ in range(BOLTZMANN_MAX_ITER):
-        mid = 0.5 * (lo + hi)
-        r = residual(mid)
-        if abs(r) <= BOLTZMANN_RTOL * k:
-            return mid
-        if r < 0.0:
-            lo = mid
-        else:
-            hi = mid
-    raise ConvergenceFailure(
-        f"size equation for k={k} not solved to {BOLTZMANN_RTOL} "
-        f"in {BOLTZMANN_MAX_ITER} bisection steps"
-    )
+    size = [(k + j) * c for j, c in enumerate(mu.coefficients)]
+    p = _first_zero(size, math.nextafter(p0, 0.0))
+    if p is None:
+        raise NoRootFound(f"the size equation for k={k} has no root below p0")
+    return p

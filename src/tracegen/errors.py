@@ -95,10 +95,6 @@ class ParameterOutOfRange(NumericError):
     pass
 
 
-class ConvergenceFailure(NumericError):
-    pass
-
-
 class DegenerateState(NumericError):
     pass
 

@@ -221,17 +221,19 @@ class FollowClasses:
         # cliques come sorted by size, and every size up to the largest occurs
         size_starts = np.searchsorted(family.sizes, np.arange(family.max_clique_size + 1))
         self.counts = np.empty((len(self.follow), len(size_starts)), dtype=np.int64)
-        flat = []   # the relation's entries, as flat positions k * len(family) + j
+        lengths, columns = [], []   # the relation's rows, block by block
         block = max(1, _CLASS_BLOCK // len(family))
         for lo in range(0, len(self.follow), block):
             follow = self.follow[lo:lo + block, None]
             inside = (family.masks_np & follow) == 0
             np.add.reduceat(inside, size_starts, axis=1, dtype=np.int64,
                             out=self.counts[lo:lo + block])
-            flat.append(np.flatnonzero((family.masks_np & ~follow) == 0) + lo * len(family))
-        flat = np.concatenate(flat)
-        self.offsets = np.searchsorted(flat, np.arange(len(self.follow) + 1) * len(family))
-        self.columns = np.remainder(flat, len(family), out=flat).astype(np.int32)
+            flat = np.flatnonzero((family.masks_np & ~follow) == 0)   # i * n + j in the block
+            ends = np.searchsorted(flat, np.arange(len(follow) + 1) * len(family))
+            lengths.append(np.diff(ends))
+            columns.append(np.remainder(flat, len(family), out=flat).astype(np.int32))
+        self.offsets = np.concatenate([[0], np.cumsum(np.concatenate(lengths))])
+        self.columns = np.concatenate(columns)
 
 
 class CliqueFamily:

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import os
 import pathlib
 import resource
@@ -9,7 +10,7 @@ import sys
 import pytest
 
 from tracegen import MonoidBundle, load_monoid, parse_trace, validate_independence
-from tracegen.errors import CliqueExplosion
+from tracegen.errors import CliqueExplosion, NoRootFound
 
 from conftest import block_spec
 
@@ -313,47 +314,61 @@ def cycle_complement_spec(tmp_path, n):
     return str(spec)
 
 
-def test_root_failure_exits_5(tmp_path):
-    # C_18^c: the float root finder cannot meet its residual contract, and
-    # every command that needs the root fails before printing anything
-    spec = cycle_complement_spec(tmp_path, 18)
+def test_root_failure_exits_5(monkeypatch, monoid_files, capsys):
+    # a root that cannot be found fails every command that needs it before
+    # anything is printed
+    from tracegen import bundle, cli
+
+    def no_root(mu):
+        raise NoRootFound("no sign change of the clique polynomial in (0, 1]")
+
+    monkeypatch.setattr(bundle, "principal_root", no_root)
     for args in (("info",), ("verify",), ("count", "--k", "3", "--mc", "--n", "10"),
                  ("estimate", "--k", "3", "--n", "10"),
                  ("sample", "--mode", "boundary", "--k", "3")):
-        res = run_cli(args[0], "--monoid", spec, *args[1:])
-        assert res.returncode == 5, args
-        assert res.stderr.startswith("error:"), args
-        assert res.stdout == "", args
+        assert cli.main([args[0], "--monoid", monoid_files["fig1"], *args[1:]]) == 5, args
+        out, err = capsys.readouterr()
+        assert out == "", args
+        assert err.startswith("error:"), args
 
 
-def test_multiple_root_exact_k_exits_5(tmp_path):
-    # mu = (1-x)^2 and (1-2x)^2: mu reads 0.0 near its double root, and the
-    # tuning equation fails with a typed error instead of a traceback
-    specs = {"comm2": {"letters": ["a", "b"], "independence": [["a", "b"]]},
-             "free2x2": {"letters": ["a", "b", "c", "d"],
-                         "independence": [["a", "c"], ["a", "d"], ["b", "c"], ["b", "d"]]}}
-    for name, spec in specs.items():
-        path = tmp_path / f"{name}.json"
-        path.write_text(json.dumps({**spec, "symmetric_closure": True}), encoding="utf-8")
-        res = run_cli("sample", "--monoid", str(path), "--mode", "exact-k", "--k", "5",
-                      "--n", "10", "--seed", "1")
-        assert res.returncode == 5, (name, res.stderr)
-        assert res.stderr.startswith("error:"), name
-        assert res.stdout == "", name
+def test_c18_runs_at_its_exact_root(tmp_path):
+    # C_18^c (5 778 cliques) runs at its root, located by exact signs
+    spec = cycle_complement_spec(tmp_path, 18)
+    res = run_cli("info", "--monoid", spec)
+    assert res.returncode == 0, res.stderr
+    assert float(kv(res.stdout)["p0"]) == 0.2519135665613881
+    res = run_cli("sample", "--monoid", spec, "--mode", "boundary", "--k", "3", "--n", "5")
+    assert res.returncode == 0, res.stderr
+    assert len(body_lines(res.stdout)) == 5
 
 
-def test_verify_c14_ok(tmp_path):
-    # 843 cliques: above 40 the telescoping check runs on paths of length 2
-    res = run_cli("verify", "--monoid", cycle_complement_spec(tmp_path, 14))
+@pytest.mark.parametrize("blocks", [(1, 1), (2, 2), (32, 32), (8,) * 7],
+                         ids=["comm2", "free2x2", "free32x32", "free8x7"])
+def test_multiple_root_exact_k_succeeds(tmp_path, blocks):
+    # c commuting free blocks of s letters: mu = (1 - s x)^c has the multiple
+    # root 1/s, and the size equation k mu + p mu' = 0 the root k / (s (k + c))
+    spec = block_spec(tmp_path / "blocks.json", blocks)
+    k, n = 20, 10
+    res = run_cli("sample", "--monoid", spec, "--mode", "exact-k", "--k", str(k),
+                  "--n", str(n), "--seed", "1")
+    assert res.returncode == 0, res.stderr
+    p = float(res.stdout.split(" p=")[1].split()[0])
+    closed = k / (blocks[0] * (k + len(blocks)))
+    assert abs(p - closed) <= math.ulp(closed), (p, closed)
+    pair = load_monoid(spec)
+    lines = body_lines(res.stdout)
+    assert len(lines) == n
+    assert all(parse_trace(pair, line).length == k for line in lines)
+
+
+@pytest.mark.parametrize("n", [14, 16, 17, 18], ids=lambda n: f"c{n}")
+def test_verify_cycle_complement_ok(tmp_path, n):
+    # 843 to 5 778 cliques at an exact root: above 40 cliques the telescoping
+    # check runs on paths of length 2, and every row sum stays within 1e-12 of 1
+    res = run_cli("verify", "--monoid", cycle_complement_spec(tmp_path, n))
     assert res.returncode == 0, res.stdout
     assert "check cylinder_max_dev" in res.stdout
-    assert res.stdout.splitlines()[-1] == "result ok"
-
-
-def test_verify_c16_ok(tmp_path):
-    # 2 207 cliques at a float root: every row sum stays within 1e-12 of 1
-    res = run_cli("verify", "--monoid", cycle_complement_spec(tmp_path, 16))
-    assert res.returncode == 0, res.stdout
     assert "check row_sum_max_dev" in res.stdout
     assert res.stdout.splitlines()[-1] == "result ok"
 

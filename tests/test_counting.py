@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import pytest
 from hypothesis import assume, given, settings
@@ -164,6 +165,13 @@ def test_optimal_parameter_approaches_root(free2):
     assert free2.p0 * 0.999 < p < free2.p0
 
 
+def test_optimal_parameter_past_the_last_double_below_p0(fig1):
+    # the mean length one double below p0 is about 8e15: a larger k has no
+    # representable parameter
+    with pytest.raises(NoRootFound):
+        fig1.optimal_parameter(10 ** 17)
+
+
 def test_optimal_parameter_k_zero_rejected(fig1):
     with pytest.raises(ParameterOutOfRange):
         optimal_boltzmann_parameter(fig1.mu, 0, fig1.p0)
@@ -173,6 +181,41 @@ def test_no_root_found_guard():
     # handcrafted positive polynomial, unreachable from a real clique family
     with pytest.raises(NoRootFound):
         principal_root(MobiusPolynomial((1, 3)))
+
+
+def test_multiple_root_is_found_per_component():
+    # (1 - 3x)^2 touches 0 only at the non-dyadic 1/3, so no scan of its signs
+    # finds it; a product's root is the least of its components' simple roots
+    with pytest.raises(NoRootFound):
+        principal_root(MobiusPolynomial((1, -6, 9)))
+    free3x3 = make_bundle(list("abcdef"), [(a, b) for a in "abc" for b in "def"])
+    assert free3x3.p0 == 1 / 3
+
+
+def _crosses_zero_at(coeffs, x):
+    """The polynomial is > 0 one ulp below ``x`` and <= 0 one ulp above, in
+    exact arithmetic: ``x`` is its root rounded to the nearest double."""
+    def value(y):
+        acc = Fraction(0)
+        for c in reversed(coeffs):
+            acc = acc * Fraction(y) + c
+        return acc
+    return value(math.nextafter(x, 0.0)) > 0 >= value(math.nextafter(x, 2.0))
+
+
+@settings(max_examples=80, deadline=None)
+@given(independence_graphs())
+def test_roots_are_certified_to_one_ulp(graph):
+    # every component's principal root and the size equation's root for
+    # k = 1..60, the latter strictly inside (0, p0) even at a multiple root
+    bundle = make_bundle(*graph)
+    for cb in bundle.components:
+        if cb.p0 < 1.0:
+            assert _crosses_zero_at(cb.mu.coefficients, cb.p0)
+    for k in range(1, 61):
+        p = bundle.optimal_parameter(k)
+        assert 0.0 < p < bundle.p0
+        assert _crosses_zero_at([(k + j) * c for j, c in enumerate(bundle.mu.coefficients)], p)
 
 
 def test_horner_evaluation(fig1):

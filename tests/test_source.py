@@ -23,6 +23,25 @@ def test_library_has_no_assert():
     assert found == []
 
 
+def test_every_tolerance_is_read():
+    # a constant of counting.py's tolerance block that no module reads is a
+    # leftover of a numeric method that is gone
+    source = (SRC / "counting.py").read_text(encoding="utf-8")
+    block = source[:source.index("# -- numeric tolerances")].count("\n") + 1
+    tree = ast.parse(source)
+    end = next(n.lineno for n in tree.body if isinstance(n, (ast.FunctionDef, ast.ClassDef)))
+    names = {t.id for n in tree.body if isinstance(n, ast.Assign) and block < n.lineno < end
+             for t in n.targets}
+    read = set()
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+    assert len(names) > 1 and names - read == set()
+
+
 def test_only_chain_reads_the_cdf_layout():
     # the compact CDF's layout (cumulative values, columns, each state's row
     # bounds, the search's top stride, the scalar walk's tables; the row
