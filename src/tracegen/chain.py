@@ -143,10 +143,9 @@ def _compact_cdf(family, h, g):
     classes = family.follow_classes
     row_of = np.append(classes.class_of, classes.start)
     norm = np.append(g, 1.0)
-    first = np.unique(row_of, return_index=True)[1]
     P_cum = np.empty(len(classes.columns))
     bounds = classes.offsets.tolist()
-    for state, lo, hi in zip(first.tolist(), bounds, bounds[1:]):
+    for state, lo, hi in zip(classes.first.tolist(), bounds, bounds[1:]):
         if state:
             (h[classes.columns[lo:hi]] / norm[state]).cumsum(out=P_cum[lo:hi])
     P_cum[classes.offsets[1:] - 1] = np.inf

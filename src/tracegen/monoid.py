@@ -198,8 +198,10 @@ class FollowClasses:
     ``follow`` holds the distinct D values in increasing order, with the whole
     alphabet among them: it is the follow set of the clique chain's start
     state, which every clique may follow.  ``class_of[i]`` is clique ``i``'s
-    index in ``follow`` and ``start`` the alphabet's.  ``counts[k, j]`` is the
-    number of cliques of size ``j`` inside ``alphabet & ~follow[k]``, the
+    index in ``follow`` and ``start`` the alphabet's.  ``first[k]`` is class ``k``'s
+    first chain state: its first clique, or ``n``, the start state, for a start
+    class that holds no clique.  ``counts[k, j]`` is the number of cliques of
+    size ``j`` inside ``alphabet & ~follow[k]``, the
     letters that commute with every letter of a clique of class ``k``, so
     ``sum_j (-1)^j counts[k, j] x^j`` is their clique polynomial.  The cliques inside
     ``follow[k]``, which may follow class ``k``, are the compressed row ``columns[offsets[k]:
@@ -208,12 +210,12 @@ class FollowClasses:
     node, in increasing order of class then size, and ``node_rep`` its first clique.
     """
 
-    __slots__ = ("follow", "class_of", "start", "offsets", "columns", "counts", "node_of",
-                 "node_rep")
+    __slots__ = ("follow", "class_of", "start", "first", "offsets", "columns", "counts",
+                 "node_of", "node_rep")
 
     def __init__(self, family):
         d = np.array([*map(family.pair.follow, family.masks), family.alphabet], dtype=np.uint64)
-        self.follow, inverse = np.unique(d, return_inverse=True)
+        self.follow, self.first, inverse = np.unique(d, return_index=True, return_inverse=True)
         self.class_of = inverse[:-1]
         self.start = int(inverse[-1])
         key = self.class_of * (family.max_clique_size + 1) + family.sizes

@@ -11,7 +11,6 @@ Fast code elsewhere is tested against these.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -306,62 +305,6 @@ def iter_admissible_chains(family, length, include_empty=True):
 
 # -- chi-square goodness of fit --------------------------------------------------
 
-_GAMMA_EPS = 1e-15
-_GAMMA_ITMAX = 10_000
-
-
-def _gamma_p_series(a, x):
-    ap = a
-    term = 1.0 / a
-    total = term
-    for _ in range(_GAMMA_ITMAX):
-        ap += 1.0
-        term *= x / ap
-        total += term
-        if abs(term) < abs(total) * _GAMMA_EPS:
-            break
-    return total * math.exp(-x + a * math.log(x) - math.lgamma(a))
-
-
-def _gamma_q_contfrac(a, x):
-    tiny = 1e-300
-    b = x + 1.0 - a
-    c = 1.0 / tiny
-    d = 1.0 / b
-    frac = d
-    for i in range(1, _GAMMA_ITMAX):
-        an = -i * (i - a)
-        b += 2.0
-        d = an * d + b
-        if abs(d) < tiny:
-            d = tiny
-        c = b + an / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
-        delta = d * c
-        frac *= delta
-        if abs(delta - 1.0) < _GAMMA_EPS:
-            break
-    return frac * math.exp(-x + a * math.log(x) - math.lgamma(a))
-
-
-def regularized_gamma_q(a, x):
-    """Upper regularized incomplete gamma Q(a, x), series plus Lentz fraction."""
-    if x < 0.0 or a <= 0.0:
-        raise ValueError("need x >= 0 and a > 0")
-    if x == 0.0:
-        return 1.0
-    if x < a + 1.0:
-        return 1.0 - _gamma_p_series(a, x)
-    return _gamma_q_contfrac(a, x)
-
-
-def chi_square_survival(stat, dof):
-    """P(X >= stat) for a chi-square variable with ``dof`` degrees of freedom."""
-    return regularized_gamma_q(0.5 * dof, 0.5 * stat)
-
-
 @dataclass(frozen=True)
 class ChiSquareResult:
     statistic: float
@@ -380,6 +323,9 @@ def chi_square_uniformity(counts, significance=0.001):
         raise InsufficientSamples(
             f"expected count per cell is {expected:.2f}; need at least 5"
         )
+    # imported here: the CLI loads this module for `count --exact`, which needs numpy alone
+    from scipy.special import chdtrc
+
     stat = float(((counts - expected) ** 2 / expected).sum())
-    pvalue = chi_square_survival(stat, m - 1)
+    pvalue = float(chdtrc(m - 1, stat))
     return ChiSquareResult(statistic=stat, dof=m - 1, pvalue=pvalue, passed=pvalue >= significance)

@@ -174,7 +174,8 @@ def class_rows(family):
     """The follow rows of the non-empty cliques' classes 1 to ``K'``: each one's first clique,
     offsets (a list), columns (a view of ``follow_classes.columns``), each clique's row."""
     classes = family.follow_classes
-    first = np.unique(classes.class_of[1:], return_index=True)[1] + 1
+    first = classes.first[1:]
+    first = first[first < len(family)]   # not the start's own class if it holds no clique
     at = classes.offsets[1:len(first) + 2]
     return first, (at - at[0]).tolist(), classes.columns[at[0]:at[-1]], classes.class_of[1:] - 1
 

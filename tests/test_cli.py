@@ -498,6 +498,20 @@ def test_cli_import_leaves_out_the_process_pool(module):
     assert res.stdout.split() == ["False", "False"], res.stderr
 
 
+def test_count_exact_runs_without_scipy(monoid_files):
+    # the oracle imports scipy inside its chi-square test alone, so `count
+    # --exact`, the one command that loads the oracle, runs on numpy only
+    code = ("import sys; sys.modules['scipy'] = None; from tracegen import cli; "
+            "status = cli.main(['count', '--monoid', sys.argv[1], '--k', '6', '--exact']); "
+            "import tracegen.oracle; "
+            "print(status, any(m is not None for k, m in sys.modules.items() "
+            "if k.split('.')[0] == 'scipy'), file=sys.stderr)")
+    res = subprocess.run([sys.executable, "-c", code, monoid_files["fig1"]], capture_output=True,
+                         text=True, timeout=60)
+    assert res.stderr.split() == ["0", "False"], res.stderr
+    assert "lambda_oracle 6 377" in res.stdout.splitlines()
+
+
 @pytest.mark.parametrize("name, roots", [("fig1", 1), ("prod32", 2)])
 def test_each_root_is_computed_once(monkeypatch, monoid_files, capsys, name, roots):
     # the bundle that owns a root computes it once: one per irreducible component

@@ -1,18 +1,17 @@
+import math
+
 import numpy as np
 import pytest
-import scipy.special
 
 from tracegen import Trace, normalize_word
 from tracegen.errors import BudgetExceeded, InsufficientSamples
 from tracegen.oracle import (
-    chi_square_survival,
     chi_square_uniformity,
     congruence_closure,
     enumerate_Mk,
     enumerate_Mk_by_words,
     exact_uniform_expectation,
     iter_Mk,
-    regularized_gamma_q,
 )
 
 
@@ -133,27 +132,13 @@ def test_chi_square_insufficient(fig1):
         chi_square_uniformity([2, 3, 4])
 
 
-def test_chi_square_survival_reference_points():
-    # classical table values
-    assert abs(chi_square_survival(3.841458820694124, 1) - 0.05) < 1e-12
-    assert abs(chi_square_survival(11.070497693516351, 5) - 0.05) < 1e-12
-
-
-def test_regularized_gamma_against_scipy():
-    worst = 0.0
-    for a in (0.5, 1.0, 2.5, 7.0, 25.0, 71.5, 200.0):
-        for scale in (0.05, 0.4, 0.9, 1.0, 1.1, 2.0, 5.0):
-            x = a * scale
-            mine = regularized_gamma_q(a, x)
-            ref = float(scipy.special.gammaincc(a, x))
-            if ref > 1e-280:
-                worst = max(worst, abs(mine - ref) / ref)
-    assert worst < 1e-10
-
-
-def test_regularized_gamma_edges():
-    assert regularized_gamma_q(3.0, 0.0) == 1.0
-    with pytest.raises(ValueError):
-        regularized_gamma_q(-1.0, 1.0)
-    with pytest.raises(ValueError):
-        regularized_gamma_q(1.0, -1.0)
+@pytest.mark.parametrize("counts, statistic, dof, pvalue", [
+    # 1 dof: P(X >= x) = erfc(sqrt(x / 2)); 2 dof: P(X >= x) = exp(-x / 2)
+    ([60, 40], 4.0, 1, math.erfc(math.sqrt(2.0))),
+    ([70, 50, 30], 16.0, 2, math.exp(-8.0)),
+])
+def test_chi_square_closed_form_pvalues(counts, statistic, dof, pvalue):
+    res = chi_square_uniformity(counts, significance=0.001)
+    assert res.statistic == statistic and res.dof == dof
+    assert res.pvalue == pytest.approx(pvalue, rel=1e-12)
+    assert res.passed == (pvalue >= 0.001)

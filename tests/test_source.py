@@ -23,14 +23,20 @@ def test_library_has_no_assert():
     assert found == []
 
 
-def test_every_tolerance_is_read():
-    # a constant of counting.py's tolerance block that no module reads is a
-    # leftover of a numeric method that is gone
+def _tolerance_block():
+    """counting.py's parsed tree and the line numbers of its tolerance block."""
     source = (SRC / "counting.py").read_text(encoding="utf-8")
     block = source[:source.index("# -- numeric tolerances")].count("\n") + 1
     tree = ast.parse(source)
     end = next(n.lineno for n in tree.body if isinstance(n, (ast.FunctionDef, ast.ClassDef)))
-    names = {t.id for n in tree.body if isinstance(n, ast.Assign) and block < n.lineno < end
+    return tree, range(block + 1, end)
+
+
+def test_every_tolerance_is_read():
+    # a constant of counting.py's tolerance block that no module reads is a
+    # leftover of a numeric method that is gone
+    tree, block = _tolerance_block()
+    names = {t.id for n in tree.body if isinstance(n, ast.Assign) and n.lineno in block
              for t in n.targets}
     read = set()
     for path in sorted(SRC.glob("*.py")):
@@ -40,6 +46,20 @@ def test_every_tolerance_is_read():
             elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
                 read.add(node.attr)
     assert len(names) > 1 and names - read == set()
+
+
+def test_every_small_float_is_in_the_tolerance_block():
+    # a float literal below 1e-6 is a tolerance or a guard against underflow,
+    # so it is named in counting.py's block, not written where it is used
+    _, block = _tolerance_block()
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if (isinstance(node, ast.Constant) and isinstance(node.value, float)
+                    and 0.0 < abs(node.value) < 1e-6
+                    and not (path.name == "counting.py" and node.lineno in block)):
+                found.append(f"{path.name}:{node.lineno} {node.value!r}")
+    assert found == []
 
 
 def test_only_chain_reads_the_cdf_layout():
