@@ -28,7 +28,7 @@ from .sampling import (
     RandomSource,
     sample_subuniform_traces,
     sample_uniform_traces,
-    topped_prefix_batch,
+    topped_prefix_chunks,
 )
 from .traces import layers_line, trace_line
 from .verify import verification_report
@@ -105,8 +105,9 @@ def cmd_info(ns):
 # -- sample ----------------------------------------------------------------------
 
 def _boundary_lines(bundle, count, rng, k):
-    rows = topped_prefix_batch(bundle, k, count, rng)
-    return [layers_line(bundle.pair, row) for row in rows.tolist()]
+    # one row chunk's masks become Python ints at a time
+    return [layers_line(bundle.pair, row)
+            for rows in topped_prefix_chunks(bundle, k, count, rng) for row in rows.tolist()]
 
 
 def _subuniform_lines(bundle, count, rng, p):

@@ -20,10 +20,15 @@ from the initial law, is a step like the others.  A subuniform stream checks
 the parameter and fetches the chains once, then reads its uniforms from
 block draws of the generator: the values one ``rng.random()`` per state
 would give, in the same order, so a stream of ``n`` draws is ``n`` single
-draws.  Boundary prefixes and rejection share one batched
-walk: a row chunk at a time, it steps only the walkers that are neither
-absorbed nor over a length bound (rejection's ``k``; boundary walkers weigh
-every clique 0, so only absorption drops them).
+draws.  Boundary prefixes and rejection share one batched walk: a row chunk
+at a time, it walks every component, stepping only the walkers that are
+neither absorbed nor over a length bound (rejection's ``k``; boundary walkers
+weigh every clique 0, so only absorption drops them), and hands the chunk on
+before the next one is drawn.  A batch's uniforms are laid out as one
+(batch, steps) draw per component; Philox is counter-based, so each
+component reads from a copy of the generator moved to its place in that
+stream, and rejection stops walking at the n-th acceptance while the
+generator still ends after the whole batch.
 Reducible monoids run each irreducible component's chain at the same
 parameter and OR the components' layers, depth by depth: a component's
 cliques are masks over the whole alphabet, so a state's clique is its letters
@@ -48,7 +53,10 @@ from .traces import Trace
 RNG_ALGORITHM = "philox4x64"
 _MASK64 = (1 << 64) - 1
 _BATCH_CAP = 1 << 18
-_CHUNK_ROWS = 1 << 13  # rows of uniforms drawn and stepped at once
+# a row chunk draws about _CHUNK_UNIFORMS uniforms per component, but has at
+# least _CHUNK_ROWS rows, over which each step's fixed cost is spread
+_CHUNK_UNIFORMS = 1 << 17
+_CHUNK_ROWS = 1 << 12
 _DRAW_BLOCK = 1 << 12  # uniforms per block draw of a subuniform stream
 DEFAULT_REJECT_BUDGET = 10 ** 7
 
@@ -76,55 +84,107 @@ def _layer_union(chains, states):
 
 # -- batched walk --------------------------------------------------------------
 
+def _positioned(rng, skip):
+    """A copy of ``rng`` that draws what ``rng`` would after ``skip`` more
+    doubles (one 64-bit output each); ``rng`` is not touched.
+
+    Philox is counter-based: the copy draws what is left of the current
+    four-output block, moves its counter over whole blocks and draws the
+    rest.  Any other bit generator is refused."""
+    bg = rng.bit_generator
+    if not isinstance(bg, np.random.Philox):
+        raise TypeError(f"batched sampling needs a Philox generator, not {type(bg).__name__}")
+    state = bg.state
+    out = np.random.Generator(np.random.Philox(key=0))
+    out.bit_generator.state = state
+    left = 4 - state["buffer_pos"]  # outputs of the current block not yet drawn
+    if skip <= left:
+        out.random(skip)
+        return out
+    out.random(left)
+    blocks, rest = divmod(skip - left, 4)
+    out.bit_generator.advance(blocks)
+    # advance also drops a buffered 32-bit half, which drawing doubles keeps
+    moved = out.bit_generator.state
+    moved["has_uint32"], moved["uinteger"] = state["has_uint32"], state["uinteger"]
+    out.bit_generator.state = moved
+    out.random(rest)
+    return out
+
+
 def _walk_live(chain, size, bound, u, hist, total):
     """Walk the walkers of one row chunk that are within length ``bound``
     from the start row, while they are neither absorbed nor over the bound.
 
     ``u`` is the chunk's (rows, steps) uniforms, ``hist`` its (steps, rows)
-    view of the state history and ``total`` its running lengths, both updated
-    in place.  Walkers dropped here keep state 0 in the later columns, as the
-    empty clique's point mass would give them; an over-length walker's later
-    states are never read.
+    state history and ``total`` its running lengths, both updated in place.
+    Until the first walker drops, every row steps on a column of ``u`` and
+    writes its row of ``hist`` and its length directly; after that only the
+    live walkers are gathered and scattered, and their lengths are written
+    back at each drop and at the end.  Walkers dropped here keep state 0 in
+    the later columns, as the empty clique's point mass would give them; an
+    over-length walker's later states are never read.
     """
-    live = np.flatnonzero(total <= bound)
-    s = np.full(len(live), chain.n_states)
-    tot = total[live]
+    keep = total <= bound
+    live = None if keep.all() else np.flatnonzero(keep)  # None: every row
+    tot = total if live is None else total[live]
+    s = np.full(len(tot), chain.n_states)
     for t in range(u.shape[1]):
-        if not len(live):
+        if not len(s):
             break
-        s = chain.step(s, u[live, t])
-        hist[t, live] = s
+        if live is None:
+            s = chain.step(s, u[:, t].copy())  # contiguous: read once per stride
+            hist[t] = s
+        else:
+            s = chain.step(s, u[live, t])
+            hist[t, live] = s
         tot += size[s]
-        total[live] = tot
         keep = (s != 0) & (tot <= bound)
         if not keep.all():
-            live, s, tot = live[keep], s[keep], tot[keep]
+            if live is None:
+                live = np.flatnonzero(keep)
+            else:
+                total[live] = tot
+                live = live[keep]
+            s, tot = s[keep], tot[keep]
+    if live is not None:
+        total[live] = tot
 
 
-def _walk_batch(chains, sizes, bound, steps, batch, rng):
-    """``batch`` walks of ``steps`` states per component: each walker's total
-    length (clique sizes weighted by ``sizes``) and, per component, the
-    (steps, batch) state history.
+def _walk_chunks(chains, sizes, bound, steps, batch, rng):
+    """``batch`` walks of ``steps`` states per component, one row chunk at a
+    time: yields ``(lo, total, hists)`` for rows ``lo`` on, with each
+    walker's total length (clique sizes weighted by ``sizes``) and, per
+    component, the chunk's (steps, rows) state history.
 
-    Each component's uniforms are drawn in row chunks, so the stream is that
-    of one (batch, steps) draw per component.  A component starts only the
-    walkers the earlier ones left at length <= ``bound``.
+    The stream is that of one (batch, steps) draw per component, in
+    component order: component ``c`` reads from a copy of ``rng`` positioned
+    ``c * batch * steps`` doubles ahead, and a chunk draws about
+    ``_CHUNK_UNIFORMS`` of them (but has at least ``_CHUNK_ROWS`` rows).  A
+    component starts only the walkers the earlier ones left at length <=
+    ``bound``.  When the walk is exhausted or closed, ``rng`` is left after
+    the whole batch's draws, so chunks never walked cost nothing and the next
+    values on ``rng`` are unchanged.
     """
-    total = np.zeros(batch, dtype=np.int64)
-    hists = []
-    for chain, size in zip(chains, sizes):
-        # the narrowest type that holds a state index: uint8 up to 256 cliques
-        hist = np.zeros((steps, batch), dtype=np.min_scalar_type(chain.n_states - 1))
-        for lo in range(0, batch, _CHUNK_ROWS):
-            hi = min(lo + _CHUNK_ROWS, batch)
-            u = rng.random((hi - lo, steps))
-            _walk_live(chain, size, bound, u, hist[:, lo:hi], total[lo:hi])
-        hists.append(hist)
-    return total, hists
+    span = batch * steps
+    streams = [_positioned(rng, c * span) for c in range(len(chains))]
+    rows = max(_CHUNK_ROWS, _CHUNK_UNIFORMS // max(steps, 1))
+    try:
+        for lo in range(0, batch, rows):
+            total = np.zeros(min(rows, batch - lo), dtype=np.int64)
+            hists = []
+            for chain, size, stream in zip(chains, sizes, streams):
+                # the narrowest type that holds a state index: uint8 up to 256 cliques
+                hist = np.zeros((steps, len(total)), dtype=np.min_scalar_type(chain.n_states - 1))
+                _walk_live(chain, size, bound, stream.random((len(total), steps)), hist, total)
+                hists.append(hist)
+            yield lo, total, hists
+    finally:
+        rng.bit_generator.state = _positioned(rng, len(chains) * span).bit_generator.state
 
 
-def topped_prefix_batch(bundle, k, n, rng):
-    """(n, k) layer masks of the first ``k`` layers under the uniform law.
+def topped_prefix_chunks(bundle, k, n, rng):
+    """``topped_prefix_batch``'s rows, one row chunk of layer masks at a time.
 
     Each component runs its chain at the global root: the boundary chain where
     that is the component's own root, the absorbing chain elsewhere.  Every
@@ -133,8 +193,18 @@ def topped_prefix_batch(bundle, k, n, rng):
     """
     chains = [cb.chain(bundle.p0) for cb in bundle.components]
     weightless = [np.zeros(chain.n_states, dtype=np.uint8) for chain in chains]
-    _, hists = _walk_batch(chains, weightless, 0, k, n, rng)
-    return _layer_union(chains, [hist.T for hist in hists])
+    for _, _, hists in _walk_chunks(chains, weightless, 0, k, n, rng):
+        yield _layer_union(chains, [hist.T for hist in hists])
+
+
+def topped_prefix_batch(bundle, k, n, rng):
+    """(n, k) layer masks of the first ``k`` layers under the uniform law."""
+    out = np.empty((n, k), dtype=np.uint64)
+    lo = 0
+    for rows in topped_prefix_chunks(bundle, k, n, rng):
+        out[lo : lo + len(rows)] = rows
+        lo += len(rows)
+    return out
 
 
 def sample_uniform_traces(bundle, k, n, rng, max_rejects=DEFAULT_REJECT_BUDGET):
@@ -142,7 +212,9 @@ def sample_uniform_traces(bundle, k, n, rng, max_rejects=DEFAULT_REJECT_BUDGET):
 
     Proposals run up to k+1 chain steps per component: a walker still alive
     after k+1 non-empty layers is already overlong, so that horizon decides
-    acceptance.  Returns (traces, rejections before the n-th acceptance).
+    acceptance.  Each batch is scanned chunk by chunk, and the walk stops at
+    the n-th acceptance.  Returns (traces, rejections before the n-th
+    acceptance).
     """
     pair = bundle.pair
     if k == 0:
@@ -160,14 +232,16 @@ def sample_uniform_traces(bundle, k, n, rng, max_rejects=DEFAULT_REJECT_BUDGET):
         batch = int(min(max(4096, need / max(accept_rate, ACCEPTANCE_FLOOR) * 1.2), _BATCH_CAP))
         # the last batch holds no more proposals than the budget lets us scan
         batch = min(batch, n + max_rejects - closed)
-        total_len, hists = _walk_batch(chains, sizes, k, k + 1, batch, rng)
-        acc_idx = np.flatnonzero(total_len == k)
-        gm = _layer_union(chains, [hist[:, acc_idx].T for hist in hists])
-        heights = (gm != 0).sum(axis=1).tolist()
-        for r, i in enumerate(acc_idx.tolist()):
-            traces.append(Trace(pair, gm[r, : heights[r]].tolist()))
-            if len(traces) == n:
-                return traces, closed + i + 1 - n
+        walk = _walk_chunks(chains, sizes, k, k + 1, batch, rng)
+        for lo, total_len, hists in walk:
+            acc_idx = np.flatnonzero(total_len == k)
+            gm = _layer_union(chains, [hist[:, acc_idx].T for hist in hists])
+            heights = (gm != 0).sum(axis=1).tolist()
+            for r, i in enumerate(acc_idx.tolist()):
+                traces.append(Trace(pair, gm[r, : heights[r]].tolist()))
+                if len(traces) == n:
+                    walk.close()
+                    return traces, closed + lo + i + 1 - n
         closed += batch
         if closed - len(traces) > max_rejects:
             raise RejectBudgetExhausted(f"no {n} length-{k} traces within {max_rejects} rejections")

@@ -1,11 +1,13 @@
 import itertools
 import math
+import tracemalloc
 from bisect import bisect_right
 from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tracegen import (
     MonoidBundle,
@@ -556,12 +558,20 @@ def test_samplers_never_form_P(monkeypatch, fig1, prod32):
         accumulate_moments(bundle, 4, builtin_cost("height", bundle.pair), 20, rng)
 
 
+def chunk_rows(monkeypatch, rows, steps):
+    """Row chunks of ``rows`` for walks of ``steps`` states: the uniform
+    budget alone sizes them, with no floor on the rows."""
+    monkeypatch.setattr(sampling, "_CHUNK_ROWS", 1)
+    monkeypatch.setattr(sampling, "_CHUNK_UNIFORMS", rows * max(steps, 1))
+
+
 @pytest.mark.parametrize("name, k, n", [("fig1", 6, 700), ("prod32", 8, 400), ("c14", 6, 150)])
 def test_live_walkers_match_all_walker_reference(request, monkeypatch, name, k, n):
-    # a 61-row chunk: many chunks per batch, and the n-th acceptance lands
-    # inside one; the generators must also agree on what comes next
+    # 61-row chunks (k+1 uniforms a row): many chunks per batch, and the n-th
+    # acceptance lands inside one; the generators must also agree on what
+    # comes next
     bundle = request.getfixturevalue(name)
-    monkeypatch.setattr(sampling, "_CHUNK_ROWS", 61)
+    chunk_rows(monkeypatch, 61, k + 1)
     rng, ref_rng = RandomSource(4).generator(), RandomSource(4).generator()
     traces, rej = sample_uniform_traces(bundle, k, n, rng)
     want, want_rej = all_walker_uniform_traces(bundle, k, n, ref_rng)
@@ -582,10 +592,10 @@ def test_live_walkers_match_all_walker_reference(request, monkeypatch, name, k, 
     ("fig1", 0, 100), ("prod32", 0, 100), ("prod32", 1, 130),
 ])
 def test_boundary_chunks_match_all_walker_reference(request, monkeypatch, name, k, n):
-    # a 61-row chunk: several chunks per call, the last one short; prod32's
-    # second component walks below its own root and absorbs
+    # 61-row chunks (k uniforms a row): several chunks per call, the last one
+    # short; prod32's second component walks below its own root and absorbs
     bundle = request.getfixturevalue(name)
-    monkeypatch.setattr(sampling, "_CHUNK_ROWS", 61)
+    chunk_rows(monkeypatch, 61, k)
     assert n % 61 != 0
     rng, ref_rng = RandomSource(8).generator(), RandomSource(8).generator()
     rows = topped_prefix_batch(bundle, k, n, rng)
@@ -601,10 +611,109 @@ def test_boundary_chunks_match_all_walker_reference(request, monkeypatch, name, 
 def test_product_exact_k_spans_batches(monkeypatch, prod32):
     # k = 20 on prod32 accepts about 2 % of proposals: with batches capped at
     # 2^14 rows, n = 1 500 takes several batches of four chunks each
-    monkeypatch.setattr(sampling, "_CHUNK_ROWS", 1 << 12)
+    chunk_rows(monkeypatch, 1 << 12, 21)
     monkeypatch.setattr(sampling, "_BATCH_CAP", 1 << 14)
     monkeypatch.setattr(oracle, "_BATCH_CAP", 1 << 14)
     traces, rej = sample_uniform_traces(prod32, 20, 1500, RandomSource(6).generator())
     want, want_rej = all_walker_uniform_traces(prod32, 20, 1500, RandomSource(6).generator())
     assert traces == want and rej == want_rej
     assert 1500 + rej > 3 << 14
+
+
+# skips a batched walk makes: a few doubles, whole Philox blocks, and the
+# C * batch * (k+1) doubles of exact-k batches
+SKIPS = st.one_of(
+    st.integers(0, 9),
+    st.integers(0, 1 << 20).map(lambda q: 4 * q),
+    st.builds(lambda batch, k: batch * (k + 1), st.integers(1, 1 << 18), st.integers(0, 200)),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(prior=st.integers(0, 9), skip=SKIPS, half=st.booleans())
+def test_positioned_stream_is_the_sequential_stream(prior, skip, half):
+    # after any number of prior draws, with or without a 32-bit half buffered,
+    # the positioned copy draws what the generator draws after ``skip`` more
+    # doubles, and the generator itself is untouched
+    def drawn(n):
+        rng = RandomSource(2, 5).generator()
+        if half:
+            rng.integers(1 << 32, dtype=np.uint32)
+        rng.random(n)
+        return rng
+
+    rng = drawn(prior)
+    before = repr(rng.bit_generator.state)
+    ahead = sampling._positioned(rng, skip)
+    assert repr(rng.bit_generator.state) == before
+    ref = drawn(prior + skip)
+    assert np.array_equal(ahead.random(9), ref.random(9))
+    assert ahead.integers(1 << 32, dtype=np.uint32) == ref.integers(1 << 32, dtype=np.uint32)
+
+
+def test_positioned_stream_refuses_other_generators(fig1):
+    # only a counter-based Philox stream can be skipped exactly; any other
+    # generator is refused, not silently read from the wrong place
+    for rng in (np.random.default_rng(1), np.random.Generator(np.random.MT19937(1))):
+        with pytest.raises(TypeError):
+            sampling._positioned(rng, 5)
+        with pytest.raises(TypeError):
+            sample_uniform_traces(fig1, 6, 10, rng)
+        with pytest.raises(TypeError):
+            topped_prefix_batch(fig1, 6, 10, rng)
+
+
+@pytest.mark.parametrize("steps, rows", [(0, 1 << 17), (7, 18_724), (21, 6_241), (201, 4_096)])
+def test_row_chunks_follow_the_uniform_budget(fig1, steps, rows):
+    # a chunk holds 2^17 uniforms per component (rounded down to whole rows)
+    # but no fewer than 4 096 rows; the last one is short
+    chain = fig1.components[0].chain(fig1.p0)
+    size = np.zeros(chain.n_states, dtype=np.uint8)
+    batch = 3 * rows + 5
+    walk = sampling._walk_chunks([chain], [size], 0, steps, batch, RandomSource(1).generator())
+    chunks = [(lo, len(total)) for lo, total, _ in walk]
+    assert chunks == [(0, rows), (rows, rows), (2 * rows, rows), (3 * rows, 5)]
+
+
+def test_exact_k_holds_one_chunk_of_history(prod32):
+    # k = 200 on prod32 accepts 0.19 % of proposals, so n = 100 takes one
+    # batch of ~65 000 rows: its whole (k+1, batch) history per component
+    # and its uniforms were held at once before, 51 MiB at the peak; one row
+    # chunk's are held now
+    rng, ref_rng = RandomSource(3).generator(), RandomSource(3).generator()
+    tracemalloc.start()
+    try:
+        traces, rej = sample_uniform_traces(prod32, 200, 100, rng)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 12 << 20
+    want, want_rej = all_walker_uniform_traces(prod32, 200, 100, ref_rng)
+    assert traces == want and rej == want_rej
+    assert rng.random() == ref_rng.random()
+
+
+def test_exact_k_stops_walking_at_the_nth_acceptance(monkeypatch, fig1):
+    # fig1 at k = 60: one batch of ~59 000 proposals in chunks of 4 096 rows;
+    # the chunks after the one holding the n-th acceptance are never drawn or
+    # stepped, and rng still ends after the whole batch's draws
+    batches, stepped = [], []
+    walk_chunks, walk_live = sampling._walk_chunks, sampling._walk_live
+
+    def counted_chunks(chains, sizes, bound, steps, batch, rng):
+        batches.append(batch)
+        return walk_chunks(chains, sizes, bound, steps, batch, rng)
+
+    def counted_live(chain, size, bound, u, hist, total):
+        stepped.append(len(total))
+        walk_live(chain, size, bound, u, hist, total)
+
+    monkeypatch.setattr(sampling, "_walk_chunks", counted_chunks)
+    monkeypatch.setattr(sampling, "_walk_live", counted_live)
+    rng, ref_rng = RandomSource(9).generator(), RandomSource(9).generator()
+    traces, rej = sample_uniform_traces(fig1, 60, 300, rng)
+    want, want_rej = all_walker_uniform_traces(fig1, 60, 300, ref_rng)
+    assert traces == want and rej == want_rej
+    (batch,) = batches
+    assert 300 + rej <= sum(stepped) < batch
+    assert rng.random() == ref_rng.random()

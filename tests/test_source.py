@@ -173,3 +173,39 @@ def test_replay_entry_points_resolve():
     assert isinstance(CliqueFamily.admissibility, property)
     assert "_adm" in CliqueFamily.__slots__
     assert hasattr(CliqueChain, "P")
+
+
+# sampling.py's owners of the batched stream's layout (one (batch, steps)
+# draw per component, skipped over by Philox's counter): the chunk walk and
+# the positioned copies it reads; with the subuniform draws, the only readers
+# of a generator's uniforms there
+STREAM_OWNERS = {"_positioned", "_walk_chunks"}
+UNIFORM_READERS = STREAM_OWNERS | {"_block_uniforms", "sample_subuniform_trace"}
+
+
+def _moves_a_generator(node):
+    return node.attr == "advance" or (node.attr == "state" and isinstance(node.ctx, ast.Store))
+
+
+def test_one_owner_of_the_batched_stream():
+    # a whole-batch draw put back anywhere, or a generator moved outside the
+    # chunk walk, would lay the stream out a second way
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        reads, moves = set(), set()
+        if path.name == "sampling.py":
+            for func in tree.body:
+                if isinstance(func, ast.FunctionDef) and func.name in UNIFORM_READERS:
+                    reads |= {id(n) for n in ast.walk(func)}
+                if isinstance(func, ast.FunctionDef) and func.name in STREAM_OWNERS:
+                    moves |= {id(n) for n in ast.walk(func)}
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Attribute):
+                continue
+            if _moves_a_generator(node) and id(node) not in moves:
+                found.append(f"{path.name}:{node.lineno} .{node.attr}")
+            elif (path.name == "sampling.py" and node.attr == "random" and id(node) not in reads
+                    and not (isinstance(node.value, ast.Name) and node.value.id == "np")):
+                found.append(f"{path.name}:{node.lineno} .random")
+    assert found == []
