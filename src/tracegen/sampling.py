@@ -53,10 +53,7 @@ from .traces import Trace
 RNG_ALGORITHM = "philox4x64"
 _MASK64 = (1 << 64) - 1
 _BATCH_CAP = 1 << 18
-# a row chunk draws about _CHUNK_UNIFORMS uniforms per component, but has at
-# least _CHUNK_ROWS rows, over which each step's fixed cost is spread
-_CHUNK_UNIFORMS = 1 << 17
-_CHUNK_ROWS = 1 << 12
+_CHUNK_ROWS = 1 << 12  # rows of uniforms drawn and stepped at once
 _DRAW_BLOCK = 1 << 12  # uniforms per block draw of a subuniform stream
 DEFAULT_REJECT_BUDGET = 10 ** 7
 
@@ -118,37 +115,23 @@ def _walk_live(chain, size, bound, u, hist, total):
 
     ``u`` is the chunk's (rows, steps) uniforms, ``hist`` its (steps, rows)
     state history and ``total`` its running lengths, both updated in place.
-    Until the first walker drops, every row steps on a column of ``u`` and
-    writes its row of ``hist`` and its length directly; after that only the
-    live walkers are gathered and scattered, and their lengths are written
-    back at each drop and at the end.  Walkers dropped here keep state 0 in
-    the later columns, as the empty clique's point mass would give them; an
-    over-length walker's later states are never read.
+    Walkers dropped here keep state 0 in the later columns, as the empty
+    clique's point mass would give them; an over-length walker's later
+    states are never read.
     """
-    keep = total <= bound
-    live = None if keep.all() else np.flatnonzero(keep)  # None: every row
-    tot = total if live is None else total[live]
-    s = np.full(len(tot), chain.n_states)
+    live = np.flatnonzero(total <= bound)
+    s = np.full(len(live), chain.n_states)
+    tot = total[live]
     for t in range(u.shape[1]):
-        if not len(s):
+        if not len(live):
             break
-        if live is None:
-            s = chain.step(s, u[:, t].copy())  # contiguous: read once per stride
-            hist[t] = s
-        else:
-            s = chain.step(s, u[live, t])
-            hist[t, live] = s
+        s = chain.step(s, u[live, t])
+        hist[t, live] = s
         tot += size[s]
+        total[live] = tot
         keep = (s != 0) & (tot <= bound)
         if not keep.all():
-            if live is None:
-                live = np.flatnonzero(keep)
-            else:
-                total[live] = tot
-                live = live[keep]
-            s, tot = s[keep], tot[keep]
-    if live is not None:
-        total[live] = tot
+            live, s, tot = live[keep], s[keep], tot[keep]
 
 
 def _walk_chunks(chains, sizes, bound, steps, batch, rng):
@@ -159,19 +142,17 @@ def _walk_chunks(chains, sizes, bound, steps, batch, rng):
 
     The stream is that of one (batch, steps) draw per component, in
     component order: component ``c`` reads from a copy of ``rng`` positioned
-    ``c * batch * steps`` doubles ahead, and a chunk draws about
-    ``_CHUNK_UNIFORMS`` of them (but has at least ``_CHUNK_ROWS`` rows).  A
-    component starts only the walkers the earlier ones left at length <=
-    ``bound``.  When the walk is exhausted or closed, ``rng`` is left after
-    the whole batch's draws, so chunks never walked cost nothing and the next
-    values on ``rng`` are unchanged.
+    ``c * batch * steps`` doubles ahead, and a chunk is ``_CHUNK_ROWS`` rows
+    of them.  A component starts only the walkers the earlier ones left at
+    length <= ``bound``.  When the walk is exhausted or closed, ``rng`` is
+    left after the whole batch's draws, so chunks never walked cost nothing
+    and the next values on ``rng`` are unchanged.
     """
     span = batch * steps
     streams = [_positioned(rng, c * span) for c in range(len(chains))]
-    rows = max(_CHUNK_ROWS, _CHUNK_UNIFORMS // max(steps, 1))
     try:
-        for lo in range(0, batch, rows):
-            total = np.zeros(min(rows, batch - lo), dtype=np.int64)
+        for lo in range(0, batch, _CHUNK_ROWS):
+            total = np.zeros(min(_CHUNK_ROWS, batch - lo), dtype=np.int64)
             hists = []
             for chain, size, stream in zip(chains, sizes, streams):
                 # the narrowest type that holds a state index: uint8 up to 256 cliques

@@ -558,20 +558,12 @@ def test_samplers_never_form_P(monkeypatch, fig1, prod32):
         accumulate_moments(bundle, 4, builtin_cost("height", bundle.pair), 20, rng)
 
 
-def chunk_rows(monkeypatch, rows, steps):
-    """Row chunks of ``rows`` for walks of ``steps`` states: the uniform
-    budget alone sizes them, with no floor on the rows."""
-    monkeypatch.setattr(sampling, "_CHUNK_ROWS", 1)
-    monkeypatch.setattr(sampling, "_CHUNK_UNIFORMS", rows * max(steps, 1))
-
-
 @pytest.mark.parametrize("name, k, n", [("fig1", 6, 700), ("prod32", 8, 400), ("c14", 6, 150)])
 def test_live_walkers_match_all_walker_reference(request, monkeypatch, name, k, n):
-    # 61-row chunks (k+1 uniforms a row): many chunks per batch, and the n-th
-    # acceptance lands inside one; the generators must also agree on what
-    # comes next
+    # a 61-row chunk: many chunks per batch, and the n-th acceptance lands
+    # inside one; the generators must also agree on what comes next
     bundle = request.getfixturevalue(name)
-    chunk_rows(monkeypatch, 61, k + 1)
+    monkeypatch.setattr(sampling, "_CHUNK_ROWS", 61)
     rng, ref_rng = RandomSource(4).generator(), RandomSource(4).generator()
     traces, rej = sample_uniform_traces(bundle, k, n, rng)
     want, want_rej = all_walker_uniform_traces(bundle, k, n, ref_rng)
@@ -592,10 +584,10 @@ def test_live_walkers_match_all_walker_reference(request, monkeypatch, name, k, 
     ("fig1", 0, 100), ("prod32", 0, 100), ("prod32", 1, 130),
 ])
 def test_boundary_chunks_match_all_walker_reference(request, monkeypatch, name, k, n):
-    # 61-row chunks (k uniforms a row): several chunks per call, the last one
-    # short; prod32's second component walks below its own root and absorbs
+    # a 61-row chunk: several chunks per call, the last one short; prod32's
+    # second component walks below its own root and absorbs
     bundle = request.getfixturevalue(name)
-    chunk_rows(monkeypatch, 61, k)
+    monkeypatch.setattr(sampling, "_CHUNK_ROWS", 61)
     assert n % 61 != 0
     rng, ref_rng = RandomSource(8).generator(), RandomSource(8).generator()
     rows = topped_prefix_batch(bundle, k, n, rng)
@@ -611,7 +603,7 @@ def test_boundary_chunks_match_all_walker_reference(request, monkeypatch, name, 
 def test_product_exact_k_spans_batches(monkeypatch, prod32):
     # k = 20 on prod32 accepts about 2 % of proposals: with batches capped at
     # 2^14 rows, n = 1 500 takes several batches of four chunks each
-    chunk_rows(monkeypatch, 1 << 12, 21)
+    monkeypatch.setattr(sampling, "_CHUNK_ROWS", 1 << 12)
     monkeypatch.setattr(sampling, "_BATCH_CAP", 1 << 14)
     monkeypatch.setattr(oracle, "_BATCH_CAP", 1 << 14)
     traces, rej = sample_uniform_traces(prod32, 20, 1500, RandomSource(6).generator())
@@ -661,18 +653,6 @@ def test_positioned_stream_refuses_other_generators(fig1):
             sample_uniform_traces(fig1, 6, 10, rng)
         with pytest.raises(TypeError):
             topped_prefix_batch(fig1, 6, 10, rng)
-
-
-@pytest.mark.parametrize("steps, rows", [(0, 1 << 17), (7, 18_724), (21, 6_241), (201, 4_096)])
-def test_row_chunks_follow_the_uniform_budget(fig1, steps, rows):
-    # a chunk holds 2^17 uniforms per component (rounded down to whole rows)
-    # but no fewer than 4 096 rows; the last one is short
-    chain = fig1.components[0].chain(fig1.p0)
-    size = np.zeros(chain.n_states, dtype=np.uint8)
-    batch = 3 * rows + 5
-    walk = sampling._walk_chunks([chain], [size], 0, steps, batch, RandomSource(1).generator())
-    chunks = [(lo, len(total)) for lo, total, _ in walk]
-    assert chunks == [(0, rows), (rows, rows), (2 * rows, rows), (3 * rows, 5)]
 
 
 def test_exact_k_holds_one_chunk_of_history(prod32):
