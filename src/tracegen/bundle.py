@@ -12,11 +12,13 @@ from __future__ import annotations
 
 import math
 from functools import cached_property, reduce
+from itertools import islice
 from operator import mul
 
 from .chain import clique_chain
 from .counting import (
     growth_coefficients,
+    iter_growth,
     mobius_polynomial,
     optimal_boltzmann_parameter,
     principal_root,
@@ -76,9 +78,11 @@ class MonoidBundle:
         return growth_coefficients(self.mu, n)
 
     def lambda_k(self, k):
+        """``lambda(k)`` alone: the recurrence runs over a window of ``deg mu``
+        counts, so the table of ``growth(k)`` is never held."""
         if k < 0:
             raise ParameterOutOfRange(f"trace length must be non-negative, got {k}")
-        return self.growth(k)[k]
+        return next(islice(iter_growth(self.mu), k, None))
 
     def chain(self, p):
         """The clique chain at ``p``.  One chain is kept: the same ``p`` returns

@@ -11,8 +11,10 @@ of where a parameter sits against the principal root.
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass
 from enum import Enum
+from itertools import islice
 from operator import mul
 
 import numpy as np
@@ -69,23 +71,27 @@ def mobius_polynomial(family):
     return MobiusPolynomial(coeffs)
 
 
-def growth_coefficients(mu, n):
-    """Counts lam(0..n) from the recurrence lam(m) = -sum_j mu_j lam(m-j), as
-    a tuple indexed by length.
+def iter_growth(mu):
+    """Counts lam(0), lam(1), ... from the recurrence lam(m) = -sum_j mu_j lam(m-j),
+    holding only the last ``deg mu`` of them (a count before length 0 is 0).
 
     Plain Python integers: the counts grow geometrically and leave 64 bits
     quickly.
     """
+    tail = mu.coefficients[:0:-1]                # mu_d, ..., mu_1
+    window = deque([0] * len(tail), maxlen=len(tail))   # lam(m - d), ..., lam(m - 1)
+    lam = 1
+    while True:
+        yield lam
+        window.append(lam)
+        lam = -sum(map(mul, tail, window))
+
+
+def growth_coefficients(mu, n):
+    """Counts lam(0..n), as a tuple indexed by length."""
     if n < 0:
         raise ParameterOutOfRange("n must be non-negative")
-    coeffs = mu.coefficients
-    lam = [1]
-    for m in range(1, n + 1):
-        acc = 0
-        for j in range(1, min(mu.degree, m) + 1):
-            acc -= coeffs[j] * lam[m - j]
-        lam.append(acc)
-    return tuple(lam)
+    return tuple(islice(iter_growth(mu), n + 1))
 
 
 def dyadic_powers(a, b, d):

@@ -35,7 +35,7 @@ from .errors import (
 
 MAX_LETTERS = 64          # cliques fit in one machine word
 DEFAULT_CLIQUE_CAP = 1 << 20
-_CLASS_BLOCK = 1 << 20    # cap classes*cliques per block of the follow-class table
+_BLOCK = 1 << 14          # entries per block of any array as long as the follow relation
 
 
 def iter_bits(mask):
@@ -191,6 +191,21 @@ def validate_independence(raw_letters, raw_pairs, symmetric_closure=False):
     return IndependencePair(letters, masks)
 
 
+def row_blocks(offsets):
+    """Cut the compressed rows that ``offsets`` bounds into runs of whole rows
+    holding at most ``_BLOCK`` entries each, as ``(lo, hi)`` row ranges; a row
+    longer than that is a run of its own.  Reading a block at a time keeps
+    every temporary at most ``_BLOCK`` entries or one row long, and each row
+    whole, so a row's sum is formed as from the whole array."""
+    offsets = np.asarray(offsets)
+    lo = 0
+    while lo < len(offsets) - 1:
+        hi = int(np.searchsorted(offsets, offsets[lo] + _BLOCK, side="right")) - 1
+        hi = max(hi, lo + 1)
+        yield lo, hi
+        lo = hi
+
+
 class FollowClasses:
     """The cliques of a family grouped by their follow set D(c); nothing in it
     depends on a parameter.
@@ -205,9 +220,11 @@ class FollowClasses:
     letters that commute with every letter of a clique of class ``k``, so
     ``sum_j (-1)^j counts[k, j] x^j`` is their clique polynomial.  The cliques inside
     ``follow[k]``, which may follow class ``k``, are the compressed row ``columns[offsets[k]:
-    offsets[k + 1]]``, in increasing order.  Both are taken in blocks of at most
-    ``_CLASS_BLOCK`` class-clique pairs.  ``node_of[i]`` is clique ``i``'s (class, size)
-    node, in increasing order of class then size, and ``node_rep`` its first clique.
+    offsets[k + 1]]``, in increasing order.  The counts and the row lengths are taken in
+    blocks of ``_BLOCK // n`` classes (at least one), and each row is then written into
+    one ``int32`` ``columns`` of the lengths' total, so no temporary holds more than a
+    block or one row of class-clique tests.  ``node_of[i]`` is clique ``i``'s (class,
+    size) node, in increasing order of class then size, and ``node_rep`` its first clique.
     """
 
     __slots__ = ("follow", "class_of", "start", "first", "offsets", "columns", "counts",
@@ -223,19 +240,20 @@ class FollowClasses:
         # cliques come sorted by size, and every size up to the largest occurs
         size_starts = np.searchsorted(family.sizes, np.arange(family.max_clique_size + 1))
         self.counts = np.empty((len(self.follow), len(size_starts)), dtype=np.int64)
-        lengths, columns = [], []   # the relation's rows, block by block
-        block = max(1, _CLASS_BLOCK // len(family))
+        masks = family.masks_np
+        lengths = np.empty(len(self.follow), dtype=np.int64)
+        block = max(1, _BLOCK // len(family))
         for lo in range(0, len(self.follow), block):
-            follow = self.follow[lo:lo + block, None]
-            inside = (family.masks_np & follow) == 0
-            np.add.reduceat(inside, size_starts, axis=1, dtype=np.int64,
+            # a clique c is inside I(k) where c & D(k) is 0, and inside D(k) where it is c
+            meet = masks & self.follow[lo:lo + block, None]
+            np.add.reduceat((meet == 0).view(np.uint8), size_starts, axis=1, dtype=np.int32,
                             out=self.counts[lo:lo + block])
-            flat = np.flatnonzero((family.masks_np & ~follow) == 0)   # i * n + j in the block
-            ends = np.searchsorted(flat, np.arange(len(follow) + 1) * len(family))
-            lengths.append(np.diff(ends))
-            columns.append(np.remainder(flat, len(family), out=flat).astype(np.int32))
-        self.offsets = np.concatenate([[0], np.cumsum(np.concatenate(lengths))])
-        self.columns = np.concatenate(columns)
+            lengths[lo:lo + block] = [np.count_nonzero(row) for row in meet == masks]
+        self.offsets = np.append(0, np.cumsum(lengths))
+        self.columns = np.empty(self.offsets[-1], dtype=np.int32)
+        bounds = self.offsets.tolist()
+        for follow, lo, hi in zip(self.follow, bounds, bounds[1:]):
+            self.columns[lo:hi] = np.flatnonzero((masks & follow) == masks)
 
 
 class CliqueFamily:

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -62,6 +63,22 @@ def test_lambda_k_negative(fig1):
     # a negative index must not wrap to the end of the growth table
     with pytest.raises(ParameterOutOfRange):
         fig1.lambda_k(-1)
+
+
+def test_lambda_k_holds_a_window_of_counts(fig1, prod32):
+    # count, estimate and the exact-k header print lambda_k alone, so the
+    # recurrence keeps the last deg mu counts; the table of growth(20 000)
+    # on fig1 holds 36 MiB of big integers
+    for bundle in (fig1, prod32):
+        assert [bundle.lambda_k(k) for k in range(60)] == list(bundle.growth(59))
+    tracemalloc.start()
+    try:
+        lam = fig1.lambda_k(20_000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert lam.bit_length() == 27_770
+    assert peak < 1 << 20
 
 
 def test_growth_free2(free2):

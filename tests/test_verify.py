@@ -1,9 +1,16 @@
+import json
+import pathlib
+import tracemalloc
+
+import numpy as np
+import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tracegen import MonoidBundle, h_vector, validate_independence
 from tracegen import chain as chain_mod
 from tracegen import monoid as monoid_mod
-from tracegen.monoid import CliqueFamily
+from tracegen.monoid import CliqueFamily, parse_monoid, row_blocks
 from tracegen.oracle import cylinder_probability, iter_admissible_chains, path_probability
 from tracegen.verify import (
     PARAM_GRID,
@@ -15,7 +22,9 @@ from tracegen.verify import (
     verification_report,
 )
 
-from conftest import independence_graphs
+from conftest import cycle_complement, independence_graphs
+
+GOLDEN = pathlib.Path(__file__).resolve().parent / "golden" / "cli_stdout.json"
 
 
 def scalar_cylinder_deviation(chain, max_len):
@@ -138,3 +147,75 @@ def test_verification_report_scans_the_follow_relation_once(monkeypatch, c14):
     verification_report(bundle)
     assert built == [bundle.family]
     assert columns == []
+
+
+def test_row_blocks_hold_whole_rows(monkeypatch):
+    # rows of 2, 1, 7, 0 and 2 entries in blocks of at most 3: the 7-entry row
+    # is a block of its own, and the empty row joins the next one
+    monkeypatch.setattr(monoid_mod, "_BLOCK", 3)
+    assert list(row_blocks([0, 2, 3, 10, 10, 12])) == [(0, 2), (2, 3), (3, 5)]
+    assert list(row_blocks(np.array([0]))) == []
+
+
+def report_at_block(pair, block):
+    """The report of a fresh bundle of ``pair``, with its follow classes, path
+    nodes and checks all built at a block size of ``block`` entries."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(monoid_mod, "_BLOCK", block)
+        bundle = MonoidBundle(pair)
+        classes = bundle.family.follow_classes
+        nodes = _path_nodes(bundle.family, classes.node_of, classes.node_rep)
+        return verification_report(bundle), classes, nodes
+
+
+def assert_blocks_change_nothing(pair, blocks):
+    want, classes, nodes = report_at_block(pair, monoid_mod._BLOCK)
+    for block in blocks:
+        got, got_classes, got_nodes = report_at_block(pair, block)
+        assert got == want
+        for name in ("offsets", "columns", "counts"):
+            a, b = getattr(classes, name), getattr(got_classes, name)
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+        for name in ("offsets", "successors"):
+            a, b = getattr(nodes, name), getattr(got_nodes, name)
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+
+
+def test_blocks_change_no_check(fig1, prod32, c14):
+    # every check is a maximum over whole rows, so a block of one entry (every
+    # row wider than it), of a few, or of a few hundred gives the same report
+    # as the default, and the follow rows and path nodes are the same arrays
+    # mix7: three components whose letters interleave, from the golden file's specs
+    spec = json.loads(GOLDEN.read_text(encoding="utf-8"))["specs"]["mix7.json"]
+    mix7 = parse_monoid(json.loads(spec))
+    for pair in (fig1.pair, prod32.pair, mix7):
+        assert_blocks_change_nothing(pair, (1, 5, 300))
+    # C_14^c at block sizes cutting its 84 221 follow entries into many blocks
+    assert len(list(row_blocks(c14.family.follow_classes.offsets))) > 1
+    assert_blocks_change_nothing(c14.pair, (1, 777))
+
+
+@settings(max_examples=60, deadline=None)
+@given(independence_graphs(), st.integers(1, 40))
+def test_blocks_change_no_check_on_random_monoids(graph, block):
+    letters, pairs = graph
+    assert_blocks_change_nothing(validate_independence(letters, pairs, symmetric_closure=True),
+                                 (block,))
+
+
+def test_verification_report_holds_blocks_not_the_relation():
+    # C_18^c's follow relation holds 2 148 508 entries (8.2 MiB as int32);
+    # the report forms nothing that long but its path nodes' successor rows
+    # (6.9 MiB), and every check reads one block at a time: formed whole,
+    # its arrays peaked at 178 MiB
+    bundle = cycle_complement(18)
+    assert len(bundle.family.follow_classes.columns) == 2_148_508
+    assert bundle.p0 > 0
+    tracemalloc.start()
+    try:
+        checks = verification_report(bundle)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert all(c.ok for c in checks)
+    assert peak < 40 << 20
