@@ -100,6 +100,7 @@ class MonoidBundle:
         return optimal_boltzmann_parameter(self.mu, k, self.p0)
 
     def expected_acceptance(self, k, p):
-        """Probability that a parameter-``p`` draw has length exactly ``k``."""
+        """Probability that a parameter-``p`` draw has length exactly ``k``,
+        ``lambda_k p^k mu(p)``: ``mu(p)`` is exact, the product is taken in logs."""
         lam = self.lambda_k(k)
         return math.exp(math.log(lam) + k * math.log(p) + math.log(self.mu(p)))

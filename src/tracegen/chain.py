@@ -58,21 +58,19 @@ from operator import mul
 
 import numpy as np
 
-from .counting import G_FLOOR_RTOL, RootPosition, dyadic_powers, root_position
+from .counting import G_FLOOR_RTOL, RootPosition, dyadic, dyadic_powers, root_position
 from .errors import DegenerateState, IterationCap, ParameterOutOfRange
 
 FINITE_STEP_CAP = 10 ** 8
 
 
 def _class_numerators(family, p):
-    """``p = a / 2^b`` exactly (a float is dyadic) and, for each follow class
-    ``k``, the integer ``M_k = 2^{b d} mu_k(p)``, where ``mu_k`` is the clique
-    polynomial of the letters the class commutes with and ``d`` the family's
-    largest clique size.  Returns ``(a, b, d, M)``."""
+    """``(a, b, d, M)``: ``p = a / 2^b`` exactly and, for each follow class ``k``,
+    the integer ``M_k = 2^{b d} mu_k(p)``, where ``mu_k`` is the clique polynomial
+    of the letters the class commutes with and ``d`` the largest clique size."""
     if p <= 0.0:
         raise ParameterOutOfRange(f"p must be positive, got {p}")
-    a, den = float(p).as_integer_ratio()
-    b = den.bit_length() - 1
+    a, b = dyadic(p)
     counts = family.follow_classes.counts
     d = counts.shape[1] - 1
     terms = dyadic_powers(-a, b, d)
@@ -187,8 +185,8 @@ def chain_law(family, p, p0):
     h = h_vector(family, p)
     g = g_vector(family, p)
     if at_p0:
-        # mu(p0) is a float residue near machine epsilon; the boundary chain
-        # sets it to exact zero so the empty clique is truly unreachable
+        # mu at the double p0 is tiny, and 0 only where the root is a double; the
+        # boundary chain sets it to exact zero so the empty clique is unreachable
         h[0] = g[0] = 0.0
     _check_rows(g, at_p0)
     return ChainLaw(family, p, at_p0, h, g)

@@ -2,10 +2,10 @@
 
 The alternating clique-size polynomial inverts the growth series of the
 monoid, so trace counts by length satisfy a short linear recurrence with the
-polynomial's coefficients.  Everything exact is integer arithmetic, and so
-are the signs that locate the principal root and the Boltzmann parameter.
-This module also owns every numeric tolerance of the package and the one test
-of where a parameter sits against the principal root.
+polynomial's coefficients.  Counts, the signs that locate the principal root
+and the Boltzmann parameter, and the value of a polynomial at a float (which
+is dyadic) are all exact integer sums, each value rounded once.  This module
+also owns every numeric tolerance and the one test of a parameter against p0.
 """
 
 from __future__ import annotations
@@ -44,16 +44,10 @@ class MobiusPolynomial:
         return len(self.coefficients) - 1
 
     def __call__(self, x):
-        acc = 0.0
-        for c in reversed(self.coefficients):
-            acc = acc * x + c
-        return acc
-
-    def derivative(self, x):
-        acc = 0.0
-        for j in range(self.degree, 0, -1):
-            acc = acc * x + j * self.coefficients[j]
-        return acc
+        """The value at the float ``x``, an exact dyadic sum rounded once."""
+        a, b = dyadic(x)
+        terms = dyadic_powers(a, b, self.degree)
+        return sum(map(mul, self.coefficients, terms)) / (1 << b * self.degree)
 
     def __mul__(self, other):
         """The exact product, the polynomial of the product of two monoids."""
@@ -92,6 +86,12 @@ def growth_coefficients(mu, n):
     if n < 0:
         raise ParameterOutOfRange("n must be non-negative")
     return tuple(islice(iter_growth(mu), n + 1))
+
+
+def dyadic(p):
+    """``(a, b)`` with ``p = a / 2^b`` exactly: every float is dyadic."""
+    a, den = float(p).as_integer_ratio()
+    return a, den.bit_length() - 1
 
 
 def dyadic_powers(a, b, d):
@@ -150,10 +150,11 @@ def root_position(p, p0):
 
 
 def expected_size(mu, p, p0):
-    """Mean trace length under the length-biased law of parameter ``p``."""
+    """Mean trace length at parameter ``p``, ``-p mu'(p) / mu(p)``, rounded once."""
     if not 0.0 < p < p0:
         raise ParameterOutOfRange(f"p must lie strictly inside (0, {p0}), got {p}")
-    return -p * mu.derivative(p) / mu(p)
+    terms = list(map(mul, mu.coefficients, dyadic_powers(*dyadic(p), mu.degree)))
+    return -sum(j * t for j, t in enumerate(terms)) / sum(terms)
 
 
 def optimal_boltzmann_parameter(mu, k, p0):

@@ -41,7 +41,7 @@ def test_h_fig1_at_root(fig1):
     p0 = fig1.p0
     fam = fig1.family
     h = h_vector(fam, p0)
-    # raw formula leaves a float residue of mu(p0) on the empty clique
+    # raw formula leaves mu at the double p0, tiny but not 0, on the empty clique
     assert abs(h[0]) < 1e-12
     assert abs(h[fam.index_of(0b001)] - (p0 - p0 * p0)) < 1e-14   # {a}
     assert abs(h[fam.index_of(0b010)] - (p0 - p0 * p0)) < 1e-14   # {b}

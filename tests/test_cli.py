@@ -6,6 +6,7 @@ import pathlib
 import resource
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
@@ -359,6 +360,26 @@ def test_multiple_root_exact_k_succeeds(tmp_path, blocks):
     pair = load_monoid(spec)
     lines = body_lines(res.stdout)
     assert len(lines) == n
+    assert all(parse_trace(pair, line).length == k for line in lines)
+
+
+def test_multiple_root_acceptance_header_is_exact(tmp_path):
+    # 8 commuting letters: mu = (1 - x)^8 has an 8-fold root at 1, so mu(p) at
+    # k = 1000 is ~1e-19; the header is lambda_k p^k mu(p) with lambda_k =
+    # C(k + 7, 7), close to the exact value at the printed p
+    spec = block_spec(tmp_path / "comm8.json", [1] * 8)
+    k = 1000
+    res = run_cli("sample", "--monoid", spec, "--mode", "exact-k", "--k", str(k),
+                  "--n", "5", "--seed", "1")
+    assert res.returncode == 0, res.stderr
+    header = res.stdout.splitlines()[0]
+    p = Fraction(header.split(" p=")[1].split()[0])
+    got = float(header.split(" expected_acceptance=")[1].split()[0])
+    want = math.comb(k + 7, 7) * p ** k * (1 - p) ** 8
+    assert abs(Fraction(got) / want - 1) <= 1e-13, (got, float(want))
+    pair = load_monoid(spec)
+    lines = body_lines(res.stdout)
+    assert len(lines) == 5
     assert all(parse_trace(pair, line).length == k for line in lines)
 
 

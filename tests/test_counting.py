@@ -209,15 +209,16 @@ def test_multiple_root_is_found_per_component():
     assert free3x3.p0 == 1 / 3
 
 
+def _exact_value(coeffs, x):
+    """``sum_j coeffs[j] x^j`` at the double ``x``, as a ``Fraction``."""
+    return sum(c * Fraction(x) ** j for j, c in enumerate(coeffs))
+
+
 def _crosses_zero_at(coeffs, x):
     """The polynomial is > 0 one ulp below ``x`` and <= 0 one ulp above, in
     exact arithmetic: ``x`` is its root rounded to the nearest double."""
-    def value(y):
-        acc = Fraction(0)
-        for c in reversed(coeffs):
-            acc = acc * Fraction(y) + c
-        return acc
-    return value(math.nextafter(x, 0.0)) > 0 >= value(math.nextafter(x, 2.0))
+    return (_exact_value(coeffs, math.nextafter(x, 0.0)) > 0
+            >= _exact_value(coeffs, math.nextafter(x, 2.0)))
 
 
 @settings(max_examples=80, deadline=None)
@@ -239,4 +240,19 @@ def test_horner_evaluation(fig1):
     mu = fig1.mu
     for x in (0.0, 0.1, 0.38, 1.0):
         assert abs(mu(x) - (1 - 3 * x + x * x)) < 1e-15
-        assert abs(mu.derivative(x) - (-3 + 2 * x)) < 1e-15
+
+
+@settings(max_examples=100, deadline=None)
+@given(independence_graphs())
+def test_polynomial_values_are_exact_sums_rounded_once(graph):
+    # mu(p) and the mean size -p mu'(p) / mu(p) are the exact values at the
+    # double p, rounded once, also near a product's multiple root
+    bundle = make_bundle(*graph)
+    for frac in (0.3, 0.9, 0.999):
+        p = bundle.p0 * frac
+        assert bundle.mu(p) == float(_exact_value(bundle.mu.coefficients, p))
+        for cb in bundle.components:
+            coeffs = cb.mu.coefficients
+            pmu1 = _exact_value([j * c for j, c in enumerate(coeffs)], p)
+            mean = -pmu1 / _exact_value(coeffs, p)
+            assert expected_size(cb.mu, p, cb.p0) == float(mean)

@@ -14,6 +14,7 @@ from tracegen import (
     RandomSource,
     Trace,
     cf_admissible,
+    expected_size,
     normalize_word,
     project,
     sample_subuniform_trace,
@@ -353,7 +354,7 @@ def test_finite_trace_law(fig1):
         if t.length <= 3:
             counts[t] = counts.get(t, 0) + 1
     assert within_se(counts.get(Trace(fig1.pair), 0) / n, mu_p, n)
-    mean_exp = -p * fig1.mu.derivative(p) / mu_p
+    mean_exp = expected_size(fig1.mu, p, fig1.p0)
     se = lengths.std(ddof=1) / math.sqrt(n)
     assert abs(lengths.mean() - mean_exp) <= 4 * se
     from tracegen.oracle import enumerate_Mk
