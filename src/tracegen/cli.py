@@ -4,10 +4,12 @@ Output is line oriented: one ``#`` metadata header, then one object or one
 ``key value`` pair per line, floats with 17 significant digits.  Runs are
 bit-stable for a fixed command line: randomness is keyed by (seed, stream)
 and workers merge in stream order.  Each command returns its exit code and
-all of its lines, and ``main`` alone writes them, so a command that fails
-prints nothing.  Exit codes: 2 usage, 3 bad data, 4 budget exceeded or out of
-memory, 5 numeric failure, 1 failed verification, 141 (128 + SIGPIPE) when
-the reader closes stdout early, which prints nothing more.
+all of its text, as lines or as blocks of lines (``sample`` one block per row
+chunk, ``info`` its count table), and ``main`` alone writes them, each
+followed by a newline, so a command that fails prints nothing.  Exit codes:
+2 usage, 3 bad data, 4 budget exceeded or out of memory, 5 numeric failure,
+1 failed verification, 141 (128 + SIGPIPE) when the reader closes stdout
+early, which prints nothing more.
 """
 
 from __future__ import annotations
@@ -26,16 +28,15 @@ from .sampling import (
     RNG_ALGORITHM,
     DEFAULT_REJECT_BUDGET,
     RandomSource,
-    sample_subuniform_traces,
-    sample_uniform_traces,
+    subuniform_layer_chunks,
     topped_prefix_chunks,
+    uniform_layer_chunks,
 )
-from .traces import layers_line, trace_line
+from .traces import layers_block
 from .verify import verification_report
 
 ENV_CLIQUE_CAP = "TRACEGEN_CLIQUE_CAP"
 EXIT_CLOSED_STDOUT = 141  # 128 + SIGPIPE, as a tool killed by the signal reports
-_WRITE_BLOCK = 1 << 12    # output lines joined into one stdout write
 
 
 def _f17(x):
@@ -98,25 +99,26 @@ def cmd_info(ns):
     lines.append("mobius " + " ".join(map(str, mu)))
     lines.append(f"p0 {_f18(bundle.p0)}")
     table = bundle.growth(ns.k)
-    lines += [f"lambda {k} {table[k]}" for k in range(ns.k + 1)]
+    lines.append("\n".join([f"lambda {k} {table[k]}" for k in range(ns.k + 1)]))
     return 0, lines
 
 
 # -- sample ----------------------------------------------------------------------
 
 def _boundary_lines(bundle, count, rng, k):
-    # one row chunk's masks become Python ints at a time
-    return [layers_line(bundle.pair, row)
-            for rows in topped_prefix_chunks(bundle, k, count, rng) for row in rows.tolist()]
+    # one text block per row chunk: one chunk's masks are Python ints at a time
+    return [layers_block(bundle.pair, rows.tolist())
+            for rows in topped_prefix_chunks(bundle, k, count, rng)]
 
 
 def _subuniform_lines(bundle, count, rng, p):
-    return [trace_line(t) for t in sample_subuniform_traces(bundle, p, count, rng)]
+    return [layers_block(bundle.pair, rows)
+            for rows in subuniform_layer_chunks(bundle, p, count, rng)]
 
 
 def _exact_lines(bundle, count, rng, k, max_rejects):
-    traces, _ = sample_uniform_traces(bundle, k, count, rng, max_rejects=max_rejects)
-    return [trace_line(t) for t in traces]
+    return [layers_block(bundle.pair, rows)
+            for rows in uniform_layer_chunks(bundle, k, count, rng, max_rejects)]
 
 
 def cmd_sample(ns):
@@ -155,10 +157,10 @@ def cmd_sample(ns):
         results = _fan_out(ns, bundle, _subuniform_lines, p)
     else:
         results = _fan_out(ns, bundle, _exact_lines, k, ns.max_rejects)
-    lines = [header]
-    for stream_lines in results:
-        lines += stream_lines
-    return 0, lines
+    blocks = [header]
+    for stream_blocks in results:
+        blocks += stream_blocks
+    return 0, blocks
 
 
 # -- count -----------------------------------------------------------------------
@@ -317,11 +319,11 @@ def main(argv=None):
     parser = _build_parser()
     ns = parser.parse_args(argv)
     try:
-        code, lines = ns.func(ns)
-        # the one stdout writer: a command returns all of its lines, so one
+        code, blocks = ns.func(ns)
+        # the one stdout writer: a command returns all of its text, so one
         # that fails anywhere has written nothing
-        for i in range(0, len(lines), _WRITE_BLOCK):
-            sys.stdout.write("\n".join(lines[i:i + _WRITE_BLOCK]) + "\n")
+        for block in blocks:
+            print(block)
         sys.stdout.flush()  # a closed stdout shows up here, not at exit
         return code
     except BrokenPipeError:

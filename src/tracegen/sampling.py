@@ -29,6 +29,11 @@ before the next one is drawn.  A batch's uniforms are laid out as one
 component reads from a copy of the generator moved to its place in that
 stream, and rejection stops walking at the n-th acceptance while the
 generator still ends after the whole batch.
+Each sampler hands out its traces a row chunk at a time, as layer masks
+(``topped_prefix_chunks``, ``uniform_layer_chunks``,
+``subuniform_layer_chunks``), so a caller that serializes them holds one
+chunk's rows; the functions that return whole arrays or ``Trace`` lists
+collect those chunks.
 Reducible monoids run each irreducible component's chain at the same
 parameter and OR the components' layers, depth by depth: a component's
 cliques are masks over the whole alphabet, so a state's clique is its letters
@@ -66,7 +71,8 @@ class RandomSource:
     stream_id: int = 0
 
     def generator(self):
-        key = [self.seed & _MASK64, self.stream_id & _MASK64]
+        # a uint64 array: a list would go through float64 for a key past int64
+        key = np.array([self.seed & _MASK64, self.stream_id & _MASK64], dtype=np.uint64)
         return np.random.Generator(np.random.Philox(key=key))
 
 
@@ -188,45 +194,65 @@ def topped_prefix_batch(bundle, k, n, rng):
     return out
 
 
-def sample_uniform_traces(bundle, k, n, rng, max_rejects=DEFAULT_REJECT_BUDGET):
-    """``n`` exactly-uniform length-``k`` traces, batched.
+def uniform_layer_chunks(bundle, k, n, rng, max_rejects=DEFAULT_REJECT_BUDGET):
+    """``n`` exactly-uniform length-``k`` traces, batched, as one list of
+    layer masks (Python ints) per row chunk with an acceptance.
 
     Proposals run up to k+1 chain steps per component: a walker still alive
     after k+1 non-empty layers is already overlong, so that horizon decides
     acceptance.  Each batch is scanned chunk by chunk, and the walk stops at
-    the n-th acceptance.  Returns (traces, rejections before the n-th
-    acceptance).
+    the n-th acceptance.  Returns (as the generator's value) the rejections
+    before the n-th acceptance.
     """
-    pair = bundle.pair
     if k == 0:
-        return [Trace(pair)] * n, 0
+        for lo in range(0, n, _CHUNK_ROWS):
+            yield [()] * min(_CHUNK_ROWS, n - lo)
+        return 0
     p = bundle.optimal_parameter(k)
     chains = [cb.chain(p) for cb in bundle.components]
     # clique sizes are at most 64: uint8 keeps the per-step gather small
     sizes = [cb.family.sizes.astype(np.uint8) for cb in bundle.components]
     accept_rate = bundle.expected_acceptance(k, p)
 
-    traces = []
+    done = 0    # acceptances yielded
     closed = 0  # proposals in fully scanned batches
-    while len(traces) < n:
-        need = n - len(traces)
+    while done < n:
+        need = n - done
         batch = int(min(max(4096, need / max(accept_rate, ACCEPTANCE_FLOOR) * 1.2), _BATCH_CAP))
         # the last batch holds no more proposals than the budget lets us scan
         batch = min(batch, n + max_rejects - closed)
         walk = _walk_chunks(chains, sizes, k, k + 1, batch, rng)
         for lo, total_len, hists in walk:
-            acc_idx = np.flatnonzero(total_len == k)
+            acc_idx = np.flatnonzero(total_len == k)[: n - done]
+            if not len(acc_idx):
+                continue
             gm = _layer_union(chains, [hist[:, acc_idx].T for hist in hists])
             heights = (gm != 0).sum(axis=1).tolist()
-            for r, i in enumerate(acc_idx.tolist()):
-                traces.append(Trace(pair, gm[r, : heights[r]].tolist()))
-                if len(traces) == n:
-                    walk.close()
-                    return traces, closed + lo + i + 1 - n
+            rows = [row[:h] for row, h in zip(gm.tolist(), heights)]
+            done += len(rows)
+            if done == n:
+                walk.close()
+                yield rows
+                return closed + lo + int(acc_idx[-1]) + 1 - n
+            yield rows
         closed += batch
-        if closed - len(traces) > max_rejects:
+        if closed - done > max_rejects:
             raise RejectBudgetExhausted(f"no {n} length-{k} traces within {max_rejects} rejections")
-    return traces, 0
+    return 0
+
+
+def sample_uniform_traces(bundle, k, n, rng, max_rejects=DEFAULT_REJECT_BUDGET):
+    """``n`` exactly-uniform length-``k`` traces: ``uniform_layer_chunks``'
+    rows as traces.  Returns (traces, rejections before the n-th acceptance).
+    """
+    pair = bundle.pair
+    chunks = uniform_layer_chunks(bundle, k, n, rng, max_rejects)
+    traces = []
+    try:
+        while True:
+            traces += [Trace(pair, layers) for layers in next(chunks)]
+    except StopIteration as end:
+        return traces, end.value
 
 
 # -- subuniform draws ---------------------------------------------------------
@@ -255,12 +281,20 @@ def sample_subuniform_trace(bundle, p, rng):
     return Trace(bundle.pair, absorbing_layers(_below_root(bundle, p), rng.random))
 
 
-def sample_subuniform_traces(bundle, p, n, rng):
-    """``n`` draws of ``sample_subuniform_trace`` from one stream: the same
-    traces as ``n`` single draws on the same generator, read from block draws
-    of its uniforms.  The generator is left up to a block past the last
-    uniform used."""
+def subuniform_layer_chunks(bundle, p, n, rng):
+    """``n`` draws of ``sample_subuniform_trace`` from one stream, as one list
+    of layer masks (Python ints) per ``_CHUNK_ROWS`` draws: the same traces as
+    ``n`` single draws on the same generator, read from block draws of its
+    uniforms.  The generator is left up to a block past the last uniform
+    used."""
     chains = _below_root(bundle, p)
     draw = _block_uniforms(rng).__next__
+    for lo in range(0, n, _CHUNK_ROWS):
+        yield [absorbing_layers(chains, draw) for _ in range(min(_CHUNK_ROWS, n - lo))]
+
+
+def sample_subuniform_traces(bundle, p, n, rng):
+    """``subuniform_layer_chunks``' draws as ``n`` traces."""
     pair = bundle.pair
-    return [Trace(pair, absorbing_layers(chains, draw)) for _ in range(n)]
+    return [Trace(pair, layers) for rows in subuniform_layer_chunks(bundle, p, n, rng)
+            for layers in rows]

@@ -186,6 +186,13 @@ def layers_line(pair, masks):
     return "[" + ",".join(map(pair.layer_json.__getitem__, masks)) + "]"
 
 
+def layers_block(pair, rows):
+    """The ``layers_line`` of each of ``rows`` (sequences of layer masks as
+    Python ints), joined by newlines into one text block with no newline at
+    its end: a row chunk's output, written at once."""
+    return "\n".join([layers_line(pair, masks) for masks in rows])
+
+
 def trace_line(u):
     return layers_line(u.pair, u.layers)
 

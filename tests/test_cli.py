@@ -6,6 +6,7 @@ import pathlib
 import resource
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -575,9 +576,9 @@ def test_count_exact_builds_no_trace_set(monkeypatch, monoid_files, capsys):
 
 @pytest.mark.parametrize("argv, target", [
     (["info", "--k", "4"], "tracegen.bundle.MonoidBundle.growth"),
-    (["sample", "--mode", "boundary", "--k", "3", "--n", "5"], "tracegen.cli.layers_line"),
-    (["sample", "--mode", "subuniform", "--p", "0.2", "--n", "5"], "tracegen.cli.trace_line"),
-    (["sample", "--mode", "exact-k", "--k", "3", "--n", "5"], "tracegen.cli.trace_line"),
+    (["sample", "--mode", "boundary", "--k", "3", "--n", "5"], "tracegen.cli.layers_block"),
+    (["sample", "--mode", "subuniform", "--p", "0.2", "--n", "5"], "tracegen.cli.layers_block"),
+    (["sample", "--mode", "exact-k", "--k", "3", "--n", "5"], "tracegen.cli.layers_block"),
     (["count", "--k", "4", "--mc", "--n", "20"], "tracegen.cli.report_from_moments"),
     (["estimate", "--k", "4", "--n", "20"], "tracegen.bundle.MonoidBundle.lambda_k"),
     (["verify"], "tracegen.cli.verification_report"),
@@ -592,6 +593,41 @@ def test_a_late_failure_prints_nothing(monkeypatch, monoid_files, capsys, argv, 
     monkeypatch.setattr(target, explode)
     assert cli.main([argv[0], "--monoid", monoid_files["prod32"], *argv[1:]]) == 4
     assert capsys.readouterr() == ("", "error: late failure\n")
+
+
+def test_negative_seed_is_its_own_stream(monoid_files):
+    # a seed is taken modulo 2^64: -1 was cast through float64 to seed 0's
+    # key, with a numpy warning on stderr
+    args = ("sample", "--monoid", monoid_files["prod32"], "--mode", "subuniform", "--p", "0.2",
+            "--n", "20")
+    zero, minus = run_cli(*args, "--seed", "0"), run_cli(*args, "--seed", "-1")
+    assert zero.returncode == minus.returncode == 0
+    assert minus.stderr == ""
+    assert body_lines(minus.stdout) != body_lines(zero.stdout)
+
+
+@pytest.mark.parametrize("argv, limit", [
+    (["--mode", "subuniform", "--p", "0.17", "--n", "200000"], 8 << 20),
+    (["--mode", "exact-k", "--k", "20", "--n", "20000"], 5 << 20),
+], ids=["subuniform", "exact-k"])
+def test_sample_holds_text_not_traces(monoid_files, argv, limit):
+    # the samplers hand the CLI one row chunk of masks at a time, and it
+    # keeps each chunk's text as one block: no Trace and no per-line string
+    # outlives its chunk (subuniform at n = 200 000 held 31.8 MiB traced when
+    # every draw stayed a Trace and a line, for 2.4 MiB of text)
+    from tracegen import cli
+
+    ns = cli._build_parser().parse_args(
+        ["sample", "--monoid", monoid_files["prod32"], *argv, "--seed", "1"])
+    tracemalloc.start()
+    try:
+        code, blocks = cli.cmd_sample(ns)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert sum(block.count("\n") + 1 for block in blocks) == ns.n + 1
+    assert peak < limit
 
 
 def test_out_of_memory_exits_4(monkeypatch, monoid_files, capsys):

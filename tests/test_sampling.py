@@ -601,6 +601,41 @@ def test_boundary_chunks_match_all_walker_reference(request, monkeypatch, name, 
         assert ((rows & b_letters) == 0).any()
 
 
+@pytest.mark.parametrize("name, k, n", [("fig1", 7, 500), ("prod32", 9, 400), ("prod32", 0, 130)])
+def test_uniform_chunks_are_the_traces_in_order(request, monkeypatch, name, k, n):
+    # 61-row chunks: the generator hands out each chunk's acceptances, none
+    # empty, and returns the rejections; the wrapper's traces are the same
+    # rows, and both leave the generator in the same place
+    bundle = request.getfixturevalue(name)
+    monkeypatch.setattr(sampling, "_CHUNK_ROWS", 61)
+    rng, ref_rng = RandomSource(4).generator(), RandomSource(4).generator()
+    chunks = sampling.uniform_layer_chunks(bundle, k, n, rng)
+    got = []
+    with pytest.raises(StopIteration) as end:
+        while True:
+            got.append(next(chunks))
+    traces, rej = sample_uniform_traces(bundle, k, n, ref_rng)
+    assert all(0 < len(rows) <= 61 for rows in got)
+    assert [Trace(bundle.pair, layers) for rows in got for layers in rows] == traces
+    assert end.value.value == rej
+    assert rng.random() == ref_rng.random()
+    if k:
+        assert len(got) > 1
+
+
+@pytest.mark.parametrize("n", [0, 1, 61, 200])
+def test_subuniform_chunks_are_the_traces_in_order(monkeypatch, prod32, n):
+    monkeypatch.setattr(sampling, "_CHUNK_ROWS", 61)
+    p = 0.9 * prod32.p0
+    got = list(sampling.subuniform_layer_chunks(prod32, p, n, RandomSource(2).generator()))
+    assert [len(rows) for rows in got] == [min(61, n - lo) for lo in range(0, n, 61)]
+    want = sample_subuniform_traces(prod32, p, n, RandomSource(2).generator())
+    assert [Trace(prod32.pair, layers) for rows in got for layers in rows] == want
+    # the parameter is checked even when no draw is asked for
+    with pytest.raises(ParameterOutOfRange):
+        list(sampling.subuniform_layer_chunks(prod32, prod32.p0, n, RandomSource(2).generator()))
+
+
 def test_product_exact_k_spans_batches(monkeypatch, prod32):
     # k = 20 on prod32 accepts about 2 % of proposals: with batches capped at
     # 2^14 rows, n = 1 500 takes several batches of four chunks each
@@ -642,6 +677,21 @@ def test_positioned_stream_is_the_sequential_stream(prior, skip, half):
     ref = drawn(prior + skip)
     assert np.array_equal(ahead.random(9), ref.random(9))
     assert ahead.integers(1 << 32, dtype=np.uint32) == ref.integers(1 << 32, dtype=np.uint32)
+
+
+def test_every_seed_keys_its_own_stream(recwarn):
+    # seeds in [0, 2^63) keep the key a Python list gave them; past int64 the
+    # list went through float64 and keyed seed 0's stream, with a warning
+    def first(key):
+        return np.random.Generator(np.random.Philox(key=key)).random(3).tolist()
+
+    for seed in (0, 1, 12345, (1 << 63) - 1):
+        assert RandomSource(seed, 2).generator().random(3).tolist() == first([seed, 2])
+    draws = {tuple(RandomSource(seed).generator().random(3).tolist())
+             for seed in (0, -1, -2, (1 << 64) - 2, (1 << 63) + 1)}
+    assert len(draws) == 4  # -2 and 2^64 - 2 are the same 64-bit key
+    assert RandomSource(-1, -1).generator().random() != RandomSource(0).generator().random()
+    assert len(recwarn) == 0
 
 
 def test_positioned_stream_refuses_other_generators(fig1):

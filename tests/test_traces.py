@@ -22,7 +22,7 @@ from tracegen import (
 )
 from tracegen.errors import InvalidTrace, UnknownLetter
 from tracegen.oracle import congruence_closure, enumerate_Mk
-from tracegen.traces import layers_line
+from tracegen.traces import layers_block, layers_line
 
 from conftest import independence_graphs, make_bundle
 
@@ -250,6 +250,15 @@ def test_layers_line(fig1):
     assert trace_line(t) == '[["a"],["c"],["a","b"]]'
     assert layers_line(fig1.pair, np.array(t.layers, dtype=np.uint64).tolist()) == trace_line(t)
     assert layers_line(fig1.pair, []) == "[]"
+
+
+def test_layers_block_is_the_rows_lines(fig1):
+    # one block per row chunk: each row's line, newline-separated, with no
+    # newline at the end, which the writer adds
+    rows = [normalize_word(w, fig1.pair).layers for w in ("acab", "", "b", "cc")]
+    assert layers_block(fig1.pair, rows) == "\n".join(layers_line(fig1.pair, r) for r in rows)
+    assert layers_block(fig1.pair, rows[:1]) == '[["a"],["c"],["a","b"]]'
+    assert layers_block(fig1.pair, [(), ()]) == "[]\n[]"
 
 
 def test_layers_line_escapes_as_json_dumps():
