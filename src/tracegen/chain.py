@@ -17,8 +17,9 @@ root the empty clique is an absorbing state reached in finite time; at the
 root it is unreachable and the chain restricted to non-empty cliques shares
 its transition matrix with the Parry chain of the weighted clique automaton.
 
-A chain stores its whole law compactly, and only this module reads that
-layout.  Row ``c`` of the transitions is ``h(c')/g(c)`` over the cliques
+A chain holds ``h`` and ``g`` and forms its sampling CDF, a compact layout
+that only this module reads, on the first ``step`` or ``absorbing_layers``
+call.  Row ``c`` of the transitions is ``h(c')/g(c)`` over the cliques
 ``c' ⊆ D(c)``, so it depends on ``c`` only through its follow class; the
 start state ``n`` has the class of the whole alphabet, whose ``g`` is 1, so
 its row is ``cumsum(h)``.  Each class's row is stored once, as cumulative
@@ -46,7 +47,7 @@ cumulative sums equal the dense row's there bit for bit (adding the 0.0 of
 an inadmissible entry is exact), so the draws are those of the dense CDF.
 The dense ``P`` (``transition_matrix``), and with it the family's dense
 admissibility, is formed only when read, which no CLI command does;
-``verify`` reads the same follow rows.
+``verify`` reads ``h`` and ``g`` on the same follow rows and forms neither.
 """
 
 from __future__ import annotations
@@ -102,31 +103,30 @@ def g_vector(family, p):
     return np.array([m / scale for m in M])[family.follow_classes.class_of]
 
 
-def _check_rows(g, at_p0):
-    """Refuse a chain whose transition row ``h/g(c)`` needs a vanishing ``g(c)``
-    (row 0 is the empty clique's point mass and needs none at the root)."""
-    start = 1 if at_p0 else 0
-    gs = g[start:]
+def _check_rows(g):
+    """Refuse a chain whose transition row ``h/g(c)`` needs a vanishing ``g(c)``.
+    Row 0 is the empty clique's point mass at every ``p`` and divides by no
+    ``g``, so ``g[0]`` (0 at the root, tiny just below it) is not checked."""
     # a mathematical zero of g shows up as a float residue of arbitrary sign,
     # so the refusal uses a relative threshold, not the raw sign; fmax skips a
     # NaN, which then fails the test where it sits
     tol = G_FLOOR_RTOL * float(np.fmax.reduce(np.abs(g)))
-    bad = ~(gs > tol)
+    bad = ~(g[1:] > tol)
     if np.any(bad):
         raise DegenerateState(
-            f"g vanishes on clique index {int(np.argmax(bad)) + start} "
+            f"g vanishes on clique index {int(np.argmax(bad)) + 1} "
             "where a transition row is required"
         )
 
 
-def transition_matrix(family, h, g, at_p0=False):
+def transition_matrix(family, h, g):
     """Row-stochastic transitions ``P[c, c'] = h(c')/g(c)`` on admissible edges.
 
     Only the empty clique follows itself, so row 0 is its point mass at every
     ``p``: absorbing below the root, unreachable at the root, where ``h[0] = 0``
     makes every ``P[c, 0]`` zero (and ``g[0] = 0`` is no degenerate row).
     """
-    _check_rows(g, at_p0)
+    _check_rows(g)
     P = np.where(family.admissibility, h[None, :], 0.0)
     P[1:] /= g[1:, None]
     P[0, 0] = 1.0
@@ -151,9 +151,11 @@ def _compact_cdf(family, h, g):
 
 
 @dataclass
-class ChainLaw:
-    """``p``, the initial law ``h`` and its rescaling ``g``; the dense
-    transitions ``P`` are formed on first read."""
+class CliqueChain:
+    """The clique chain at ``p``: its initial law ``h`` and the rescaling
+    ``g``.  The sampling CDF (``P_cum``, ``cols``, ``lo``, ``hi``; see
+    ``_compact_cdf``), which ``step`` and ``absorbing_layers`` read, and the
+    dense transitions ``P`` are each formed on first read."""
 
     family: object
     p: float
@@ -167,40 +169,16 @@ class ChainLaw:
 
     @cached_property
     def P(self):
-        return transition_matrix(self.family, self.h, self.g, at_p0=self.at_p0)
+        return transition_matrix(self.family, self.h, self.g)
 
+    @cached_property
+    def _cdf(self):
+        return _compact_cdf(self.family, self.h, self.g)
 
-def chain_law(family, p, p0):
-    """The law of the clique chain at parameter ``p`` for the principal root
-    ``p0``, with no sampling CDF.
-
-    Boundary behaviour (empty clique unreachable) engages when ``p`` sits at
-    the root in the sense of ``counting.root_position``; callers wanting that
-    regime should pass the computed root itself.
-    """
-    position = root_position(p, p0)
-    if position is RootPosition.OUT_OF_RANGE:
-        raise ParameterOutOfRange(f"p must lie in (0, {p0}], got {p}")
-    at_p0 = position is RootPosition.AT
-    h = h_vector(family, p)
-    g = g_vector(family, p)
-    if at_p0:
-        # mu at the double p0 is tiny, and 0 only where the root is a double; the
-        # boundary chain sets it to exact zero so the empty clique is unreachable
-        h[0] = g[0] = 0.0
-    _check_rows(g, at_p0)
-    return ChainLaw(family, p, at_p0, h, g)
-
-
-@dataclass
-class CliqueChain(ChainLaw):
-    """A chain law with its sampling CDF (``P_cum``, ``cols``, ``lo``, ``hi``;
-    see ``_compact_cdf``), which ``step`` and ``absorbing_layers`` read."""
-
-    P_cum: np.ndarray
-    cols: np.ndarray
-    lo: np.ndarray
-    hi: np.ndarray
+    P_cum = property(lambda self: self._cdf[0])
+    cols = property(lambda self: self._cdf[1])
+    lo = property(lambda self: self._cdf[2])
+    hi = property(lambda self: self._cdf[3])
 
     @cached_property
     def _top_stride(self):
@@ -262,8 +240,21 @@ def absorbing_layers(chains, draw):
 
 
 def clique_chain(family, p, p0):
-    """The clique chain at parameter ``p`` for the principal root ``p0``: its
-    law (``chain_law``) and, built eagerly, its sampling CDF."""
-    law = chain_law(family, p, p0)
-    return CliqueChain(family, p, law.at_p0, law.h, law.g, *_compact_cdf(family, law.h, law.g))
+    """The clique chain at parameter ``p`` for the principal root ``p0``.
 
+    Boundary behaviour (empty clique unreachable) engages when ``p`` sits at
+    the root in the sense of ``counting.root_position``; callers wanting that
+    regime should pass the computed root itself.
+    """
+    position = root_position(p, p0)
+    if position is RootPosition.OUT_OF_RANGE:
+        raise ParameterOutOfRange(f"p must lie in (0, {p0}], got {p}")
+    at_p0 = position is RootPosition.AT
+    h = h_vector(family, p)
+    g = g_vector(family, p)
+    if at_p0:
+        # mu at the double p0 is tiny, and 0 only where the root is a double; the
+        # boundary chain sets it to exact zero so the empty clique is unreachable
+        h[0] = g[0] = 0.0
+    _check_rows(g)
+    return CliqueChain(family, p, at_p0, h, g)

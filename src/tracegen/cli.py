@@ -47,6 +47,20 @@ def _f18(x):
     return format(float(x), ".18g")
 
 
+def _decimal(n):
+    """``str(n)`` at any size.  Python (3.10.7 on) refuses an int of more than
+    ``sys.get_int_max_str_digits()`` digits, a guard for parsing untrusted
+    text; a count is output, so the limit is lifted for this conversion alone."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if not limit:
+        return str(n)
+    sys.set_int_max_str_digits(0)
+    try:
+        return str(n)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
 def _bundle(ns):
     raw = os.environ.get(ENV_CLIQUE_CAP)
     try:
@@ -99,7 +113,7 @@ def cmd_info(ns):
     lines.append("mobius " + " ".join(map(str, mu)))
     lines.append(f"p0 {_f18(bundle.p0)}")
     table = bundle.growth(ns.k)
-    lines.append("\n".join([f"lambda {k} {table[k]}" for k in range(ns.k + 1)]))
+    lines.append("\n".join([f"lambda {k} {_decimal(table[k])}" for k in range(ns.k + 1)]))
     return 0, lines
 
 
@@ -171,7 +185,7 @@ def cmd_count(ns):
         raise UsageError("--mc needs --k at least 1 and --n at least 2")
     bundle = _bundle(ns)
     lines = [f"# tracegen count monoid={ns.monoid} k={k} seed={ns.seed} n={ns.n} jobs={ns.jobs}",
-             f"lambda {k} {bundle.lambda_k(k)}"]
+             f"lambda {k} {_decimal(bundle.lambda_k(k))}"]
     if ns.exact:
         from . import oracle  # the brute-force reference, loaded only here
         lines.append(f"lambda_oracle {k} {sum(1 for _ in oracle.iter_Mk(bundle.family, k))}")
@@ -217,7 +231,7 @@ def cmd_estimate(ns):
         lam = bundle.lambda_k(ns.k)
         norm = bundle.p0 ** ns.k * lam
         se = report.phibar_sd / (report.sample_count ** 0.5) / norm
-        lines += [f"lambda_exact {lam}",
+        lines += [f"lambda_exact {_decimal(lam)}",
                   f"estimate_exact_norm {_f17(report.phibar_mean / norm)}",
                   f"se_exact_norm {_f17(se)}"]
     return 0, lines

@@ -98,3 +98,6 @@ class ParameterOutOfRange(NumericError):
 class DegenerateState(NumericError):
     pass
 
+
+class DoubleOverflow(NumericError):
+    """A value printed as a double lies past the largest double."""

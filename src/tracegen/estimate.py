@@ -20,7 +20,8 @@ import math
 import warnings
 from dataclasses import dataclass
 
-from .errors import ParameterOutOfRange
+from .counting import iter_growth
+from .errors import DoubleOverflow, ParameterOutOfRange
 from .sampling import topped_prefix_batch
 from .traces import divides, left_quotient, parse_trace
 
@@ -198,8 +199,33 @@ class EstimateReport:
     lambda_hat_se: float
 
 
+def _check_double_range(bundle, k):
+    """Refuse a ``k`` whose count estimate cannot be a double, as
+    ``lambda_hat`` is printed as one.
+
+    ``lambda_hat`` is the mean divisor count times ``p0^-k`` and estimates
+    ``lambda_k``; a height-``k`` prefix has between 1 and ``lambda_k``
+    length-``k`` divisors, so both factors fit a double where ``lambda_k``
+    and ``p0^-k`` do.  Both grow with ``k``, so a scan of the counts up to
+    ``k`` stops at the first that does not fit, and the ``DoubleOverflow``
+    names the ``k`` before it.
+    """
+    for j, lam in enumerate(iter_growth(bundle.mu)):
+        try:
+            bundle.p0 ** -j, float(lam)
+        except OverflowError:
+            raise DoubleOverflow(
+                f"k={k} is past {j - 1}, the largest k whose count and "
+                "lambda_hat fit a double"
+            ) from None
+        if j == k:
+            return
+
+
 def accumulate_moments(bundle, k, phi, n, rng):
-    """Draw ``n`` height-``k`` uniform prefixes and fold their lifted costs."""
+    """Draw ``n`` height-``k`` uniform prefixes and fold their lifted costs;
+    a ``k`` out of ``_check_double_range`` is refused before any draw."""
+    _check_double_range(bundle, k)
     moments = Moments()
     pair = bundle.pair
     remaining = n

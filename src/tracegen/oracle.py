@@ -16,10 +16,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from .counting import ACCEPTANCE_FLOOR
 from .errors import BudgetExceeded, InsufficientSamples, RejectBudgetExhausted
 from .monoid import iter_bits
-from .sampling import _BATCH_CAP, DEFAULT_REJECT_BUDGET, _layer_union
+from .sampling import DEFAULT_REJECT_BUDGET, _layer_union, _rejection_batch
 from .traces import Trace, divides, normalize_word, remove_bottom
 
 DEFAULT_ENUM_BUDGET = 10 ** 7
@@ -262,9 +261,7 @@ def all_walker_uniform_traces(bundle, k, n, rng, max_rejects=DEFAULT_REJECT_BUDG
     closed = 0
     rejections = 0
     while len(traces) < n:
-        need = n - len(traces)
-        batch = int(min(max(4096, need / max(accept_rate, ACCEPTANCE_FLOOR) * 1.2), _BATCH_CAP))
-        batch = min(batch, n + max_rejects - closed)
+        batch = _rejection_batch(n - len(traces), accept_rate, n + max_rejects - closed)
         hists = [_chain_states_batch(ch, k + 1, batch, rng) for ch in chains]
         total_len = sum(sz[hist].sum(axis=1) for sz, hist in zip(sizes, hists))
         acc_idx = np.flatnonzero(total_len == k)

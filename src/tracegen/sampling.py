@@ -194,6 +194,15 @@ def topped_prefix_batch(bundle, k, n, rng):
     return out
 
 
+def _rejection_batch(need, accept_rate, room):
+    """Proposals in the next exact-k batch, for ``need`` more acceptances at
+    the predicted ``accept_rate``: 20% above the expected count, at least 4096
+    and at most ``_BATCH_CAP``, and no more than the ``room`` proposals the
+    rejection budget still lets a batch scan."""
+    batch = int(min(max(4096, need / max(accept_rate, ACCEPTANCE_FLOOR) * 1.2), _BATCH_CAP))
+    return min(batch, room)
+
+
 def uniform_layer_chunks(bundle, k, n, rng, max_rejects=DEFAULT_REJECT_BUDGET):
     """``n`` exactly-uniform length-``k`` traces, batched, as one list of
     layer masks (Python ints) per row chunk with an acceptance.
@@ -217,10 +226,7 @@ def uniform_layer_chunks(bundle, k, n, rng, max_rejects=DEFAULT_REJECT_BUDGET):
     done = 0    # acceptances yielded
     closed = 0  # proposals in fully scanned batches
     while done < n:
-        need = n - done
-        batch = int(min(max(4096, need / max(accept_rate, ACCEPTANCE_FLOOR) * 1.2), _BATCH_CAP))
-        # the last batch holds no more proposals than the budget lets us scan
-        batch = min(batch, n + max_rejects - closed)
+        batch = _rejection_batch(n - done, accept_rate, n + max_rejects - closed)
         walk = _walk_chunks(chains, sizes, k, k + 1, batch, rng)
         for lo, total_len, hists in walk:
             acc_idx = np.flatnonzero(total_len == k)[: n - done]

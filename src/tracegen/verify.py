@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chain import chain_law, h_vector
+from .chain import clique_chain, h_vector
 from .counting import VERIFY_IDENTITY_TOL, VERIFY_PRODUCT_TOL, VERIFY_SPECTRAL_TOL
 from .errors import ReducibleMonoid
 from .monoid import decompose_components, row_blocks
@@ -231,10 +231,10 @@ def _row_block(rows, lo, hi):
     return first[lo:hi], [o - at[0] for o in at], columns[at[0]:at[-1]], np.arange(hi - lo)
 
 
-def _transitions(law, rows):
-    """The transition entries ``h(c')/g(c)`` of ``law`` on the follow rows ``rows``."""
+def _transitions(chain, rows):
+    """The transition entries ``h(c')/g(c)`` of ``chain`` on the follow rows ``rows``."""
     first, offsets, columns, _ = rows
-    return law.h[columns] / np.repeat(law.g[first], np.diff(offsets))
+    return chain.h[columns] / np.repeat(chain.g[first], np.diff(offsets))
 
 
 def parry_matrices(family, p0, g, rows):
@@ -282,17 +282,17 @@ def verification_report(bundle):
             # its initial law still normalizes
             h_sum_dev = max(h_sum_dev, abs(float(h_vector(fam, p).sum()) - 1.0))
             continue
-        # the law alone: no check reads the sampling CDF
-        law = chain_law(fam, p, p0)
-        h_sum_dev = max(h_sum_dev, abs(float(law.h.sum()) - 1.0))
+        # h and g alone: no check reads the sampling CDF or P, so neither is formed
+        chain = clique_chain(fam, p, p0)
+        h_sum_dev = max(h_sum_dev, abs(float(chain.h.sum()) - 1.0))
         for block in blocks:
-            P = _transitions(law, block)
+            P = _transitions(chain, block)
             offsets = block[1]
             sums = [P[lo:hi].sum() for lo, hi in zip(offsets, offsets[1:])]   # pairwise, row by row
             row_dev = max(row_dev, float(np.abs(np.array(sums) - 1.0).max()))
-        cyl_dev = max(cyl_dev, _cylinder_deviation(law, max_len, nodes))
+        cyl_dev = max(cyl_dev, _cylinder_deviation(chain, max_len, nodes))
         if frac == 1.0:
-            boundary = law
+            boundary = chain
     checks.append(_dev_check("h_sum_max_dev", h_sum_dev, VERIFY_IDENTITY_TOL))
     checks.append(_dev_check("row_sum_max_dev", row_dev, VERIFY_IDENTITY_TOL))
     checks.append(_dev_check("cylinder_max_dev", cyl_dev, VERIFY_IDENTITY_TOL))

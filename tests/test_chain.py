@@ -169,7 +169,7 @@ def test_transition_rejects_degenerate_rows(prod32):
     with pytest.raises(DegenerateState):
         clique_chain(prod32.family, prod32.p0, prod32.p0)
     with pytest.raises(DegenerateState, match="index 1"):
-        chain_mod._check_rows(np.array([1.0, np.nan]), False)
+        chain_mod._check_rows(np.array([1.0, np.nan]))
 
 
 def test_chain_out_of_range(fig1):
@@ -340,19 +340,38 @@ def test_bundle_chain_cache():
     assert bundle.chain(0.3) is not second
 
 
-def test_chain_law_is_the_chains_law(fig1, cycle5):
-    # clique_chain builds on chain_law: the same p, at_p0, h, g and P, bit
-    # for bit, at the root and below it, with h[0] = 0 at the root only
-    for bundle in (fig1, cycle5):
-        for p in (bundle.p0, 0.5 * bundle.p0):
-            law = chain_mod.chain_law(bundle.family, p, bundle.p0)
-            ch = clique_chain(bundle.family, p, bundle.p0)
-            assert (law.p, law.at_p0) == (ch.p, ch.at_p0) == (p, p == bundle.p0)
-            assert law.h.tobytes() == ch.h.tobytes() and law.g.tobytes() == ch.g.tobytes()
-            assert law.P.tobytes() == ch.P.tobytes()
-            assert (law.h[0] == 0.0) == law.at_p0
-    with pytest.raises(ParameterOutOfRange):
-        chain_mod.chain_law(fig1.family, 2 * fig1.p0, fig1.p0)
+def test_chain_forms_its_cdf_on_the_first_step(monkeypatch, fig1, prod32):
+    # clique_chain and MonoidBundle.chain hold h and g alone: the sampling CDF
+    # is built once, by the first step or absorbing walk, and kept
+    built = []
+    compact = chain_mod._compact_cdf
+
+    def counted(*args):
+        built.append(args)
+        return compact(*args)
+
+    monkeypatch.setattr(chain_mod, "_compact_cdf", counted)
+    ch = clique_chain(fig1.family, fig1.p0, fig1.p0)
+    below = [cb.chain(0.5 * prod32.p0) for cb in prod32.components]
+    assert built == []
+    starts, u = np.full(3, ch.n_states), np.array([0.1, 0.5, 0.9])
+    first = ch.step(starts, u)
+    assert len(built) == 1
+    assert (ch.step(starts, u) == first).all() and len(built) == 1
+    for _ in range(2):
+        chain_mod.absorbing_layers(below, RandomSource(3).generator().random)
+        assert len(built) == 1 + len(below)
+
+
+def test_chain_just_below_the_root_keeps_the_empty_clique(c14):
+    # g[0] is mu(p): positive and tiny just below the root, and the empty
+    # clique's row divides by no g, so the chain is built and can absorb
+    p = c14.p0 * (1 - 1e-10)
+    assert root_position(p, c14.p0) is RootPosition.BELOW
+    ch = clique_chain(c14.family, p, c14.p0)
+    assert not ch.at_p0
+    assert 0.0 < ch.g[0] < 1e-9 and ch.h[0] > 0.0
+    assert abs(float(ch.h.sum()) - 1.0) < 1e-12
 
 
 def test_chain_keeps_P_and_its_cdf_agrees(fig1):

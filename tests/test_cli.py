@@ -11,8 +11,9 @@ from fractions import Fraction
 
 import pytest
 
-from tracegen import MonoidBundle, load_monoid, parse_trace, validate_independence
-from tracegen.errors import CliqueExplosion, NoRootFound
+from tracegen import MonoidBundle, RandomSource, load_monoid, parse_trace, validate_independence
+from tracegen.errors import CliqueExplosion, DoubleOverflow, NoRootFound
+from tracegen.estimate import accumulate_moments, builtin_cost
 
 from conftest import block_spec
 
@@ -247,6 +248,60 @@ def test_estimate_jobs_merge(monoid_files):
     first = run_cli(*args)
     assert first.returncode == 0
     assert run_cli(*args).stdout == first.stdout
+
+
+def assert_refused_past_doubles(res, largest):
+    assert res.returncode == 5 and res.stdout == ""
+    assert "Traceback" not in res.stderr
+    assert f"past {largest}, the largest k" in res.stderr
+
+
+def test_estimate_past_the_double_range_exits_5(monoid_files, fig1):
+    # lambda_hat is printed as a double: on fig1, p0^-k and lambda_k are
+    # doubles up to k = 737, and a larger k is refused before any draw
+    res = run_cli("estimate", "--monoid", monoid_files["fig1"], "--k", "740", "--n", "2")
+    assert_refused_past_doubles(res, 737)
+    rng = RandomSource(0).generator()
+    with pytest.raises(DoubleOverflow):
+        accumulate_moments(fig1, 738, builtin_cost("height", fig1.pair), 2, rng)
+    assert rng.random() == RandomSource(0).generator().random()
+    res = run_cli("estimate", "--monoid", monoid_files["fig1"], "--k", "737", "--n", "2")
+    assert res.returncode == 0
+    assert float(kv(res.stdout)["lambda_hat"]) < math.inf
+
+
+def test_count_mc_past_the_double_range_exits_5(tmp_path):
+    # on C_16^c lambda_k leaves the doubles at k = 512, before p0^-k does
+    spec = cycle_complement_spec(tmp_path, 16)
+    res = run_cli("count", "--monoid", spec, "--k", "600", "--mc", "--n", "2")
+    assert_refused_past_doubles(res, 511)
+    assert run_cli("count", "--monoid", spec, "--k", "600").returncode == 0
+
+
+def parse_decimal(text):
+    # int(text) is refused past 4300 digits from Python 3.10.7 on: parse in pieces
+    value = 0
+    for lo in range(0, len(text), 1000):
+        piece = text[lo:lo + 1000]
+        value = value * 10 ** len(piece) + int(piece)
+    return value
+
+
+def test_count_prints_past_the_int_digit_limit(monoid_files, fig1, capsys):
+    # lambda_10400 on fig1 has 4346 digits; the CLI prints it and leaves the
+    # interpreter's limit in place for everything else
+    argv = ["count", "--monoid", monoid_files["fig1"], "--k", "10400"]
+    res = run_cli(*argv)
+    assert res.returncode == 0 and "Traceback" not in res.stderr
+    name, k, digits = res.stdout.splitlines()[1].split()
+    assert (name, k) == ("lambda", "10400") and len(digits) > 4300
+    assert parse_decimal(digits) == fig1.lambda_k(10400)
+    from tracegen import cli
+    limit = getattr(sys, "get_int_max_str_digits", None)
+    before = limit() if limit else None
+    assert cli.main(argv) == 0
+    assert capsys.readouterr().out == res.stdout
+    assert (limit() if limit else None) == before
 
 
 def test_verify_ok(monoid_files):

@@ -163,7 +163,7 @@ def edge_uniforms(stored, total):
     return np.unique(u[u >= 0.0])
 
 
-def test_step_kernel_on_every_row_width():
+def test_step_kernel_on_every_row_width(monkeypatch):
     # one row of each width 1..18, 32 and 33, with ties (a zero weight
     # repeats the cumulative value before it): both kernels land inside each
     # row where searchsorted with side="right" lands, on the +inf entry for
@@ -180,7 +180,10 @@ def test_step_kernel_on_every_row_width():
     bounds = np.cumsum([0, *widths])
     P_cum = np.concatenate(rows)
     cols = np.arange(len(P_cum), dtype=np.int32)
-    ch = CliqueChain(None, 0.0, False, None, None, P_cum, cols, bounds[:-1], bounds[1:])
+    # a chain whose sampling CDF, formed on first read, is these rows
+    cdf = (P_cum, cols, bounds[:-1], bounds[1:])
+    monkeypatch.setattr(chain_mod, "_compact_cdf", lambda *law: cdf)
+    ch = CliqueChain(None, 0.0, False, None, None)
     for state, (cum, total) in enumerate(zip(rows, totals)):
         u = edge_uniforms(cum[:-1], total)
         want = (bounds[state] + np.searchsorted(cum, u, side="right")).tolist()
@@ -641,7 +644,6 @@ def test_product_exact_k_spans_batches(monkeypatch, prod32):
     # 2^14 rows, n = 1 500 takes several batches of four chunks each
     monkeypatch.setattr(sampling, "_CHUNK_ROWS", 1 << 12)
     monkeypatch.setattr(sampling, "_BATCH_CAP", 1 << 14)
-    monkeypatch.setattr(oracle, "_BATCH_CAP", 1 << 14)
     traces, rej = sample_uniform_traces(prod32, 20, 1500, RandomSource(6).generator())
     want, want_rej = all_walker_uniform_traces(prod32, 20, 1500, RandomSource(6).generator())
     assert traces == want and rej == want_rej
