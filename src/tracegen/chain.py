@@ -214,6 +214,11 @@ class CliqueChain:
         ``n + 1`` offsets.  Nothing else is copied."""
         return memoryview(self.P_cum), memoryview(self.cols), self.lo.tolist(), self.hi.tolist()
 
+    def __getstate__(self):
+        """The state without the walk tables, whose memoryviews cannot be
+        copied or pickled; the first walk of the copy rebuilds them."""
+        return {k: v for k, v in self.__dict__.items() if k != "_walk_tables"}
+
 
 def absorbing_layers(chains, draw):
     """Layer masks of one draw below the root: each component's chain in

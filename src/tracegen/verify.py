@@ -8,23 +8,22 @@ matches the chain transitions, and product monoids factorize layer laws
 across components.  Cliques of one follow class share their rows, so the
 transition rows and the Parry matrices hold one row per class, as entries
 on the family's compressed follow rows (``class_rows``).  A path's values
-depend on a clique only through its ``follow_classes`` (class, size) node,
-or the tuple of its parts' nodes for the factorization, so paths walk one
-representative clique per node (``PathNodes``, whose successor rows are
-compressed too).  No n x n or classes x n array is formed.
+depend on its first clique only through its ``follow_classes`` (class, size)
+node, or the tuple of its parts' nodes for the factorization, so paths start
+from one clique per node and step along the follow rows themselves.  No
+n x n or classes x n array is formed.
 
 Nothing as long as the follow relation is formed either, but the relation
-itself and the path nodes' successor rows: every check reads them in blocks
-of whole rows of at most ``monoid._BLOCK`` entries (``monoid.row_blocks``), the
-transition rows and the Parry entries a block of class rows at a time, the
-paths from a block of start nodes whose first steps fit a block.  A row is
-never split, so its sum is formed as from the whole array, and each check is
-a maximum, which no order changes: the report is the same at any block size.
+itself: every check reads it in blocks of whole rows of at most
+``monoid._BLOCK`` entries (``monoid.row_blocks``), the transition rows and the
+Parry entries a block of class rows at a time, the paths from a block of start
+cliques whose first steps fit a block.  A row is never split, so its sum is
+formed as from the whole array, and each check is a maximum, which no order
+or repeat changes: the report is the same at any block size.
 """
 
 from __future__ import annotations
 
-from array import array
 from dataclasses import dataclass
 
 import numpy as np
@@ -57,104 +56,74 @@ def _chain_length_cap(n_states):
     return 2
 
 
-@dataclass(frozen=True)
-class PathNodes:
-    """The cliques grouped by a key on which every checked value depends: one
-    representative clique per key (``rep``), its follow class (``cls``), and the nodes
-    that may follow class ``k``, ``successors[offsets[k]:offsets[k + 1]]``.  Each admissible
-    path of cliques maps to a node path along these rows, and each is the image of one."""
-
-    rep: np.ndarray
-    cls: np.ndarray
-    offsets: np.ndarray
-    successors: np.ndarray
-
-    def edges(self, nodes):
-        """``(i, j)``: each edge from node ``nodes[i]`` to node ``j``."""
-        begin, counts = self.offsets[self.cls[nodes]], np.diff(self.offsets)[self.cls[nodes]]
-        src = np.repeat(np.arange(len(nodes)), counts)   # row i's edges follow those of rows < i
-        return src, self.successors[np.arange(len(src)) + (begin + counts - counts.cumsum())[src]]
-
-    def blocks(self):
-        """The nodes in runs whose edges fit a block (``row_blocks``): one node
-        where its own edges do not."""
-        ends = np.append(0, np.diff(self.offsets)[self.cls].cumsum())
-        for lo, hi in row_blocks(ends):
-            yield np.arange(lo, hi)
+def _follow_edges(classes, cliques):
+    """``(i, j)``: each edge from clique ``cliques[i]`` to a clique ``j`` of its
+    follow row in ``classes`` (``follow_classes``)."""
+    rows = classes.class_of[cliques]
+    begin, counts = classes.offsets[rows], classes.offsets[rows + 1] - classes.offsets[rows]
+    src = np.repeat(np.arange(len(cliques)), counts)   # row i's edges follow those of rows < i
+    return src, classes.columns[np.arange(len(src)) + (begin + counts - counts.cumsum())[src]]
 
 
-def _path_nodes(family, node_of, rep):
-    """Path nodes of ``family``'s cliques: clique ``i`` is in node
-    ``node_of[i]``, which must determine its follow class, and ``rep`` holds
-    each node's first clique; nothing in them depends on a parameter.  The
-    follow rows are read a block of classes at a time, and each block's
-    successor rows are appended to one growing ``int32`` buffer, so no copy
-    of them is held beside it."""
-    classes = family.follow_classes
-    lengths = np.empty(len(classes.follow), dtype=np.int64)
-    successors = array("i")   # C ints: 32 bits wherever numpy runs
-    for lo, hi in row_blocks(classes.offsets):
-        # the block's (class, node) keys are class-major, so it dedupes on its own
-        rows = np.diff(classes.offsets[lo:hi + 1])
-        key = (np.repeat(np.arange(hi - lo) * len(rep), rows)
-               + node_of[classes.columns[classes.offsets[lo]:classes.offsets[hi]]])
-        key.sort()
-        key = key[np.append(True, key[1:] != key[:-1])]
-        lengths[lo:hi] = np.bincount(key // len(rep), minlength=hi - lo)
-        successors.frombytes((key % len(rep)).astype(np.intc).tobytes())
-    return PathNodes(rep, classes.class_of[rep], np.append(0, np.cumsum(lengths)),
-                     np.frombuffer(successors, dtype=np.intc))
+def _start_blocks(classes, starts):
+    """The cliques ``starts`` in runs whose first steps fit a block (``row_blocks``):
+    one clique where its own follow row does not."""
+    rows = classes.class_of[starts]
+    ends = np.append(0, (classes.offsets[rows + 1] - classes.offsets[rows]).cumsum())
+    for lo, hi in row_blocks(ends):
+        yield starts[lo:hi]
 
 
 def _product_nodes(bundle):
-    """Nodes keyed on the tuple of each component's (follow class, size) node
-    of a clique's part in it.  The parts' follow sets OR to the clique's, so
-    the tuple determines its follow class and its size."""
+    """One start clique per tuple of each component's (follow class, size) node
+    of a clique's part in it, and each component's part of every clique, as an
+    index into the component's family.  The parts' follow sets OR to the
+    clique's, so the tuple determines its follow class and its size."""
     fam = bundle.family
     key = np.zeros(len(fam), dtype=np.int64)
+    parts = []
     for cb in bundle.components:
         cf = cb.family
-        part = np.array([cf.index_of(m & cb.alphabet) for m in fam.masks])
+        parts.append(np.array([cf.index_of(m & cb.alphabet) for m in fam.masks]))
         nodes = cf.follow_classes
-        _, rep, key = np.unique(key * len(nodes.node_rep) + nodes.node_of[part],
-                                return_index=True, return_inverse=True)
-    return _path_nodes(fam, key, rep)
+        _, starts, key = np.unique(key * len(nodes.node_rep) + nodes.node_of[parts[-1]],
+                                   return_index=True, return_inverse=True)
+    return starts, parts
 
 
-def _cylinder_deviation(chain, max_len, nodes):
+def _cylinder_deviation(chain, max_len):
     """Worst gap between path products and the closed cylinder form.
 
     A path's product and its closed form depend on each state only through
-    ``h``, ``g`` and ``|c|``, so paths grow over ``nodes``, one clique per
-    (class, size) node of ``follow_classes``: every admissible
-    path of length 1 to ``max_len`` gives the values of one node path.  A
-    path carries its last node, its product ``h(s0) P(s0, s1) ...`` and its
-    letter count below the last layer.  Both sides are formed in the order
-    ``oracle.path_probability`` and ``oracle.cylinder_probability`` use, so
-    they match those bit for bit.  The paths start from one block of nodes
-    (``PathNodes.blocks``) at a time.
+    ``h``, ``g`` and ``|c|``, which depend on a clique only through its
+    (class, size) node of ``follow_classes``, so paths start from one clique
+    per node (``node_rep``) and step to every clique of the last one's follow
+    row: every admissible path of length 1 to ``max_len`` gives the values of
+    one path walked.  A path carries its last clique, its product
+    ``h(s0) P(s0, s1) ...`` and its letter count below the last layer.  Both
+    sides are formed in the order ``oracle.path_probability`` and
+    ``oracle.cylinder_probability`` use, so they match those bit for bit.  The
+    paths start from one block of cliques (``_start_blocks``) at a time.
     """
     fam = chain.family
+    classes = fam.follow_classes
     # p ** int once per prefix size, as cylinder_probability computes it
     powers = np.array([chain.p ** k for k in range((max_len - 1) * fam.max_clique_size + 1)])
-    h = chain.h[nodes.rep]
-    g = chain.g[nodes.rep]
-    sizes = fam.sizes[nodes.rep]
     worst = 0.0
-    for last in nodes.blocks():
-        prod = h[last]
+    for last in _start_blocks(classes, classes.node_rep):
+        prod = chain.h[last]
         prefix = np.zeros(len(last), dtype=np.int64)
         for length in range(1, max_len + 1):
-            dev = np.abs(prod - powers[prefix] * h[last])
+            dev = np.abs(prod - powers[prefix] * chain.h[last])
             worst = float(np.max(dev, initial=worst))
             if length == max_len:
                 break
-            src, nxt = nodes.edges(last)
+            src, nxt = _follow_edges(classes, last)
             prev = last[src]
             # P(prev, nxt) is h(nxt)/g(prev) on an edge, and 1 on the empty clique's row
-            step = np.divide(h[nxt], g[prev], out=np.ones(len(nxt)), where=nodes.rep[prev] > 0)
+            step = np.divide(chain.h[nxt], chain.g[prev], out=np.ones(len(nxt)), where=prev > 0)
             prod = prod[src] * step
-            prefix = prefix[src] + sizes[prev]
+            prefix = prefix[src] + fam.sizes[prev]
             last = nxt
     return worst
 
@@ -165,27 +134,29 @@ def _product_factorization_deviation(bundle, p, nodes):
     One-layer events compare ``h(c)`` with the product of the component
     ``h``; two-layer events compare ``p^{|c1|} h(c2)`` over every admissible
     pair with the product of the component terms, multiplied in component
-    order.  Both depend on a clique only through its node in ``nodes``
-    (``_product_nodes``), so each is read once per node and node edge, the
-    edges from one block of nodes at a time.
+    order.  Both depend on ``c1`` only through its tuple of component nodes,
+    so ``c1`` runs over the start cliques of ``nodes`` (``_product_nodes``), a
+    block of them at a time, and ``c2`` over every clique of ``c1``'s follow row;
+    each component reads its ``h`` at the parts ``nodes`` holds.
     """
     fam = bundle.family
-    h_global = h_vector(fam, p)[nodes.rep]
-    masks = [fam.masks[i] for i in nodes.rep.tolist()]
+    starts, parts = nodes
+    classes = fam.follow_classes
+    h_global = h_vector(fam, p)
     powers = np.array([p ** k for k in range(fam.max_clique_size + 1)])
-    parts = [(cb.family.sizes, np.array([cb.family.index_of(m & cb.alphabet) for m in masks]),
-              h_vector(cb.family, p)) for cb in bundle.components]
-    one = np.ones(len(masks))
-    for _, index, h_c in parts:
-        one = one * h_c[index]
-    worst = float(np.abs(h_global - one).max())
-    for block in nodes.blocks():
-        src, c2 = nodes.edges(block)
+    comps = [(cb.family.sizes, part, h_vector(cb.family, p))
+             for cb, part in zip(bundle.components, parts)]
+    one = np.ones(len(starts))
+    for _, part, h_c in comps:
+        one = one * h_c[part[starts]]
+    worst = float(np.abs(h_global[starts] - one).max())
+    for block in _start_blocks(classes, starts):
+        src, c2 = _follow_edges(classes, block)
         c1 = block[src]
         two = np.ones(len(c1))
-        for sizes, index, h_c in parts:
-            two = two * (powers[sizes[index[c1]]] * h_c[index[c2]])
-        left = powers[fam.sizes[nodes.rep[c1]]] * h_global[c2]
+        for sizes, part, h_c in comps:
+            two = two * (powers[sizes[part[c1]]] * h_c[part[c2]])
+        left = powers[fam.sizes[c1]] * h_global[c2]
         worst = max(worst, float(np.abs(left - two).max()))
     return worst
 
@@ -271,7 +242,6 @@ def verification_report(bundle):
 
     rows = class_rows(fam)   # one transition row per follow class
     blocks = [_row_block(rows, lo, hi) for lo, hi in row_blocks(rows[1])]
-    nodes = _path_nodes(fam, fam.follow_classes.node_of, fam.follow_classes.node_rep)
     h_sum_dev = 0.0
     row_dev = 0.0
     cyl_dev = 0.0
@@ -290,7 +260,7 @@ def verification_report(bundle):
             offsets = block[1]
             sums = [P[lo:hi].sum() for lo, hi in zip(offsets, offsets[1:])]   # pairwise, row by row
             row_dev = max(row_dev, float(np.abs(np.array(sums) - 1.0).max()))
-        cyl_dev = max(cyl_dev, _cylinder_deviation(chain, max_len, nodes))
+        cyl_dev = max(cyl_dev, _cylinder_deviation(chain, max_len))
         if frac == 1.0:
             boundary = chain
     checks.append(_dev_check("h_sum_max_dev", h_sum_dev, VERIFY_IDENTITY_TOL))

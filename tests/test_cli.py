@@ -457,7 +457,7 @@ def cap_address_space():
 
 def assert_verify_fits_in_one_gib(spec):
     """``verify`` on ``spec`` reports under a 1 GiB cap: it reads one row per
-    follow class and walks one clique per path node, no n x n array."""
+    follow class and walks its paths along those rows, no n x n array."""
     res = run_cli("verify", "--monoid", spec, env={"OPENBLAS_NUM_THREADS": "1"},
                   preexec_fn=cap_address_space)
     assert res.returncode == 0, res.stderr

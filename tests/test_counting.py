@@ -63,6 +63,8 @@ def test_lambda_k_negative(fig1):
     # a negative index must not wrap to the end of the growth table
     with pytest.raises(ParameterOutOfRange):
         fig1.lambda_k(-1)
+    with pytest.raises(ParameterOutOfRange):
+        fig1.growth(-1)
 
 
 def test_lambda_k_holds_a_window_of_counts(fig1, prod32):

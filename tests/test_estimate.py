@@ -22,7 +22,7 @@ from tracegen import (
     validate_independence,
 )
 from tracegen.errors import ParameterOutOfRange
-from tracegen.estimate import _divisor_sums
+from tracegen.estimate import Moments, _divisor_sums, report_from_moments
 from tracegen.oracle import (
     divisor_sums_by_peeling,
     enumerate_Mk,
@@ -295,6 +295,10 @@ def test_estimate_validation(fig1):
         estimate_expectation(fig1, 0, phi, 1000, rng)
     with pytest.raises(ParameterOutOfRange):
         estimate_expectation(fig1, 3, phi, 50, rng)
+    one = Moments()
+    one.add(1.0, 1.0)
+    with pytest.raises(ParameterOutOfRange):
+        report_from_moments(one, 3, fig1.p0)     # no error estimate from one sample
 
 
 def test_builtin_cost_names(fig1):

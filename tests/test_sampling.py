@@ -1,5 +1,7 @@
+import copy
 import itertools
 import math
+import pickle
 import tracemalloc
 from bisect import bisect_right
 from unittest import mock
@@ -512,6 +514,18 @@ def test_subuniform_trace_merging(prod32):
     with pytest.raises(ParameterOutOfRange):
         sample_subuniform_trace(prod32, prod32.p0, rng)
 
+
+def test_walked_bundle_copies_and_pickles(fig1):
+    # a draw caches the chain's walk tables, memoryviews that cannot be
+    # copied; a pickled and a deep-copied bundle leave them out, rebuild them
+    # on their first walk and draw the same traces as the original
+    bundle = MonoidBundle(fig1.pair)
+    sample_subuniform_trace(bundle, 0.2, RandomSource(1).generator())
+    copies = [pickle.loads(pickle.dumps(bundle)), copy.deepcopy(bundle)]
+    rngs = [RandomSource(2).generator() for _ in range(3)]
+    for _ in range(20):
+        want = sample_subuniform_trace(bundle, 0.2, rngs[0])
+        assert [sample_subuniform_trace(c, 0.2, r) for c, r in zip(copies, rngs[1:])] == [want, want]
 
 def test_merge_product_trace_is_commuting_product(prod32):
     rng = RandomSource(33).generator()

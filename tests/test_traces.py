@@ -81,6 +81,9 @@ def test_concat_examples(fig1):
     assert trace_concat(Trace(pair), a) == a
     ac = normalize_word("ac", pair)
     assert trace_concat(ac, ab) == normalize_word("acab", pair)
+    other = make_bundle(["a", "b", "c"], [("a", "c")]).pair
+    with pytest.raises(ValueError):
+        trace_concat(a, normalize_word("a", other))   # traces of two different pairs
 
 
 def test_concat_length_additive_and_associative(fig1, tri4):
@@ -111,6 +114,9 @@ def test_divides_examples(fig1):
     assert divides(acab, acab)
     assert divides(Trace(pair), acab)
     assert not divides(acab, normalize_word("a", pair))
+    other = make_bundle(["a", "b", "c"], [("a", "c")]).pair
+    with pytest.raises(ValueError):
+        divides(normalize_word("a", other), acab)   # traces of two different pairs
 
 
 def brute_force_divides(u, v, family):
@@ -239,6 +245,8 @@ def test_parse_trace_rejects_bad_input(fig1):
         parse_trace(pair, [["a", "a"]])
     with pytest.raises(UnknownLetter):
         parse_trace(pair, [["z"]])
+    with pytest.raises(UnknownLetter):
+        parse_trace(pair, [[1]])                 # a letter entry that is not a string
     with pytest.raises(InvalidTrace):
         parse_trace(pair, "not json")
     with pytest.raises(InvalidTrace):
@@ -281,6 +289,8 @@ def test_trace_from_layers_validation(fig1):
     assert good == normalize_word("acab", pair)
     with pytest.raises(InvalidTrace):
         trace_from_layers(pair, (1, 2))
+    with pytest.raises(InvalidTrace):
+        trace_from_layers(pair, (1, 0))          # an empty layer
 
 
 def test_trace_hashable_set_semantics(fig1):

@@ -16,7 +16,6 @@ from tracegen.verify import (
     PARAM_GRID,
     _chain_length_cap,
     _cylinder_deviation,
-    _path_nodes,
     _product_factorization_deviation,
     _product_nodes,
     verification_report,
@@ -64,10 +63,8 @@ def scalar_product_deviation(bundle, p):
 
 
 def assert_matches_scalar(bundle):
-    # the node walks against every clique path, one at a time
+    # the walks from one clique per node against every clique path, one at a time
     max_len = _chain_length_cap(len(bundle.family))
-    classes = bundle.family.follow_classes
-    nodes = _path_nodes(bundle.family, classes.node_of, classes.node_rep)
     for frac in PARAM_GRID:
         p = bundle.p0 if frac == 1.0 else bundle.p0 * frac
         if not bundle.irreducible:
@@ -76,7 +73,7 @@ def assert_matches_scalar(bundle):
             if frac == 1.0:
                 continue  # a reducible monoid has no root chain
         ch = bundle.chain(p)
-        assert _cylinder_deviation(ch, max_len, nodes) == scalar_cylinder_deviation(ch, max_len)
+        assert _cylinder_deviation(ch, max_len) == scalar_cylinder_deviation(ch, max_len)
 
 
 def test_deviations_match_scalar_on_fixtures(irreducible_five, prod32, prod22):
@@ -125,7 +122,7 @@ def test_verification_report_builds_no_sampling_cdf(monkeypatch, fig1, path4, pr
     monkeypatch.setattr(CliqueFamily, "admissibility", property(refuse))
     for bundle, checks in zip(bundles, want):
         assert verification_report(bundle) == checks
-    # C_14^c's paths grow over 585 (class, size) nodes, not its 843 cliques
+    # C_14^c's paths start from its 585 (class, size) nodes, not its 843 cliques
     assert len(c14.family.follow_classes.node_rep) == 585
 
 
@@ -158,33 +155,28 @@ def test_row_blocks_hold_whole_rows(monkeypatch):
 
 
 def report_at_block(pair, block):
-    """The report of a fresh bundle of ``pair``, with its follow classes, path
-    nodes and checks all built at a block size of ``block`` entries."""
+    """The report of a fresh bundle of ``pair``, with its follow classes and
+    checks all built at a block size of ``block`` entries."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(monoid_mod, "_BLOCK", block)
         bundle = MonoidBundle(pair)
-        classes = bundle.family.follow_classes
-        nodes = _path_nodes(bundle.family, classes.node_of, classes.node_rep)
-        return verification_report(bundle), classes, nodes
+        return verification_report(bundle), bundle.family.follow_classes
 
 
 def assert_blocks_change_nothing(pair, blocks):
-    want, classes, nodes = report_at_block(pair, monoid_mod._BLOCK)
+    want, classes = report_at_block(pair, monoid_mod._BLOCK)
     for block in blocks:
-        got, got_classes, got_nodes = report_at_block(pair, block)
+        got, got_classes = report_at_block(pair, block)
         assert got == want
         for name in ("offsets", "columns", "counts"):
             a, b = getattr(classes, name), getattr(got_classes, name)
-            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
-        for name in ("offsets", "successors"):
-            a, b = getattr(nodes, name), getattr(got_nodes, name)
             assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
 
 
 def test_blocks_change_no_check(fig1, prod32, c14):
     # every check is a maximum over whole rows, so a block of one entry (every
     # row wider than it), of a few, or of a few hundred gives the same report
-    # as the default, and the follow rows and path nodes are the same arrays
+    # as the default, and the follow rows are the same arrays
     # mix7: three components whose letters interleave, from the golden file's specs
     spec = json.loads(GOLDEN.read_text(encoding="utf-8"))["specs"]["mix7.json"]
     mix7 = parse_monoid(json.loads(spec))
@@ -205,9 +197,8 @@ def test_blocks_change_no_check_on_random_monoids(graph, block):
 
 def test_verification_report_holds_blocks_not_the_relation():
     # C_18^c's follow relation holds 2 148 508 entries (8.2 MiB as int32);
-    # the report forms nothing that long but its path nodes' successor rows
-    # (6.9 MiB), and every check reads one block at a time: formed whole,
-    # its arrays peaked at 178 MiB
+    # the report forms nothing that long, and every check reads one block at
+    # a time: formed whole, its arrays peaked at 178 MiB
     bundle = cycle_complement(18)
     assert len(bundle.family.follow_classes.columns) == 2_148_508
     assert bundle.p0 > 0
@@ -219,3 +210,23 @@ def test_verification_report_holds_blocks_not_the_relation():
         tracemalloc.stop()
     assert all(c.ok for c in checks)
     assert peak < 40 << 20
+
+
+def test_verification_report_forms_no_array_as_long_as_the_relation():
+    # with C_18^c's follow classes built first, the report holds nothing
+    # CSR-sized: its paths step along the follow rows themselves, so its peak
+    # is a few blocks and the family-sized vectors, 1.7 MiB, well under the
+    # relation's own 8.2 MiB
+    bundle = cycle_complement(18)
+    classes = bundle.family.follow_classes
+    assert len(classes.columns) == 2_148_508
+    assert bundle.p0 > 0
+    tracemalloc.start()
+    try:
+        checks = verification_report(bundle)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert [c.name for c in checks] == IRREDUCIBLE_CHECKS
+    assert all(c.ok for c in checks)
+    assert peak < 4 << 20
