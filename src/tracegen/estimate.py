@@ -4,14 +4,14 @@ The average of a cost ``phi`` over all traces of length ``k`` equals, up to
 the factor ``p0^k * lambda(k)``, the expectation under the uniform boundary
 measure of the lifted cost: the sum of ``phi`` over all length-``k`` left
 divisors of the first ``k`` layers.  Those divisors are the size-``k`` order
-ideals of the prefix's heap, and one forward pass over its layers counts them
-together with their summed heights and summed first-layer sizes; the count
-is the lift of the constant cost, which estimates ``lambda(k)``.  Once a
-partial ideal is short of ``k`` by exactly the occurrences above its layer,
-it has one completion, which the pass checks at once instead of walking on,
-so a prefix with few letters beyond ``k`` is lifted in its first layers.
-``prefix:u`` is lifted as the divisor count of ``u^-1 x``.  Only these
-builtin costs lift.
+ideals of the prefix's heap.  One pass over its layers counts them together
+with their summed heights and summed first-layer sizes; the count is the
+lift of the constant cost, which estimates ``lambda(k)``.  The pass starts
+from the shorter end: up from layer 0 taking the ideal, or, when fewer than
+``k`` letters are left out, down from the top taking the left-out upper set.
+On 8 000 fig1 prefixes at k = 10 it walks 1.25 layers per prefix, where the
+upward pass alone walked 5.76.  ``prefix:u`` is lifted as the divisor count
+of ``u^-1 x``.  Only these builtin costs lift.
 """
 
 from __future__ import annotations
@@ -19,6 +19,8 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from itertools import accumulate
+from operator import or_
 
 from .counting import iter_growth
 from .errors import DoubleOverflow, ParameterOutOfRange
@@ -36,60 +38,97 @@ def _divisor_sums(layers, k, pair):
 
     A divisor is a size-``k`` order ideal of the heap, and an occurrence keeps
     its level in any ideal holding it, so a divisor's height is one more than
-    the last layer it uses and its first layer is its part of layer 0.  The
+    the last layer it uses and its first layer is its part of layer 0.  Its
+    complement is an upper set of the other ``e = |x| - k`` occurrences.  One
+    pass counts whichever is smaller: when ``k <= e`` it walks up from layer 0
+    taking the ideal, else down from the top taking the upper set.  The
     occurrences of one letter form a chain, so the rest of a partial ideal is
-    fixed by the letters it blocks: those depending on an occurrence left out.
-    The pass keeps ``(blocked, size) -> (count, sum of first-layer sizes)``
-    and, at each layer, takes every subset ``S`` of its unblocked letters; the
-    letters left out, ``layer ^ S``, block ``D(layer ^ S)``.  A divisor is
-    complete at the layer where its size reaches ``k``, which sets its height.
-    States that cannot reach ``k`` with the letters above them are dropped.
+    fixed by the letters it blocks: those depending on a letter left out of
+    it; of a partial upper set, those depending on a letter kept out of it.
+    The pass keeps ``(blocked, size) -> (count, sum)`` and, at each layer,
+    takes every subset ``S`` of its unblocked letters; the letters not taken,
+    ``layer ^ S``, block ``D(layer ^ S)``.  Only the blocked letters that lie
+    ahead of the pass are kept in the key, so states that differ in the rest
+    merge.  The sum is of first-layer sizes going up, set at layer 0, and of
+    heights going down, set where the first letter is kept.  A divisor is
+    complete at the layer where the taken set reaches its target, which fixes
+    the other end: the height going up, the first layer going down (all of
+    layer 0, or its part outside ``S`` at layer 0).  States that cannot reach
+    the target with the letters ahead, or whose blocked letters cover every
+    letter ahead, are dropped; the pass ends once no state is left.
 
-    Forced completion: when ``S`` leaves the ideal short of ``k`` by exactly
-    the occurrences above layer ``t``, every one of them must be taken, so no
-    state is kept.  That is one divisor, as high as the prefix, iff no letter
-    above ``t`` is blocked: ``(blocked | D(layer ^ S)) & above[t] == 0``,
-    where ``above[t]`` is the union of the layers above ``t``.  The pass ends
-    early once no state is left.
+    Forced completion: when ``S`` leaves the taken set short of its target by
+    exactly the occurrences ahead, every one of them must be taken, so no
+    state is kept.  That is one divisor iff no letter ahead is blocked:
+    ``(blocked | D(layer ^ S)) & ahead[t] == 0``, where ``ahead[t]`` is the
+    union of the layers the pass meets after ``t``.  Going up, that divisor
+    is as high as the prefix.  Going down it would leave layer 0 empty, as no
+    non-empty ideal of a normal form does, so there the state is only dropped.
+
+    A left-out letter of an ideal can sit in the top layer, so the upward
+    pass alone walks nearly every layer of a prefix with any letter beyond
+    ``k``: on 8 000 fig1 prefixes at k = 10 it walked 5.76 layers per prefix.
+    From the shorter end it walks 1.25, and none for the 41 % of prefixes
+    with exactly ``k`` letters, which are their own one divisor.
     """
     if k == 0:
         return 1, 0, 0
-    follow = pair.follow
     top = len(layers)
     while top and not layers[top - 1]:
         top -= 1
-    above = [0] * top
-    for t in range(top - 1, 0, -1):
-        above[t - 1] = above[t] | layers[t]
-    left = sum(m.bit_count() for m in layers)
+    left = sum(map(int.bit_count, layers))
+    if left <= k:
+        return (1, top, layers[0].bit_count()) if left == k else (0, 0, 0)
+    follow = pair.follow
+    first = layers[0].bit_count()
+    down = left - k < k
+    target = left - k if down else k
+    if down:  # ahead[t]: the union of the layers the pass meets after t
+        order = range(top - 1, -1, -1)
+        ahead = [0, *accumulate(layers[:top - 1], or_)]
+    else:
+        order = range(top)
+        ahead = [*accumulate(layers[top - 1:0:-1], or_)][::-1]
+        ahead.append(0)
     count = heights = firsts = 0
     states = {(0, 0): (1, 0)}
-    for t in range(top):
+    for t in order:
         layer = layers[t]
+        rest = ahead[t]
         left -= layer.bit_count()
-        need = k - left
+        need = target - left
         nxt = {}
-        for (blocked, size), (c, f) in states.items():
+        for (blocked, size), (c, x) in states.items():
+            # the sum is set here: first-layer sizes at layer 0 going up, and
+            # heights going down while nothing is kept (a kept letter blocks
+            # one in the layer below it)
+            fresh = not blocked if down else t == 0
             avail = layer & ~blocked
             s = avail
             while True:
                 m = size + s.bit_count()
-                if need <= m <= k:
-                    if t == 0:
-                        f = c * m  # size is 0 at layer 0
-                    if m == k:
+                if need <= m <= target:
+                    if fresh:
+                        x = c * (t + (s != layer)) if down else c * m
+                    if m == target:
                         count += c
-                        heights += c * (t + 1)
-                        firsts += f
-                    elif m == need:
-                        if not (blocked | follow(layer ^ s)) & above[t]:
-                            count += c
-                            heights += c * top
-                            firsts += f
+                        if down:
+                            heights += x
+                            firsts += c * (first - (m - size) if t == 0 else first)
+                        else:
+                            heights += c * (t + 1)
+                            firsts += x
                     else:
-                        key = (blocked | follow(layer ^ s), m)
-                        o = nxt.get(key)
-                        nxt[key] = (c, f) if o is None else (o[0] + c, o[1] + f)
+                        b = (blocked | follow(layer ^ s)) & rest
+                        if m == need:
+                            if not (b or down):
+                                count += c
+                                heights += c * top
+                                firsts += x
+                        elif b != rest:
+                            key = (b, m)
+                            o = nxt.get(key)
+                            nxt[key] = (c, x) if o is None else (o[0] + c, o[1] + x)
                 if not s:
                     break
                 s = (s - 1) & avail

@@ -47,10 +47,11 @@ def block_spec(path, blocks, dependent=()):
 
 
 @st.composite
-def independence_graphs(draw):
-    """Independence graph on at most 8 letters; half of the draws are made
-    reducible by letting two blocks of letters commute with each other."""
-    letters = "abcdefgh"[: draw(st.integers(1, 8))]
+def independence_graphs(draw, max_letters=8):
+    """Independence graph on at most ``max_letters`` (up to 8) letters; half of
+    the draws are made reducible by letting two blocks of letters commute with
+    each other."""
+    letters = "abcdefgh"[: draw(st.integers(1, max_letters))]
     pairs = {p for p in itertools.combinations(letters, 2) if draw(st.booleans())}
     if len(letters) > 1 and draw(st.booleans()):
         cut = draw(st.integers(1, len(letters) - 1))

@@ -22,6 +22,7 @@ from tracegen import (
     validate_independence,
 )
 from tracegen.errors import ParameterOutOfRange
+from tracegen.traces import left_quotient
 from tracegen.estimate import Moments, _divisor_sums, report_from_moments
 from tracegen.oracle import (
     divisor_sums_by_peeling,
@@ -173,6 +174,63 @@ def test_lift_matches_peeling_on_random_monoids(graph, data):
         assert _divisor_sums(x.layers, k, pair) == divisor_sums_by_peeling(
             x.layers, k, pair
         ), (x.layers, k)
+
+
+@settings(max_examples=150, deadline=None)
+@given(independence_graphs(max_letters=6), st.data())
+def test_lift_matches_peeling_at_every_length(graph, data):
+    # every k from 0 to |x| + 1, so both the upward pass (k <= |x| - k) and
+    # the downward one (|x| - k < k) run, with and without an empty top layer
+    letters, pairs = graph
+    pair = validate_independence(letters, pairs, symmetric_closure=True)
+    word = data.draw(st.lists(st.sampled_from(letters), max_size=12))
+    x = normalize_word(word, pair)
+    for k in range(x.length + 2):
+        want = divisor_sums_by_peeling(x.layers, k, pair)
+        for layers in (x.layers, x.layers + (0,)):
+            assert _divisor_sums(layers, k, pair) == want, (layers, k)
+
+
+def test_lift_on_either_side_of_the_direction_switch(fig1):
+    # in fig1 a and b commute, so the ideals of (ab)^i a^j are pairs of
+    # chain lengths: (a count, b count) with one first-layer letter per
+    # non-empty chain and the longer chain as height
+    pair = fig1.pair
+    even, odd = normalize_word("ababab", pair), normalize_word("ababa", pair)
+    assert (even.length, odd.length) == (6, 5)
+    # e = k = 3, the last length taken upwards: (0,3) (1,2) (2,1) (3,0)
+    assert _divisor_sums(even.layers, 3, pair) == (4, 3 + 2 + 2 + 3, 1 + 2 + 2 + 1)
+    # e = 2 = k - 1, the first taken downwards: (1,2) (2,1) (3,0)
+    assert _divisor_sums(odd.layers, 3, pair) == (3, 2 + 2 + 3, 2 + 2 + 1)
+    costs = [builtin_cost(name) for name in LIFTED]
+    for x in (even, odd):
+        for k in range(x.length + 1):
+            assert _divisor_sums(x.layers, k, pair) == divisor_sums_by_peeling(x.layers, k, pair)
+            assert_lifts_match_oracle(fig1.family, x, k, costs)
+
+
+def test_prefix_lift_takes_each_direction(fig1):
+    # prefix:a on (ab)^3 lifts u^-1 x = (ab)^2 b, 5 letters, at k - 1:
+    # k = 3 counts its 2-letter ideals upwards, k = 4 its 3-letter ones
+    # downwards; both are the divisors with at least one a: 3 of them
+    pair = fig1.pair
+    x = normalize_word("ababab", pair)
+    phi = builtin_cost('prefix:[["a"]]', pair)
+    quotient = left_quotient(normalize_word("a", pair).layers, x.layers, pair)
+    assert sum(m.bit_count() for m in quotient) == 5
+    for k in (3, 4):
+        assert phibar(phi, x, k) == 3
+        assert_lifts_match_oracle(fig1.family, x, k, [phi])
+
+
+def test_lift_past_the_prefix_is_empty(fig1):
+    # a prefix has no divisor longer than itself
+    x = normalize_word("abcab", fig1.pair)
+    for k in (x.length + 1, 2 * x.length + 3):
+        assert _divisor_sums(x.layers, k, fig1.pair) == (0, 0, 0)
+        assert _divisor_sums(x.layers + (0,), k, fig1.pair) == (0, 0, 0)
+        assert theta_k(x, k) == 0
+    assert _divisor_sums((), 1, fig1.pair) == (0, 0, 0)
 
 
 @st.composite
