@@ -16,7 +16,6 @@ from tracegen import (
     parry_matrices,
     validate_independence,
 )
-from tracegen.verify import class_rows
 
 pair = validate_independence(["a", "b", "c"], [("a", "b")], symmetric_closure=True)
 bundle = MonoidBundle(pair)
@@ -43,14 +42,13 @@ print("path a -> c -> ab:", path, " closed form:", closed)
 # at the root, the chain restricted to non-empty cliques is the classical
 # weighted-automaton chain: same transitions, different start
 boundary = bundle.boundary_chain()
-_, offsets, columns, _ = rows = class_rows(fam)
-pp = parry_matrices(fam, bundle.p0, boundary.g, rows)
+pp = parry_matrices(fam, bundle.p0, boundary.g, np.arange(1, len(fam)))
 print("\nspectral radius of the weighted incidence matrix:", pp.spectral_radius)
-# C holds one row per follow class, as entries on the class's follow columns
-# (the empty clique's first); expanded, pp.rows gives each clique its row
-C = np.zeros((len(offsets) - 1, len(fam)))
-C[np.repeat(np.arange(len(C)), np.diff(offsets)), columns] = pp.C
-C = C[pp.rows, 1:]
+# C holds each non-empty clique's row as entries on the cliques that may
+# follow it (the empty clique first), in the order of the admissible pairs
+C = np.zeros((len(fam) - 1, len(fam)))
+C[fam.admissibility[1:]] = pp.C
+C = C[:, 1:]
 print("max |C - P| over non-empty cliques:", float(np.abs(C - boundary.P[1:, 1:]).max()))
 stationary = np.linalg.matrix_power(C, 200)[0]
 print("chain start h:", np.round(boundary.h[1:], 6))

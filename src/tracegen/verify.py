@@ -5,25 +5,25 @@ sums to 1, transition rows sum to 1, path products telescope to the closed
 cylinder form, the weighted incidence matrix has unit spectral radius
 (certified by min/max ``(Bg)/g``) and fixes ``g``, its stochastic form
 matches the chain transitions, and product monoids factorize layer laws
-across components.  Cliques of one follow class share their rows, so the
-transition rows and the Parry matrices hold one row per class, as entries
-on the family's compressed follow rows (``class_rows``).  A path's values
-depend on its first clique only through its ``follow_classes`` (class, size)
-node, or the tuple of its parts' nodes for the factorization, so paths start
-from one clique per node and step along the follow rows themselves.  No
-n x n or classes x n array is formed.
+across components.  A path's values depend on its first clique only through
+its ``follow_classes`` (class, size) node, or the tuple of its parts' nodes
+for the factorization, so paths start from one clique per node and step
+along the family's compressed follow rows themselves.  The chains at every
+grid parameter share one walk (``_walk``), whose first step reads each
+start's row: one transition row per follow class or more, where the row sums
+and, at the root, the Parry matrices (``parry_matrices``) are read too.
 
-Nothing as long as the follow relation is formed either, but the relation
-itself: every check reads it in blocks of whole rows of at most
-``monoid._BLOCK`` entries (``monoid.row_blocks``), the transition rows and the
-Parry entries a block of class rows at a time, the paths from a block of start
-cliques whose first steps fit a block.  A row is never split, so its sum is
-formed as from the whole array, and each check is a maximum, which no order
-or repeat changes: the report is the same at any block size.
+No n x n or classes x n array is formed, nor anything as long as the follow
+relation but the relation itself: the walks start from blocks of cliques
+whose first steps fit ``monoid._BLOCK`` entries (``monoid.row_blocks``), one
+clique where its row is longer.  A row is never split, so its sum is formed
+as from the whole array, and each check is a maximum, which no order or
+repeat changes: the report is the same at any block size.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 
 import numpy as np
@@ -91,43 +91,6 @@ def _product_nodes(bundle):
     return starts, parts
 
 
-def _cylinder_deviation(chain, max_len):
-    """Worst gap between path products and the closed cylinder form.
-
-    A path's product and its closed form depend on each state only through
-    ``h``, ``g`` and ``|c|``, which depend on a clique only through its
-    (class, size) node of ``follow_classes``, so paths start from one clique
-    per node (``node_rep``) and step to every clique of the last one's follow
-    row: every admissible path of length 1 to ``max_len`` gives the values of
-    one path walked.  A path carries its last clique, its product
-    ``h(s0) P(s0, s1) ...`` and its letter count below the last layer.  Both
-    sides are formed in the order ``oracle.path_probability`` and
-    ``oracle.cylinder_probability`` use, so they match those bit for bit.  The
-    paths start from one block of cliques (``_start_blocks``) at a time.
-    """
-    fam = chain.family
-    classes = fam.follow_classes
-    # p ** int once per prefix size, as cylinder_probability computes it
-    powers = np.array([chain.p ** k for k in range((max_len - 1) * fam.max_clique_size + 1)])
-    worst = 0.0
-    for last in _start_blocks(classes, classes.node_rep):
-        prod = chain.h[last]
-        prefix = np.zeros(len(last), dtype=np.int64)
-        for length in range(1, max_len + 1):
-            dev = np.abs(prod - powers[prefix] * chain.h[last])
-            worst = float(np.max(dev, initial=worst))
-            if length == max_len:
-                break
-            src, nxt = _follow_edges(classes, last)
-            prev = last[src]
-            # P(prev, nxt) is h(nxt)/g(prev) on an edge, and 1 on the empty clique's row
-            step = np.divide(chain.h[nxt], chain.g[prev], out=np.ones(len(nxt)), where=prev > 0)
-            prod = prod[src] * step
-            prefix = prefix[src] + fam.sizes[prev]
-            last = nxt
-    return worst
-
-
 def _product_factorization_deviation(bundle, p, nodes):
     """Worst gap between global layer laws and the product of component laws.
 
@@ -168,14 +131,13 @@ def _farther_from_one(lo, hi):
 
 @dataclass
 class ParryPair:
-    """Weighted incidence matrix ``B`` of the non-empty cliques and its stochastic form ``C``, as
-    entries on ``class_rows`` (0 on the empty clique): clique ``i`` reads row ``rows[i - 1]``.
-    ``bounds`` are the least and the greatest ``(Bg)/g`` over the rows."""
+    """Weighted incidence matrix ``B`` of the non-empty cliques and its stochastic form
+    ``C``, as entries on the follow edges of a block of start cliques (``_follow_edges``;
+    0 on the empty clique).  ``Bg`` holds one value per start clique, and ``bounds`` are
+    the least and the greatest ``(Bg)/g`` over them."""
 
     B: np.ndarray
     C: np.ndarray
-    rows: np.ndarray
-    g: np.ndarray
     Bg: np.ndarray
     bounds: tuple
 
@@ -184,35 +146,21 @@ class ParryPair:
         return _farther_from_one(*self.bounds)
 
 
-def class_rows(family):
-    """The follow rows of the non-empty cliques' classes 1 to ``K'``: each one's first clique,
-    offsets (a list), columns (a view of ``follow_classes.columns``), each clique's row."""
-    classes = family.follow_classes
-    first = classes.first[1:]
-    first = first[first < len(family)]   # not the start's own class if it holds no clique
-    at = classes.offsets[1:len(first) + 2]
-    return first, (at - at[0]).tolist(), classes.columns[at[0]:at[-1]], classes.class_of[1:] - 1
+def _row_sums(entries, src, n_rows, skip=0):
+    """Each of the ``n_rows`` rows of ``entries`` on the edges from ``src``
+    (``_follow_edges``) summed pairwise over its own slice, past its first ``skip``."""
+    at = np.searchsorted(src, np.arange(n_rows + 1)).tolist()
+    return np.array([entries[lo + skip:hi].sum() for lo, hi in zip(at, at[1:])])
 
 
-def _row_block(rows, lo, hi):
-    """Rows ``lo`` to ``hi`` of the follow rows ``rows`` (``class_rows``) in the same
-    form, each row standing for itself: its ``rows`` entry is its own index."""
-    first, offsets, columns, _ = rows
-    at = offsets[lo:hi + 1]
-    return first[lo:hi], [o - at[0] for o in at], columns[at[0]:at[-1]], np.arange(hi - lo)
-
-
-def _transitions(chain, rows):
-    """The transition entries ``h(c')/g(c)`` of ``chain`` on the follow rows ``rows``."""
-    first, offsets, columns, _ = rows
-    return chain.h[columns] / np.repeat(chain.g[first], np.diff(offsets))
-
-
-def parry_matrices(family, p0, g, rows):
-    """``B`` and its stochastic form ``C`` at the root, one row per follow class
-    of ``rows`` (``class_rows``, or a block of it), for the root's positive ``g``.  ``B g`` is
-    summed row by row past the empty clique, with no BLAS call, and ``spectral_radius`` is
-    whichever Collatz-Wielandt bound ``min (Bg)/g <= rho(B) <= max (Bg)/g`` lies farther from 1.
+def parry_matrices(family, p0, g, starts):
+    """``B`` and its stochastic form ``C`` at the root on the follow rows of the
+    non-empty cliques ``starts`` (a block of ``_start_blocks``), for the root's
+    positive ``g``.  ``B g`` is summed row by row past the empty clique, with no
+    BLAS call, and ``spectral_radius`` is whichever Collatz-Wielandt bound
+    ``min (Bg)/g <= rho(B) <= max (Bg)/g`` lies farther from 1.  A row depends
+    on its clique only through its follow class, so starts from every class of
+    the non-empty cliques bound ``rho`` of the whole ``B``.
 
     Only defined when the clique automaton is strongly connected, i.e. for
     irreducible monoids; reducible input is refused.
@@ -222,29 +170,85 @@ def parry_matrices(family, p0, g, rows):
             "the Parry construction needs an irreducible monoid; "
             "this one splits into several independent components"
         )
-    first, offsets, columns, row_of = rows
-    B = np.append(0.0, p0 ** family.sizes[1:])[columns]
-    C = B * g[columns]
-    Bg = np.array([C[lo + 1:hi].sum() for lo, hi in zip(offsets, offsets[1:])])   # C is B g here
-    C /= np.repeat(g[first], np.diff(offsets))
-    ratio = Bg / g[first]
-    return ParryPair(B=B, C=C, rows=row_of, g=g[1:], Bg=Bg[row_of],
-                     bounds=(float(ratio.min()), float(ratio.max())))
+    src, nxt = _follow_edges(family.follow_classes, starts)
+    B = np.append(0.0, p0 ** family.sizes[1:])[nxt]
+    C = B * g[nxt]
+    Bg = _row_sums(C, src, len(starts), skip=1)   # C is B g here
+    C /= g[starts][src]
+    ratio = Bg / g[starts]
+    return ParryPair(B=B, C=C, Bg=Bg, bounds=(float(ratio.min()), float(ratio.max())))
+
+
+def _walk(chains, max_len, root=None):
+    """One walk of the follow rows for every chain of ``chains``: by check name,
+    the worst deviation on each block (of each chain), and the ``parry_bounds`` of
+    ``parry_matrices`` on each block for ``root``, the root chain among ``chains``
+    (none if ``None``).
+
+    A path's product ``h(s0) P(s0, s1) ...`` and its closed form ``p^{letters
+    below the last layer} h(last)`` depend on each state only through ``h``,
+    ``g`` and ``|c|``, so every admissible path of length 2 to ``max_len`` gives
+    the values of one path from a non-empty clique of ``node_rep``.  A path of
+    length 1 is its own closed form, and one from the empty clique stays there
+    with ``P = 1``.  Both sides are formed in the order
+    ``oracle.path_probability`` and ``oracle.cylinder_probability`` use, so
+    they match those bit for bit.  Each step finds a block's follow edges once
+    and runs the chains over them one after another; the first step's entries
+    ``h(c')/g(c)`` are the start cliques' transition rows, one per follow class
+    of the non-empty cliques or more, each summed over its own slice.
+    """
+    classes = chains[0].family.follow_classes
+    # p ** int once per prefix size, as cylinder_probability computes it
+    top = (max_len - 1) * chains[0].family.max_clique_size + 1
+    powers = [np.array([ch.p ** k for k in range(top)]) for ch in chains]
+    found = defaultdict(list)
+    for block in _start_blocks(classes, classes.node_rep[1:]):
+        _walk_block(chains, powers, max_len, block, root, found)
+    return found
+
+
+def _walk_block(chains, powers, max_len, block, root, found):
+    """``_walk`` from the start cliques ``block``, into its ``found``.  The
+    block's arrays die with the call, so none lies under the next block's, and
+    the Parry step comes before the walk's, of which it leaves only ``C``."""
+    fam = chains[0].family
+    if root is not None:
+        pp = parry_matrices(fam, root.p, root.g, block)
+        found["parry_bounds"] += pp.bounds
+        found["parry_Bg_dev"].append(float(np.abs(pp.Bg - root.g[block]).max()))
+        parry_C = pp.C
+        del pp
+    last, prefix = block, np.zeros(len(block), dtype=np.int64)
+    prods = [ch.h[block] for ch in chains]
+    for length in range(2, max_len + 1):
+        src, nxt = _follow_edges(fam.follow_classes, last)
+        prev = last[src]
+        prefix = prefix[src] + fam.sizes[prev]
+        for i, (ch, power) in enumerate(zip(chains, powers)):
+            # P(prev, nxt) is h(nxt)/g(prev) on an edge, and 1 on the empty clique's row
+            step = np.divide(ch.h[nxt], ch.g[prev], out=np.ones(len(nxt)), where=prev > 0)
+            if length == 2:
+                sums = _row_sums(step, src, len(last))
+                found["row_sum_max_dev"].append(float(np.abs(sums - 1.0).max()))
+                if ch is root:
+                    cp = np.subtract(parry_C, step, out=parry_C)   # 0 on the empty column
+                    found["parry_CP_dev"].append(float(np.abs(cp, out=cp).max()))
+            prod = np.multiply(prods[i][src], step, out=step)   # the step is read: reuse it
+            dev = float(np.abs(prod - power[prefix] * ch.h[nxt]).max())
+            found["cylinder_max_dev"].append(dev)
+            prods[i] = prod if length < max_len else None   # the last ones are read
+        last = nxt
 
 
 def verification_report(bundle):
-    """Run every applicable identity check on one monoid, a block of follow rows
-    (``row_blocks``) at a time."""
+    """Run every applicable identity check on one monoid: the chains at every
+    grid parameter on one walk of the follow rows (``_walk``)."""
     checks = []
     p0 = bundle.p0
     fam = bundle.family
-    max_len = _chain_length_cap(len(fam))
 
-    rows = class_rows(fam)   # one transition row per follow class
-    blocks = [_row_block(rows, lo, hi) for lo, hi in row_blocks(rows[1])]
+    chains = []
     h_sum_dev = 0.0
-    row_dev = 0.0
-    cyl_dev = 0.0
     for frac in PARAM_GRID:
         p = p0 * frac
         if frac == 1.0 and not bundle.irreducible:
@@ -253,38 +257,24 @@ def verification_report(bundle):
             h_sum_dev = max(h_sum_dev, abs(float(h_vector(fam, p).sum()) - 1.0))
             continue
         # h and g alone: no check reads the sampling CDF or P, so neither is formed
-        chain = clique_chain(fam, p, p0)
-        h_sum_dev = max(h_sum_dev, abs(float(chain.h.sum()) - 1.0))
-        for block in blocks:
-            P = _transitions(chain, block)
-            offsets = block[1]
-            sums = [P[lo:hi].sum() for lo, hi in zip(offsets, offsets[1:])]   # pairwise, row by row
-            row_dev = max(row_dev, float(np.abs(np.array(sums) - 1.0).max()))
-        cyl_dev = max(cyl_dev, _cylinder_deviation(chain, max_len))
-        if frac == 1.0:
-            boundary = chain
+        chains.append(clique_chain(fam, p, p0))
+        h_sum_dev = max(h_sum_dev, abs(float(chains[-1].h.sum()) - 1.0))
+    root = chains[-1] if bundle.irreducible else None
+    found = _walk(chains, _chain_length_cap(len(fam)), root)
     checks.append(_dev_check("h_sum_max_dev", h_sum_dev, VERIFY_IDENTITY_TOL))
-    checks.append(_dev_check("row_sum_max_dev", row_dev, VERIFY_IDENTITY_TOL))
-    checks.append(_dev_check("cylinder_max_dev", cyl_dev, VERIFY_IDENTITY_TOL))
+    for name in ("row_sum_max_dev", "cylinder_max_dev"):
+        checks.append(_dev_check(name, max(found[name]), VERIFY_IDENTITY_TOL))
 
     if bundle.irreducible:
-        h_min = float(boundary.h[1:].min())
+        h_min = float(root.h[1:].min())
         checks.append(Check("h_min_nonempty_at_root", h_min, 0.0, h_min > 0.0))
-        # g is one value per class, so a row's Bg is checked against its first clique's g
-        bounds, bg_dev, cp_dev = [], 0.0, 0.0
-        for block in blocks:
-            pp = parry_matrices(fam, p0, boundary.g, block)
-            bounds += pp.bounds
-            bg_dev = max(bg_dev, float(np.abs(pp.Bg - boundary.g[block[0]]).max()))
-            cp = pp.C - _transitions(boundary, block)   # 0 on the empty column, where h is 0
-            cp_dev = max(cp_dev, float(np.abs(cp, out=cp).max()))
-        rho = _farther_from_one(min(bounds), max(bounds))
+        rho = _farther_from_one(min(found["parry_bounds"]), max(found["parry_bounds"]))
         checks.append(Check(
             "parry_spectral_radius", rho, VERIFY_SPECTRAL_TOL,
             abs(rho - 1.0) <= VERIFY_SPECTRAL_TOL,
         ))
-        checks.append(_dev_check("parry_Bg_dev", bg_dev, VERIFY_IDENTITY_TOL))
-        checks.append(_dev_check("parry_CP_dev", cp_dev, VERIFY_IDENTITY_TOL))
+        for name in ("parry_Bg_dev", "parry_CP_dev"):
+            checks.append(_dev_check(name, max(found[name]), VERIFY_IDENTITY_TOL))
     else:
         nodes = _product_nodes(bundle)
         for frac in (0.5, 1.0):

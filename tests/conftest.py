@@ -6,6 +6,7 @@ import pytest
 from hypothesis import strategies as st
 
 from tracegen import MonoidBundle, validate_independence
+from tracegen.verify import _follow_edges
 
 
 def make_bundle(letters, pairs):
@@ -13,13 +14,13 @@ def make_bundle(letters, pairs):
     return MonoidBundle(validate_independence(letters, pairs, symmetric_closure=True))
 
 
-def dense_parry(rows, entries):
-    """A ``ParryPair`` entry array (``B`` or ``C``) on the follow rows ``rows``
-    (``verify.class_rows``) as the dense matrix it stands for: one row per
-    follow class, one column per non-empty clique."""
-    _, offsets, columns, row_of = rows
-    out = np.zeros((len(offsets) - 1, len(row_of) + 1))
-    out[np.repeat(np.arange(len(out)), np.diff(offsets)), columns] = entries
+def dense_parry(family, starts, entries):
+    """A ``ParryPair`` entry array (``B`` or ``C``) on the follow edges of the
+    start cliques ``starts`` (``verify._follow_edges``) as the dense matrix it
+    stands for: one row per start, one column per non-empty clique."""
+    src, nxt = _follow_edges(family.follow_classes, starts)
+    out = np.zeros((len(starts), len(family)))
+    out[src, nxt] = entries
     return out[:, 1:]
 
 

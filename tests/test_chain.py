@@ -30,7 +30,6 @@ from tracegen.oracle import (
     path_probability,
     superset_h_g,
 )
-from tracegen.verify import class_rows
 
 from conftest import cycle_complement, dense_parry, independence_graphs, make_bundle
 
@@ -248,48 +247,50 @@ def test_rota_inversion(fig1, tri4, cycle5):
 
 def test_parry_free2(free2):
     ch = free2.boundary_chain()
-    rows = class_rows(free2.family)
-    pp = parry_matrices(free2.family, free2.p0, ch.g, rows)
-    assert np.allclose(dense_parry(rows, pp.B), 0.5)
-    assert np.allclose(dense_parry(rows, pp.C), 0.5)
+    starts = np.arange(1, len(free2.family))   # every non-empty clique
+    pp = parry_matrices(free2.family, free2.p0, ch.g, starts)
+    assert np.allclose(dense_parry(free2.family, starts, pp.B), 0.5)
+    assert np.allclose(dense_parry(free2.family, starts, pp.C), 0.5)
     assert abs(pp.spectral_radius - 1.0) < 1e-9
 
 
 def test_parry_identities(irreducible_five):
     for bundle in irreducible_five:
         ch = bundle.boundary_chain()
-        rows = class_rows(bundle.family)
-        pp = parry_matrices(bundle.family, bundle.p0, ch.g, rows)
+        starts = np.arange(1, len(bundle.family))   # every non-empty clique
+        pp = parry_matrices(bundle.family, bundle.p0, ch.g, starts)
         assert abs(pp.spectral_radius - 1.0) < 1e-9
-        B, C = dense_parry(rows, pp.B), dense_parry(rows, pp.C)
-        assert float(np.abs(B[pp.rows] @ pp.g - pp.g).max()) < 1e-12
-        assert float(np.abs(C[pp.rows] - ch.P[1:, 1:]).max()) < 1e-12
+        B, C = dense_parry(bundle.family, starts, pp.B), dense_parry(bundle.family, starts, pp.C)
+        assert float(np.abs(B @ ch.g[1:] - ch.g[1:]).max()) < 1e-12
+        assert float(np.abs(C - ch.P[1:, 1:]).max()) < 1e-12
         assert float(np.abs(C.sum(axis=1) - 1.0).max()) < 1e-12
 
 
 @settings(max_examples=60, deadline=None)
 @given(independence_graphs())
-def test_parry_class_rows_expand_to_the_dense_matrices(graph):
-    # one row per follow class of the non-empty cliques, whose entries expand
-    # bit for bit to the dense B and C, and the Collatz-Wielandt interval of
-    # B g / g holds the spectral radius of the dense B
+def test_parry_entries_expand_to_the_dense_matrices(graph):
+    # on the follow rows of every non-empty clique, the entries expand bit for
+    # bit to the dense B and C, and the Collatz-Wielandt interval of B g / g
+    # holds the spectral radius of the dense B; verify's starts, one clique
+    # per (class, size) node, give the same interval
     bundle = make_bundle(*graph)
     assume(bundle.irreducible)
     fam = bundle.family
     ch = bundle.boundary_chain()
-    rows = class_rows(fam)
-    pp = parry_matrices(fam, bundle.p0, ch.g, rows)
-    dense_B, dense_C = dense_parry(rows, pp.B), dense_parry(rows, pp.C)
-    assert len(dense_B) == len(dense_C) == len(np.unique(fam.follow_classes.class_of[1:]))
+    starts = np.arange(1, len(fam))
+    pp = parry_matrices(fam, bundle.p0, ch.g, starts)
     gs = ch.g[1:]
     B = np.where(fam.admissibility[1:, 1:], bundle.p0 ** fam.sizes[None, 1:], 0.0)
     C = B * gs[None, :]
     C /= gs[:, None]
-    assert dense_B[pp.rows].tobytes() == B.tobytes()
-    assert dense_C[pp.rows].tobytes() == C.tobytes()
-    ratio = pp.Bg / pp.g
+    assert dense_parry(fam, starts, pp.B).tobytes() == B.tobytes()
+    assert dense_parry(fam, starts, pp.C).tobytes() == C.tobytes()
+    ratio = pp.Bg / gs
     lo, hi = float(ratio.min()), float(ratio.max())
+    assert pp.bounds == (lo, hi)
     assert pp.spectral_radius in (lo, hi)
+    nodes = parry_matrices(fam, bundle.p0, ch.g, fam.follow_classes.node_rep[1:])
+    assert nodes.bounds == pp.bounds
     rho = float(np.abs(np.linalg.eigvals(B)).max())
     assert lo - 1e-12 <= rho <= hi + 1e-12
 
@@ -297,7 +298,7 @@ def test_parry_class_rows_expand_to_the_dense_matrices(graph):
 def test_parry_refuses_reducible(prod32):
     g = g_vector(prod32.family, prod32.p0)
     with pytest.raises(ReducibleMonoid):
-        parry_matrices(prod32.family, prod32.p0, g, class_rows(prod32.family))
+        parry_matrices(prod32.family, prod32.p0, g, np.arange(1, len(prod32.family)))
 
 
 def test_product_factorization_exact(prod32):

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import pathlib
 import tracemalloc
@@ -9,15 +10,17 @@ from hypothesis import strategies as st
 
 from tracegen import MonoidBundle, h_vector, validate_independence
 from tracegen import chain as chain_mod
+from tracegen import cli
 from tracegen import monoid as monoid_mod
+from tracegen import verify as verify_mod
 from tracegen.monoid import CliqueFamily, parse_monoid, row_blocks
 from tracegen.oracle import cylinder_probability, iter_admissible_chains, path_probability
 from tracegen.verify import (
     PARAM_GRID,
     _chain_length_cap,
-    _cylinder_deviation,
     _product_factorization_deviation,
     _product_nodes,
+    _walk,
     verification_report,
 )
 
@@ -73,7 +76,8 @@ def assert_matches_scalar(bundle):
             if frac == 1.0:
                 continue  # a reducible monoid has no root chain
         ch = bundle.chain(p)
-        assert _cylinder_deviation(ch, max_len) == scalar_cylinder_deviation(ch, max_len)
+        walked = _walk([ch], max_len)["cylinder_max_dev"]
+        assert max(walked) == scalar_cylinder_deviation(ch, max_len)
 
 
 def test_deviations_match_scalar_on_fixtures(irreducible_five, prod32, prod22):
@@ -144,6 +148,55 @@ def test_verification_report_scans_the_follow_relation_once(monkeypatch, c14):
     verification_report(bundle)
     assert built == [bundle.family]
     assert columns == []
+
+
+def test_verification_report_finds_each_blocks_edges_once(monkeypatch, c14):
+    # the chains at the four grid parameters share one walk: on a fresh C_14^c
+    # bundle (585 nodes, in 7 start blocks of whole rows, paths of length 2)
+    # the follow edges are found once per block for the walk and once for the
+    # Parry step, not once per chain per block (28)
+    calls = []
+    real = verify_mod._follow_edges
+
+    def counted(classes, cliques):
+        calls.append(len(cliques))
+        return real(classes, cliques)
+
+    monkeypatch.setattr(verify_mod, "_follow_edges", counted)
+    checks = verification_report(MonoidBundle(c14.pair))
+    assert all(c.ok for c in checks)
+    assert 0 < len(calls) <= 14
+
+
+def skew_one_class(monkeypatch):
+    """Make ``verify.clique_chain`` scale each chain's ``g`` on the cliques of
+    follow class 1, the first non-empty one, by 1 + 1e-6."""
+    real = verify_mod.clique_chain
+
+    def skewed(family, p, p0):
+        chain = real(family, p, p0)
+        g = chain.g.copy()
+        g[family.follow_classes.class_of == 1] *= 1 + 1e-6
+        return dataclasses.replace(chain, g=g)
+
+    monkeypatch.setattr(verify_mod, "clique_chain", skewed)
+
+
+def test_a_wrong_chain_fails_the_report(monkeypatch, fig1, c14):
+    # a g off by 1e-6 on one follow class breaks its rows' sums, the paths
+    # through them and both Parry identities: on fig1 (paths of length 4, one
+    # start block) and on C_14^c (paths of length 2, seven start blocks)
+    skew_one_class(monkeypatch)
+    for bundle in (fig1, c14):
+        failed = {c.name for c in verification_report(bundle) if not c.ok}
+        assert {"row_sum_max_dev", "cylinder_max_dev", "parry_Bg_dev",
+                "parry_CP_dev"} <= failed, bundle.family.alphabet
+
+
+def test_a_wrong_chain_fails_verify(monkeypatch, monoid_files, capsys):
+    skew_one_class(monkeypatch)
+    assert cli.main(["verify", "--monoid", monoid_files["fig1"]]) == 1
+    assert capsys.readouterr().out.splitlines()[-1] == "result fail"
 
 
 def test_row_blocks_hold_whole_rows(monkeypatch):
