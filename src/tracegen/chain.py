@@ -188,6 +188,16 @@ class CliqueChain:
         width = int((self.hi - self.lo).max())
         return (1 << (width - 1).bit_length()) >> 1
 
+    @cached_property
+    def absorption_thresholds(self):
+        """``(a_min, a_max)``: the least and greatest first entry of the rows
+        of states 1..n, the start state included.  The empty clique is every
+        such row's first column, so a step absorbs exactly when its uniform
+        is below its row's first entry: a uniform below ``a_min`` absorbs
+        from any of these states, and one at or above ``a_max`` from none."""
+        first = self.P_cum[self.lo[1:]]
+        return float(first.min()), float(first.max())
+
     def step(self, states, u):
         """Next state of each walker in ``states`` (state ``n`` for a first
         draw) for its uniform in ``u``.

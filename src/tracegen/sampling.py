@@ -23,9 +23,16 @@ would give, in the same order, so a stream of ``n`` draws is ``n`` single
 draws.  Boundary prefixes and rejection share one batched walk: a row chunk
 at a time, it walks every component, stepping only the walkers that are
 neither absorbed nor over a length bound (rejection's ``k``; boundary walkers
-weigh every clique 0, so only absorption drops them), and hands the chunk on
-before the next one is drawn.  A batch's uniforms are laid out as one
-(batch, steps) draw per component; Philox is counter-based, so each
+weigh every clique 0, so only absorption drops them), and hands the rows on
+before the next chunk is drawn.  A step absorbs exactly when its uniform is
+below its row's first entry, so a component's uniforms alone bound its
+length: it walks at least until its first uniform below the largest such
+entry and at most until its first one below the smallest.  Rejection steps
+only the rows whose bounds, summed over the components, hold ``k``; they are
+gathered into a pool of half a chunk, so each step still moves many walkers,
+and in practice few other rows are stepped (none on a product of free
+monoids, where the bounds are exact).  A batch's uniforms are laid out as
+one (batch, steps) draw per component; Philox is counter-based, so each
 component reads from a copy of the generator moved to its place in that
 stream, and rejection stops walking at the n-th acceptance while the
 generator still ends after the whole batch.
@@ -121,51 +128,159 @@ def _walk_live(chain, size, bound, u, hist, total):
 
     ``u`` is the chunk's (rows, steps) uniforms, ``hist`` its (steps, rows)
     state history and ``total`` its running lengths, both updated in place.
-    Walkers dropped here keep state 0 in the later columns, as the empty
-    clique's point mass would give them; an over-length walker's later
+    While every row walks, each step reads a column of ``u`` and writes a
+    row of ``hist`` whole; from the first drop on, only the live walkers are
+    gathered and scattered.  ``total`` is written as walkers drop and at the
+    end.  Walkers dropped here keep state 0 in the later columns, as the
+    empty clique's point mass would give them; an over-length walker's later
     states are never read.
     """
     live = np.flatnonzero(total <= bound)
+    whole = len(live) == len(total)
     s = np.full(len(live), chain.n_states)
     tot = total[live]
     for t in range(u.shape[1]):
         if not len(live):
             break
-        s = chain.step(s, u[live, t])
-        hist[t, live] = s
+        if whole:
+            # one copy of the strided column, which the search reads per stride
+            s = chain.step(s, u[:, t].copy())
+            hist[t] = s
+        else:
+            s = chain.step(s, u[live, t])
+            hist[t, live] = s
         tot += size[s]
-        total[live] = tot
         keep = (s != 0) & (tot <= bound)
         if not keep.all():
+            total[live] = tot
+            whole = False
             live, s, tot = live[keep], s[keep], tot[keep]
+    total[live] = tot
+
+
+def _walk_rows(chains, sizes, bound, us, total):
+    """Each component's (steps, rows) history of one set of rows: component
+    ``c`` walks on the ``c``-th (rows, steps) uniforms of ``us``, from the
+    rows the earlier ones left at length <= ``bound``."""
+    hists = []
+    for chain, size, u in zip(chains, sizes, us):
+        # the narrowest type that holds a state index: uint8 up to 256 cliques
+        hist = np.zeros(u.shape[::-1], dtype=np.min_scalar_type(chain.n_states - 1))
+        _walk_live(chain, size, bound, u, hist, total)
+        hists.append(hist)
+    return hists
+
+
+def _first_below(u, a):
+    """Per row of ``u``, the index of its first value below ``a``, or the
+    row's width where it has none."""
+    below = np.empty((len(u), u.shape[1] + 1), dtype=bool)
+    np.less(u, a, out=below[:, :-1])
+    below[:, -1] = True
+    return below.argmax(axis=1)
+
+
+def _length_bounds(chains, sizes, u):
+    """Bounds on each row's total length from its uniforms ``u`` (one
+    (rows, steps) block per component) alone.  A component's walk goes on at
+    least until its first uniform below ``a_max`` and ends by its first one
+    below ``a_min`` (``CliqueChain.absorption_thresholds``), and each state
+    it visits before weighs between its smallest and largest non-empty
+    clique size."""
+    lower = upper = 0
+    for chain, size, uc in zip(chains, sizes, u):
+        a_min, a_max = chain.absorption_thresholds
+        least = _first_below(uc, a_max)
+        # one threshold (a free component's): the walk ends at its first hit
+        most = least if a_min == a_max else _first_below(uc, a_min)
+        lower = lower + least * int(size[1:].min())
+        upper = upper + most * int(size.max())
+    return lower, upper
+
+
+def _pruned_walk(chains, sizes, bound, chunks, pool):
+    """``_walk_chunks``' weighted walk over ``chunks``, each a first row
+    index and a (C, rows, steps) block of uniforms: only the rows whose
+    length bounds hold ``bound`` are stepped.  A chunk's rows that may still
+    reach it are copied into ``pool`` (C, rows, steps), which is walked when
+    full and at the end; a chunk where more than half may is walked where
+    it lies, the pool first and the others' totals set past ``bound``."""
+    pool_ids = np.empty(pool.shape[1], dtype=np.int64)
+    fill = 0
+
+    def walk_pool():
+        total = np.zeros(fill, dtype=np.int64)
+        hists = _walk_rows(chains, sizes, bound, pool[:, :fill], total)
+        return pool_ids[:fill].copy(), total, hists
+
+    for lo, u in chunks:
+        lower, upper = _length_bounds(chains, sizes, u)
+        fits = (lower <= bound) & (bound <= upper)
+        ids = np.flatnonzero(fits)
+        if 2 * len(ids) > len(fits):
+            if fill:
+                yield walk_pool()
+                fill = 0
+            total = np.where(fits, 0, bound + 1)
+            yield lo + np.arange(len(fits)), total, _walk_rows(chains, sizes, bound, u, total)
+            continue
+        while len(ids):
+            take = ids[: len(pool_ids) - fill]
+            for uc, pc in zip(u, pool):
+                np.take(uc, take, axis=0, out=pc[fill : fill + len(take)])
+            pool_ids[fill : fill + len(take)] = lo + take
+            fill += len(take)
+            ids = ids[len(take) :]
+            if fill == len(pool_ids):
+                yield walk_pool()
+                fill = 0
+    if fill:
+        yield walk_pool()
 
 
 def _walk_chunks(chains, sizes, bound, steps, batch, rng):
-    """``batch`` walks of ``steps`` states per component, one row chunk at a
-    time: yields ``(lo, total, hists)`` for rows ``lo`` on, with each
-    walker's total length (clique sizes weighted by ``sizes``) and, per
-    component, the chunk's (steps, rows) state history.
+    """``batch`` walks of ``steps`` states per component, a set of rows at a
+    time: yields ``(rows, total, hists)``, the batch's row indices in
+    increasing order (over the whole batch, across yields), each walker's
+    total length (clique sizes weighted by ``sizes``) and, per component,
+    the rows' (steps, rows) state history.
 
     The stream is that of one (batch, steps) draw per component, in
     component order: component ``c`` reads from a copy of ``rng`` positioned
-    ``c * batch * steps`` doubles ahead, and a chunk is ``_CHUNK_ROWS`` rows
-    of them.  A component starts only the walkers the earlier ones left at
-    length <= ``bound``.  When the walk is exhausted or closed, ``rng`` is
-    left after the whole batch's draws, so chunks never walked cost nothing
-    and the next values on ``rng`` are unchanged.
+    ``c * batch * steps`` doubles ahead, drawn in row chunks.  A component
+    starts only the walkers the earlier ones left at length <= ``bound``.
+    A weightless walk (boundary prefixes) yields every row, ``_CHUNK_ROWS``
+    at a time, and draws one component's uniforms at a time.  A weighted
+    walk (exact-k) bounds each row's length from all its uniforms before
+    stepping it, so it draws every component's at once, ``_CHUNK_ROWS // C``
+    rows of them (as many uniforms as one component's ``_CHUNK_ROWS``), and
+    yields only the rows that may reach length ``bound``, with a pool of
+    half a chunk (``_pruned_walk``; a yielded row whose bounds exclude
+    ``bound`` has a total past it).  When the walk is exhausted or closed,
+    ``rng`` is left after the whole batch's draws, so rows never walked cost
+    nothing and the next values on ``rng`` are unchanged.
     """
     span = batch * steps
     streams = [_positioned(rng, c * span) for c in range(len(chains))]
     try:
-        for lo in range(0, batch, _CHUNK_ROWS):
-            total = np.zeros(min(_CHUNK_ROWS, batch - lo), dtype=np.int64)
-            hists = []
-            for chain, size, stream in zip(chains, sizes, streams):
-                # the narrowest type that holds a state index: uint8 up to 256 cliques
-                hist = np.zeros((steps, len(total)), dtype=np.min_scalar_type(chain.n_states - 1))
-                _walk_live(chain, size, bound, stream.random((len(total), steps)), hist, total)
-                hists.append(hist)
-            yield lo, total, hists
+        if not any(size.any() for size in sizes):
+            for lo in range(0, batch, _CHUNK_ROWS):
+                total = np.zeros(min(_CHUNK_ROWS, batch - lo), dtype=np.int64)
+                us = (stream.random((len(total), steps)) for stream in streams)
+                yield lo + np.arange(len(total)), total, _walk_rows(chains, sizes, bound, us, total)
+            return
+        rows = max(1, _CHUNK_ROWS // len(chains))
+        chunk = np.empty((len(chains), rows, steps))
+
+        def drawn():
+            for lo in range(0, batch, rows):
+                u = chunk[:, : batch - lo]
+                for uc, stream in zip(u, streams):
+                    stream.random(out=uc)
+                yield lo, u
+
+        pool = np.empty((len(chains), max(1, rows // 2), steps))
+        yield from _pruned_walk(chains, sizes, bound, drawn(), pool)
     finally:
         rng.bit_generator.state = _positioned(rng, len(chains) * span).bit_generator.state
 
@@ -228,7 +343,7 @@ def uniform_layer_chunks(bundle, k, n, rng, max_rejects=DEFAULT_REJECT_BUDGET):
     while done < n:
         batch = _rejection_batch(n - done, accept_rate, n + max_rejects - closed)
         walk = _walk_chunks(chains, sizes, k, k + 1, batch, rng)
-        for lo, total_len, hists in walk:
+        for ids, total_len, hists in walk:
             acc_idx = np.flatnonzero(total_len == k)[: n - done]
             if not len(acc_idx):
                 continue
@@ -239,7 +354,7 @@ def uniform_layer_chunks(bundle, k, n, rng, max_rejects=DEFAULT_REJECT_BUDGET):
             if done == n:
                 walk.close()
                 yield rows
-                return closed + lo + int(acc_idx[-1]) + 1 - n
+                return closed + int(ids[acc_idx[-1]]) + 1 - n
             yield rows
         closed += batch
         if closed - done > max_rejects:

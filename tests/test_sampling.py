@@ -741,9 +741,10 @@ def test_exact_k_holds_one_chunk_of_history(prod32):
 
 
 def test_exact_k_stops_walking_at_the_nth_acceptance(monkeypatch, fig1):
-    # fig1 at k = 60: one batch of ~59 000 proposals in chunks of 4 096 rows;
-    # the chunks after the one holding the n-th acceptance are never drawn or
-    # stepped, and rng still ends after the whole batch's draws
+    # fig1 at k = 60: one batch of ~59 000 proposals.  Rows whose length
+    # bounds exclude k are never stepped, nor are the rows drawn after the
+    # pool holding the n-th acceptance, so fewer rows start than were
+    # proposed up to it; rng still ends after the whole batch's draws
     batches, stepped = [], []
     walk_chunks, walk_live = sampling._walk_chunks, sampling._walk_live
 
@@ -752,7 +753,7 @@ def test_exact_k_stops_walking_at_the_nth_acceptance(monkeypatch, fig1):
         return walk_chunks(chains, sizes, bound, steps, batch, rng)
 
     def counted_live(chain, size, bound, u, hist, total):
-        stepped.append(len(total))
+        stepped.append(int((total <= bound).sum()))
         walk_live(chain, size, bound, u, hist, total)
 
     monkeypatch.setattr(sampling, "_walk_chunks", counted_chunks)
@@ -762,5 +763,71 @@ def test_exact_k_stops_walking_at_the_nth_acceptance(monkeypatch, fig1):
     want, want_rej = all_walker_uniform_traces(fig1, 60, 300, ref_rng)
     assert traces == want and rej == want_rej
     (batch,) = batches
-    assert 300 + rej <= sum(stepped) < batch
+    assert 300 <= sum(stepped) < 300 + rej < batch
     assert rng.random() == ref_rng.random()
+
+
+def _count_walks(monkeypatch):
+    """Patch the batched walk to count, per component family, the rows each
+    ``_walk_live`` call starts, and the yielded rows of total ``bound``."""
+    starts, at_bound = {}, []
+    walk_chunks, walk_live = sampling._walk_chunks, sampling._walk_live
+
+    def counted_chunks(chains, sizes, bound, steps, batch, rng):
+        walk = walk_chunks(chains, sizes, bound, steps, batch, rng)
+        try:
+            for rows, total, hists in walk:
+                at_bound.append(int((total == bound).sum()))
+                yield rows, total, hists
+        finally:
+            walk.close()
+
+    def counted_live(chain, size, bound, u, hist, total):
+        key = id(chain.family)
+        starts[key] = starts.get(key, 0) + int((total <= bound).sum())
+        walk_live(chain, size, bound, u, hist, total)
+
+    monkeypatch.setattr(sampling, "_walk_chunks", counted_chunks)
+    monkeypatch.setattr(sampling, "_walk_live", counted_live)
+    return starts, at_bound
+
+
+def test_exact_k_steps_only_rows_that_can_have_length_k(monkeypatch, prod32):
+    # prod32 is free 3 x free 2: each component has one absorption threshold
+    # and one clique size, so the length bounds are exact and every row
+    # stepped is accepted.  Component 0 starts the n acceptances and at most
+    # one pool of rows past the n-th (stepping every one of the ~257 000
+    # proposals would start them all); a boundary walk starts every row
+    n = 5000
+    first, second = (id(cb.family) for cb in prod32.components)
+    starts, at_bound = _count_walks(monkeypatch)
+    traces, rej = sample_uniform_traces(prod32, 20, n, RandomSource(1).generator())
+    assert len(traces) == n and rej > 200_000
+    pool = sampling._CHUNK_ROWS // len(prod32.components) // 2
+    assert n <= starts[first] == sum(at_bound) < n + pool
+    starts.clear()
+    topped_prefix_batch(prod32, 20, n, RandomSource(1).generator())
+    assert starts == {first: n, second: n}
+
+
+@settings(max_examples=40, deadline=None)
+@given(graph=independence_graphs(max_letters=6), k=st.integers(0, 10),
+       n=st.integers(1, 60), seed=st.integers(0, 1 << 32))
+def test_pruned_exact_k_matches_all_walker_reference(graph, k, n, seed):
+    # 61-row chunks: a batch of at least 4 096 proposals fills and flushes
+    # pools mid-batch.  The traces, the rejections and the generator's next
+    # value are those of stepping every walker; with a budget of 5
+    # rejections for 2 n + 100 traces, both give up at the same point
+    letters, pairs = graph
+    bundle = MonoidBundle(validate_independence(letters, pairs, symmetric_closure=True))
+    with mock.patch.object(sampling, "_CHUNK_ROWS", 61):
+        rng, ref_rng = RandomSource(seed).generator(), RandomSource(seed).generator()
+        assert sample_uniform_traces(bundle, k, n, rng) == all_walker_uniform_traces(
+            bundle, k, n, ref_rng)
+        assert rng.random() == ref_rng.random()
+        if k:
+            with pytest.raises(RejectBudgetExhausted):
+                sample_uniform_traces(bundle, k, 2 * n + 100, rng, max_rejects=5)
+            with pytest.raises(RejectBudgetExhausted):
+                all_walker_uniform_traces(bundle, k, 2 * n + 100, ref_rng, max_rejects=5)
+            assert rng.random() == ref_rng.random()
